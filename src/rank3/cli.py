@@ -172,6 +172,9 @@ def cmd_reproduce(args):
                 verdict = "PASS" if case["match"] else "FAIL"
             print("%-22s %-7s %6.1fs  %s"
                   % (case["case"], verdict, case["seconds"], case["citation"]))
+            if "error" in case:
+                print("    %s: %s" % (case["error"]["type"],
+                                      case["error"]["message"]))
         s = report["summary"]
         print("passed %d, failed %d, skipped %d"
               % (s["passed"], s["failed"], s["skipped"]))

@@ -9,6 +9,7 @@ a few imprimitive / subspace stabilizers used as negative examples.
 """
 
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +60,22 @@ def orbit_partition(space, group, xi, cap=groups.ORBIT_CAP):
     Returns a list of OrbitReports, one per orbit, ordered by the
     smallest packed code they contain (deterministic).
     """
-    pts = geometry.nonsingular_points(space, xi)
-    n = space.n
-    powers = (3 ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    remaining = np.sort(np.array(pts, dtype=np.int64) @ powers)
+    remaining = geometry.nonsingular_codes(space, xi)
     reports = []
     while remaining.size:
         start = tuple(int(x) for x in
-                      groups.decode_codes(remaining[:1], n)[0])
-        size, _d, codes = groups.orbit_codes(space, group, start, cap)
-        reports.append(groups.cd_parameters(space, group, start, cap))
-        remaining = np.setdiff1d(remaining, codes, assume_unique=True)
+                      groups.decode_codes(remaining[:1], space.n)[0])
+        t0 = time.time()
+        size, d, codes = groups.orbit_codes(space, group, start, cap)
+        reports.append(groups.make_report(space, start, size, d,
+                                          time.time() - t0))
+        pos = np.searchsorted(remaining, codes)
+        if not (remaining.take(pos, mode="clip") == codes).all():
+            raise AssertionError("orbit of %r leaves the unvisited points"
+                                 % (start,))
+        keep = np.ones(remaining.size, dtype=bool)
+        keep[pos] = False
+        remaining = remaining[keep]
     return reports
 
 
@@ -599,7 +605,7 @@ def symplectic_lambda2_module():
                                gram=space.gram)
     base = []
     for t in (PLUS, MINUS):
-        x = next(v for v in geometry.nonsingular_points(space, t))
+        x = geometry.first_nonsingular_point(space, t)
         base.append((x, t))
     return ConstructedCase("sp6-lambda2", space, group, tuple(base),
                            "symplectic wedge-square section")
@@ -694,7 +700,7 @@ def imprimitive_o3_wr_s3():
                                gram=space.gram)
     base = []
     for t in (PLUS, MINUS):
-        x = next(v for v in geometry.nonsingular_points(s3, t))
+        x = geometry.first_nonsingular_point(s3, t)
         base.append((tuple(x) + (0,) * 6, None))
     return ConstructedCase("imprim-o3s3", space, group, tuple(base),
                            "orthogonal block-decomposition stabilizer")
@@ -711,7 +717,7 @@ def subspace_stabilizer_n7_w3():
     gens += [_embed_block(F, g, 7, 3) for g in groups.omega_generators(s4).gens]
     group = groups.MatrixGroup(F, 7, tuple(gens), label="substab-n7-w3",
                                gram=space.gram)
-    x = next(v for v in geometry.nonsingular_points(s3, PLUS))
+    x = geometry.first_nonsingular_point(s3, PLUS)
     base = ((tuple(x) + (0,) * 4, None),)
     return ConstructedCase("substab-n7-w3", space, group, base,
                            "orthogonal-sum stabilizer")

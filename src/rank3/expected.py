@@ -29,6 +29,7 @@ class CaseResult:
     match: bool
     seconds: float
     skipped: bool = False
+    error: dict | None = None  # {"type", "message"} when the case raised
 
     def to_json(self):
         d = {"case": self.label, "citation": self.citation,
@@ -36,6 +37,8 @@ class CaseResult:
              "match": self.match, "seconds": round(self.seconds, 3)}
         if self.skipped:
             d["skipped"] = True
+        if self.error is not None:
+            d["error"] = self.error
         return d
 
 
@@ -159,22 +162,22 @@ def _case_meataxe_s8():
     return expected, computed
 
 
+def _sorted_cd(case):
+    reps = (groups.cd_parameters(case.space, case.group, v)
+            for v, _t in case.base_points)
+    return sorted([rep.c, rep.d] for rep in reps)
+
+
 def _case_wedge():
     case = constructions.wedge_square_rep()
     expected = sorted([[13040, 9072], [26324, 17901]])
-    computed = sorted([groups.cd_parameters(case.space, case.group, v).c,
-                       groups.cd_parameters(case.space, case.group, v).d]
-                      for v, _t in case.base_points)
-    return expected, computed
+    return expected, _sorted_cd(case)
 
 
 def _case_sym27():
     case = constructions.sym_square_o7_rep()
     expected = sorted([[13850, 8262], [26324, 17901]])
-    computed = sorted([groups.cd_parameters(case.space, case.group, v).c,
-                       groups.cd_parameters(case.space, case.group, v).d]
-                      for v, _t in case.base_points)
-    return expected, computed
+    return expected, _sorted_cd(case)
 
 
 def _case_sp6_lambda2():
@@ -318,8 +321,15 @@ def thread_cap():
 
 
 def run_case(label, tier, citation, fn):
+    """Run one case; a case that raises becomes a failed result carrying
+    the exception's type and message, so the rest of the suite still runs."""
     t0 = time.time()
-    out = fn()
+    try:
+        out = fn()
+    except Exception as e:
+        return CaseResult(label, citation, None, None, False,
+                          time.time() - t0,
+                          error={"type": type(e).__name__, "message": str(e)})
     dt = time.time() - t0
     if out is None:
         return CaseResult(label, citation, None, None, True, dt, skipped=True)

@@ -245,46 +245,81 @@ def count_norm_vectors(space, gamma, include_zero=True):
 # ---------------------------------------------------------------------------
 # point sets
 
-def nonsingular_points(space, xi):
-    """All non-singular projective points of type xi (odd dim)."""
+def code_powers(n, p=3):
+    """Place values of packed point codes: base p, first coordinate most
+    significant, so that sorted codes list points lexicographically."""
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _point_blocks(space, want):
+    """Non-singular points of type want over a prime field, as int64 row
+    blocks, one per position of the leading 1, in nonsingular_points order."""
+    F = space.field
+    p, n = F.p, space.n
+    G = space._gram_np
+    if G is None:
+        raise ValueError("packed point enumeration needs a prime field")
+    gset = np.array([g for g in F.nonzero() if type_of_qvalue(space, g) == want])
+    powers = p ** np.arange(n, dtype=np.int64)
+    for lead in range(n):
+        tail = n - lead - 1
+        count = p ** tail
+        idx = np.arange(count, dtype=np.int64)
+        V = np.zeros((count, n), dtype=np.int64)
+        V[:, lead] = 1
+        if tail:
+            V[:, lead + 1:] = (idx[:, None] // powers[None, :tail]) % p
+        qv = (((V @ G) * V).sum(axis=1) * space._half) % p
+        yield V[np.isin(qv, gset)]
+
+
+def _point_set(space, xi):
+    """(type, number of points) of the non-singular points of type xi."""
     if space.n % 2 == 0:
         raise ValueError("point types need odd dimension")
-    F = space.field
-    if F.q ** space.n > _EXHAUSTIVE_LIMIT:
+    if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
         raise ValueError("space too large to materialize")
     want = PLUS if xi in ("+", PLUS, 1) else MINUS
-    gammas = [g for g in F.nonzero() if type_of_qvalue(space, g) == want]
-    pts = []
+    m, q = (space.n - 1) // 2, space.field.q
+    return want, q ** m * (q ** m + (1 if want == PLUS else -1)) // 2
+
+
+def nonsingular_points(space, xi):
+    """All non-singular projective points of type xi (odd dim), as tuples
+    with first nonzero coordinate 1."""
+    want, expected = _point_set(space, xi)
+    F = space.field
     if F.a == 1:
-        p, n = F.p, space.n
-        G = space._gram_np
-        half = space._half
-        powers = p ** np.arange(n, dtype=np.int64)
-        gset = np.array(gammas)
-        # canonical reps: first nonzero coordinate is 1, generated per position
-        for lead in range(n):
-            tail = n - lead - 1
-            count = p ** tail
-            idx = np.arange(count, dtype=np.int64)
-            V = np.zeros((count, n), dtype=np.int64)
-            V[:, lead] = 1
-            if tail:
-                V[:, lead + 1:] = (idx[:, None] // powers[None, :tail]) % p
-            qv = (((V @ G) * V).sum(axis=1) * half) % p
-            keep = np.isin(qv, gset)
-            pts.extend(tuple(int(x) for x in row) for row in V[keep])
+        pts = [tuple(int(x) for x in row)
+               for block in _point_blocks(space, want) for row in block]
     else:
+        gammas = [g for g in F.nonzero() if type_of_qvalue(space, g) == want]
+        pts = []
         for lead in range(space.n):
             for tail in itertools.product(F.elements(), repeat=space.n - lead - 1):
                 v = (0,) * lead + (1,) + tail
                 if space.q_value(v) in gammas:
                     pts.append(v)
-    m = (space.n - 1) // 2
-    q = F.q
-    sgn = 1 if want == PLUS else -1
-    expected = (q ** m * (q ** m + sgn)) // 2
     assert len(pts) == expected, (len(pts), expected)
     return pts
+
+
+def nonsingular_codes(space, xi):
+    """The points of nonsingular_points as sorted packed codes (prime
+    fields; see code_powers)."""
+    want, expected = _point_set(space, xi)
+    powers = code_powers(space.n, space.field.p)
+    codes = np.sort(np.concatenate(
+        [block @ powers for block in _point_blocks(space, want)]))
+    assert len(codes) == expected, (len(codes), expected)
+    return codes
+
+
+def first_nonsingular_point(space, xi):
+    """nonsingular_points(space, xi)[0], without enumerating the rest."""
+    want, _count = _point_set(space, xi)
+    block = next(b for b in _point_blocks(space, want) if len(b))
+    return tuple(int(x) for x in block[0])
 
 
 def measured_rank3_parameters(space, xi):

@@ -291,7 +291,8 @@ def omega_generators(space):
                                if geometry.type_of_qvalue(space, g) ==
                                (PLUS if xi == "+" else MINUS))
                     x = find_vector_with_q(space, gam)
-                    size = orbit_report(space, group, x).size
+                    size, _d, _c = _scan(group.gens, x, space.gram,
+                                         ORBIT_CAP)
                     expected = 3 ** m * (3 ** m + sgn) // 2
                     if size != expected:
                         raise RuntimeError(
@@ -370,71 +371,110 @@ class OrbitReport:
         }
 
 
-def _in_sorted(sorted_arr, values):
-    if len(sorted_arr) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.searchsorted(sorted_arr, values)
-    out = np.zeros(len(values), dtype=bool)
-    valid = pos < len(sorted_arr)
-    out[valid] = sorted_arr[pos[valid]] == values[valid]
-    return out
+# Packed codes are int64 base-3 numbers (geometry.code_powers); 3^40 - 1
+# no longer fits.
+MAX_CODE_DIM = 39
+# Up to this dim the seen-set is a bitmap of 3^n bits (1.8 MB at dim 15);
+# above it, the sorted array of the codes found so far.
+_DENSE_MAX_DIM = 15
+# Image entries per chunk (rows x generators x dim), which bounds the
+# buffers of one BFS level.
+_CHUNK_ENTRIES = 1 << 17
+_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
-def _canon3(V, powers):
-    """Min-code representative among {v, -v}; returns (vecs, codes)."""
-    codes = V.astype(np.int64) @ powers
-    negV = (3 - V) % 3
-    neg_codes = negV.astype(np.int64) @ powers
-    mask = neg_codes < codes
-    V = V.copy()
-    V[mask] = negV[mask]
-    return V, np.minimum(codes, neg_codes)
+def _canonical_codes(V, powers):
+    """Codes of the projective points of the rows of V (entries 0..2): the
+    smaller of the codes of v and -v, whose sum is 3 * code(v != 0)."""
+    codes = V @ powers
+    return np.minimum(codes, 3 * ((V != 0) @ powers) - codes)
 
 
-def _orbit_gf3(gens, start, gram, cap, want_codes):
-    """BFS orbit of a projective point over GF(3); returns (size, d, codes)."""
+def _mark(bits, codes):
+    """Set the bits of sorted, unique codes."""
+    byte = codes >> 3
+    first = np.flatnonzero(np.diff(byte, prepend=-1))
+    bits[byte[first]] |= np.bitwise_or.reduceat(_BIT[codes & 7], first)
+
+
+def _distinct(codes):
+    """Sorted distinct codes; np.unique's hash table is several times slower
+    on millions of int64 codes."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _drop_seen(seen, codes):
+    """The distinct codes not in the seen-set (a bitmap or sorted codes),
+    sorted."""
+    if seen.dtype == np.uint8:
+        return _distinct(codes[(seen[codes >> 3] & _BIT[codes & 7]) == 0])
+    codes = _distinct(codes)  # sorted keys keep the binary search in cache
+    pos = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+    return codes[seen[pos] != codes]
+
+
+def _scan(gens, start, gram, cap):
+    """BFS orbit of a projective point over GF(3): (size, d, sorted codes).
+
+    d counts the orbit points w != start with f(w, start) = 0.  Each level
+    maps the frontier by all generators at once, reduces mod 3 on
+    integers, drops images already seen chunk by chunk, and merges what is
+    left into the seen-set once.
+    """
     n = len(start)
-    powers = (3 ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    gens_f = [np.array(g, dtype=np.float32) for g in gens]
-    V0 = np.array([start], dtype=np.int8) % 3
-    V0, codes0 = _canon3(V0, powers)
-    gx = (np.array(gram, dtype=np.int64) @ (np.array(start, dtype=np.int64) % 3)) % 3
-    seen = codes0.copy()
-    frontier = V0
-    d = 0
-    chunk = 1 << 20
-    while len(frontier):
-        level_codes = np.empty(0, dtype=np.int64)
-        level_vecs = []
-        for gf in gens_f:
-            parts_v, parts_c = [], []
-            for lo in range(0, len(frontier), chunk):
-                img = frontier[lo:lo + chunk].astype(np.float32) @ gf
-                img %= 3
-                V, codes = _canon3(img.astype(np.int8), powers)
-                parts_v.append(V)
-                parts_c.append(codes)
-            codes = np.concatenate(parts_c)
-            V = np.concatenate(parts_v)
-            ucodes, uidx = np.unique(codes, return_index=True)
-            keep = ~_in_sorted(seen, ucodes)
-            if len(level_codes):
-                keep &= ~_in_sorted(level_codes, ucodes)
-            if not keep.any():
-                continue
-            new_codes = ucodes[keep]
-            new_vecs = V[uidx[keep]]
-            level_codes = np.union1d(level_codes, new_codes) if len(level_codes) else new_codes
-            level_vecs.append(new_vecs)
-        if not len(level_codes):
+    if n > MAX_CODE_DIM:
+        raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
+                         "codes), got dim %d" % (MAX_CODE_DIM, n))
+    powers = geometry.code_powers(n)
+    x = np.array(start, dtype=np.int64) % 3
+    gx = (np.array(gram, dtype=np.int64) @ x) % 3
+    codes = _canonical_codes(x[None, :], powers)
+    if not gens:
+        return 1, 0, codes
+    G = np.concatenate([np.array(g, dtype=np.float32) % 3 for g in gens],
+                       axis=1)
+    rows = max(1, _CHUNK_ENTRIES // G.shape[1])
+    dense = n <= _DENSE_MAX_DIM
+    if dense:
+        seen = np.zeros((3 ** n + 7) // 8, dtype=np.uint8)
+        _mark(seen, codes)
+        levels = [codes]
+    else:
+        seen = codes
+    # every orbit point is counted once, as part of a frontier; the start
+    # point is taken back out of d
+    size, d = 1, -int(x @ gx % 3 == 0)
+    frontier = codes
+    while True:
+        parts = []
+        for lo in range(0, len(frontier), rows):
+            V = decode_codes(frontier[lo:lo + rows], n)
+            d += int(((V @ gx) % 3 == 0).sum())
+            # entries of v @ g are at most 4n <= 156, exact in float32
+            # and in uint8, where mod 3 is far cheaper than on floats
+            img = (V.astype(np.float32) @ G).astype(np.uint8)
+            img %= 3
+            c = _canonical_codes(img.reshape(-1, n), powers)
+            parts.append(_drop_seen(seen, c))
+        new = _distinct(np.concatenate(parts))
+        if not new.size:
             break
-        new_all = np.concatenate(level_vecs)
-        d += int(((new_all.astype(np.int64) @ gx) % 3 == 0).sum())
-        seen = np.union1d(seen, level_codes)
-        if len(seen) > cap:
+        size += new.size
+        if size > cap:
             raise OrbitCapExceeded("orbit exceeds the cap of %d points" % cap)
-        frontier = new_all  # already unique within and across generators
-    return len(seen), d, (seen if want_codes else None)
+        if dense:
+            _mark(seen, new)
+            levels.append(new)
+        else:
+            seen = np.insert(seen, np.searchsorted(seen, new), new)
+        frontier = new
+    if dense:
+        return size, d, np.sort(np.concatenate(levels))
+    return size, d, seen
 
 
 def _orbit_generic(space, gens, start, cap):
@@ -462,9 +502,8 @@ def _orbit_generic(space, gens, start, cap):
 
 
 def decode_codes(codes, n):
-    powers = (3 ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    V = (codes[:, None] // powers[None, :]) % 3
-    return V
+    """Rows of the points with the given packed codes."""
+    return (codes[:, None] // geometry.code_powers(n)[None, :]) % 3
 
 
 def orbit(group, start, cap=ORBIT_CAP, space=None):
@@ -474,7 +513,7 @@ def orbit(group, start, cap=ORBIT_CAP, space=None):
     if gram is None:
         gram = linalg.identity(group.dim)  # d-count unused here
     if F.p == 3 and F.a == 1:
-        size, _d, codes = _orbit_gf3(group.gens, start, gram, cap, True)
+        size, _d, codes = _scan(group.gens, start, gram, cap)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
         return [tuple(int(x) for x in row) for row in decode_codes(codes, group.dim)]
@@ -483,29 +522,22 @@ def orbit(group, start, cap=ORBIT_CAP, space=None):
     return sorted(seen)
 
 
-def _xi_token(t):
-    return {"plus": "+", "minus": "-"}.get(t, t)
-
-
-def cd_parameters(space, group, start, cap=ORBIT_CAP):
-    """OrbitReport with (c, d) and the equation verdicts."""
-    F = space.field
+def _check_start(space, group, start):
     if space.q_value(start) == 0:
         raise ValueError("base point must be non-singular")
     if group.gram is None:
         for g in group.gens:
-            if not preserves_form(F, g, space.gram):
+            if not preserves_form(space.field, g, space.gram):
                 raise ValueError("group does not preserve the form")
-    t0 = time.time()
-    if F.p == 3 and F.a == 1:
-        size, d, _ = _orbit_gf3(group.gens, start, space.gram, cap, False)
-    else:
-        seen, d = _orbit_generic(space, group.gens, start, cap)
-        size = len(seen)
+
+
+def make_report(space, start, size, d, seconds):
+    """OrbitReport of an orbit with the given size and d, with (c, d) and
+    the equation verdicts."""
     c = size - 1 - d
     ptype = geometry.point_type(space, start)
-    rep = OrbitReport(tuple(start), ptype, size, c, d,
-                      seconds=time.time() - t0, visited=size)
+    rep = OrbitReport(tuple(start), ptype, size, c, d, seconds=seconds,
+                      visited=size)
     if space.n % 2 == 1:
         m = (space.n - 1) // 2
         rep.m = m
@@ -521,71 +553,20 @@ def cd_parameters(space, group, start, cap=ORBIT_CAP):
     return rep
 
 
-def orbit_report(space, group, start, cap=ORBIT_CAP):
-    return cd_parameters(space, group, start, cap)
+def cd_parameters(space, group, start, cap=ORBIT_CAP):
+    """OrbitReport with (c, d) and the equation verdicts."""
+    F = space.field
+    _check_start(space, group, start)
+    t0 = time.time()
+    if F.p == 3 and F.a == 1:
+        size, d, _ = _scan(group.gens, start, space.gram, cap)
+    else:
+        seen, d = _orbit_generic(space, group.gens, start, cap)
+        size = len(seen)
+    return make_report(space, start, size, d, time.time() - t0)
 
 
 def orbit_codes(space, group, start, cap=ORBIT_CAP):
     """(size, d, sorted packed codes) for GF(3) spaces."""
-    return _orbit_gf3(group.gens, start, space.gram, cap, True)
-
-
-# ---------------------------------------------------------------------------
-# toy permutation groups (double-coset oracle)
-
-def perm_compose(p, q):
-    """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def perm_closure(gens, cap=20_000):
-    n = len(gens[0])
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                m = perm_compose(h, g)
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-                    if len(seen) > cap:
-                        raise RuntimeError("permutation closure cap exceeded")
-        frontier = nxt
-    return seen
-
-
-def toy_double_coset_check(g_gens, p_gens, m_gens, cap=10_000):
-    """(|M\\G/P|, number of M-orbits on G/P) — Burnside-free, both by BFS."""
-    G = perm_closure(g_gens, cap)
-    P = perm_closure(p_gens, cap) if p_gens else {tuple(range(len(next(iter(G)))))}
-    M = perm_closure(m_gens, cap) if m_gens else {tuple(range(len(next(iter(G)))))}
-    # double cosets MgP
-    unassigned = set(G)
-    n_dc = 0
-    while unassigned:
-        g = next(iter(unassigned))
-        dc = {perm_compose(perm_compose(mm, g), pp) for mm in M for pp in P}
-        unassigned -= dc
-        n_dc += 1
-    # M-orbits on left cosets gP
-    def coset_key(g):
-        return min(perm_compose(g, pp) for pp in P)
-    cosets = {coset_key(g) for g in G}
-    unvisited = set(cosets)
-    n_orb = 0
-    while unvisited:
-        rep = next(iter(unvisited))
-        stack = [rep]
-        unvisited.discard(rep)
-        while stack:
-            cur = stack.pop()
-            for mm in M:
-                nk = coset_key(perm_compose(mm, cur))
-                if nk in unvisited:
-                    unvisited.discard(nk)
-                    stack.append(nk)
-        n_orb += 1
-    return n_dc, n_orb
+    _check_start(space, group, start)
+    return _scan(group.gens, start, space.gram, cap)

@@ -140,3 +140,24 @@ def test_base_points_are_nonsingular():
         case = build_case(label)
         for v, _t in case.base_points:
             assert case.space.q_value(v) != 0
+
+
+@pytest.mark.parametrize("label", ["wreath-n7", "parabolic-n7-a1"])
+def test_orbit_partition_one_scan_per_orbit(label, monkeypatch):
+    from rank3.higman import odd_orthogonal_params
+    calls = []
+    scan = groups.orbit_codes
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "orbit_codes", counted)
+    case = build_case(label)
+    for xi in ("+", "-"):
+        calls.clear()
+        parts = orbit_partition(case.space, case.group, xi)
+        m = (case.space.n - 1) // 2
+        assert sum(p.size for p in parts) == odd_orthogonal_params(m, xi).total
+        assert all(p.size == 1 + p.c + p.d for p in parts)
+        assert calls == [p.base_point for p in parts]

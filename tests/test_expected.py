@@ -69,3 +69,26 @@ def test_thread_cap_parsing(monkeypatch):
 def test_bad_tier_rejected():
     with pytest.raises(ValueError):
         expected.run_reproduction_suite("nope")
+
+
+def test_raising_case_is_reported_as_failed(fast_registry, monkeypatch, capsys):
+    from rank3 import cli, groups
+
+    def raises():
+        raise groups.OrbitCapExceeded("orbit exceeds the cap of 10 points")
+
+    monkeypatch.setattr(expected, "CASES", expected.CASES + [
+        ("raising-demo", "core", "always raises", raises)])
+    report = expected.run_reproduction_suite("core")
+    case = next(c for c in report["cases"] if c["case"] == "raising-demo")
+    assert case["match"] is False
+    assert case["error"] == {"type": "OrbitCapExceeded",
+                             "message": "orbit exceeds the cap of 10 points"}
+    assert report["summary"] == {"passed": len(FAST_LABELS), "failed": 1,
+                                 "skipped": 0}
+    assert all("error" not in c for c in report["cases"] if c is not case)
+
+    assert cli.main(["reproduce", "--json"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["summary"]["failed"] == 1
+    assert "Traceback" not in out.err

@@ -156,3 +156,17 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_construct_unknown_label(capsys):
     assert exit_code("construct", "nope") == 2
+
+
+@pytest.mark.parametrize("command", ["orbit", "cd"])
+def test_cli_rejects_dims_past_the_packed_code_limit(tmp_path, capsys, command):
+    n = 40
+    cycle = tuple(tuple(1 if (i + 1) % n == j else 0 for j in range(n))
+                  for i in range(n))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    path = tmp_path / "cycle40.gen"
+    write_generator_file(str(path), groups.MatrixGroup(
+        field_create(3, 1), n, (cycle,), gram=ident), form=ident)
+    vector = ",".join(["1", "1"] + ["0"] * (n - 2))
+    assert exit_code(command, str(path), vector) == 2
+    assert "dim <= 39" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +114,25 @@ def test_point_set_sizes(m, xi, size):
     for v in pts[:20]:
         assert v == canonical_point(GF3, v)
         assert point_type(sp, v) == (PLUS if xi == "+" else MINUS)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_nonsingular_points_order(n):
+    # leading 1 moves right; behind it the first coordinate varies fastest
+    sp = standard_space(n, GF3)
+    for xi, want in (("+", PLUS), ("-", MINUS)):
+        reference = []
+        for lead in range(n):
+            for tail in itertools.product(range(3), repeat=n - lead - 1):
+                v = (0,) * lead + (1,) + tail[::-1]
+                if sp.q_value(v) != 0 and point_type(sp, v) == want:
+                    reference.append(v)
+        pts = nonsingular_points(sp, xi)
+        assert pts == reference
+        assert geometry.first_nonsingular_point(sp, xi) == pts[0]
+        powers = geometry.code_powers(n)
+        assert list(geometry.nonsingular_codes(sp, xi)) == sorted(
+            sum(int(x) * int(p) for x, p in zip(v, powers)) for v in pts)
 
 
 def test_measured_parameters_small():

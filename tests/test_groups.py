@@ -138,3 +138,66 @@ def test_orbit_cap():
     v = find_vector_with_q(sp, 2)
     with pytest.raises(groups.OrbitCapExceeded):
         cd_parameters(sp, G, v, cap=10)
+
+
+def _perm_group(n, perms, signs=()):
+    """Permutation matrices, plus diagonal sign changes, on GF(3)^n with the
+    identity form."""
+    gens = []
+    for perm in perms:
+        gens.append(tuple(tuple(1 if perm[i] == j else 0 for j in range(n))
+                          for i in range(n)))
+    for flips in signs:
+        gens.append(tuple(tuple((2 if i in flips else 1) if i == j else 0
+                                for j in range(n)) for i in range(n)))
+    sp = standard_space(n, GF3)
+    return sp, MatrixGroup(GF3, n, tuple(gens), gram=sp.gram)
+
+
+def _wreath7():
+    from rank3.constructions import wreath_o1_subgroup
+    case = wreath_o1_subgroup(7)
+    return case.space, case.group
+
+
+def _cycles21():
+    # 21-cycle, a 3-cycle and a sign change: the orbit of (1, 1, 0, ...) is
+    # every signed pair, 420 points, on the sorted-merge seen-set
+    n = 21
+    return _perm_group(n, [tuple(range(1, n)) + (0,),
+                           (1, 2, 0) + tuple(range(3, n))], signs=[{0, 1}])
+
+
+def _no_generators5():
+    return _perm_group(5, [])
+
+
+@pytest.mark.parametrize("make,starts", [
+    (_wreath7, [(1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0),
+                (1, 2, 1, 1, 0, 0, 0), (0, 1, 1, 1, 1, 2, 0)]),
+    (_cycles21, [(1, 1) + (0,) * 19, (2, 1, 0, 1) + (0,) * 17]),
+    (_no_generators5, [(2, 1, 0, 0, 0)]),
+])
+def test_scan_matches_generic_oracle(make, starts):
+    sp, G = make()
+    for v in starts:
+        size, d, codes = groups._scan(G.gens, v, sp.gram, groups.ORBIT_CAP)
+        seen, d_ref = groups._orbit_generic(sp, G.gens, v, groups.ORBIT_CAP)
+        assert (size, d) == (len(seen), d_ref)
+        assert list(codes) == sorted(set(codes))
+        assert {tuple(int(x) for x in row)
+                for row in decode_codes(codes, sp.n)} == seen
+
+
+@pytest.mark.parametrize("n", [39, 40])
+def test_packed_code_dim_limit(n):
+    sp, G = _perm_group(n, [tuple(range(1, n)) + (0,)])
+    v = (1, 1) + (0,) * (n - 2)
+    if n <= groups.MAX_CODE_DIM:
+        pts = orbit(G, v, space=sp)
+        assert len(pts) == n and v in pts
+    else:
+        with pytest.raises(ValueError, match="dim <= 39"):
+            orbit(G, v, space=sp)
+        with pytest.raises(ValueError, match="dim <= 39"):
+            cd_parameters(sp, G, v)
