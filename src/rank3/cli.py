@@ -95,15 +95,21 @@ def cmd_check_eq(args):
     return _emit(args, payload, text)
 
 
-def cmd_construct(args):
+def _build_case(label):
+    """The named construction and its generator-file comment lines."""
     try:
-        case = constructions.build_case(args.label)
+        case = constructions.build_case(label)
     except ValueError:
         raise SystemExit2("unknown construction %r; known: %s"
-                          % (args.label, ", ".join(sorted(constructions.CASE_BUILDERS))))
+                          % (label, ", ".join(sorted(constructions.CASE_BUILDERS))))
     comments = [case.citation] + [
         "base point (%s): %s" % (t or "auto", ",".join(str(x) for x in v))
         for v, t in case.base_points]
+    return case, comments
+
+
+def cmd_construct(args):
+    case, comments = _build_case(args.label)
     sys.stdout.write(genfile.format_generator_file(
         case.group, form=case.space.gram, comments=comments))
     return 0
@@ -182,13 +188,7 @@ def cmd_reproduce(args):
 
 
 def cmd_export(args):
-    try:
-        case = constructions.build_case(args.label)
-    except ValueError:
-        raise SystemExit2("unknown construction %r" % args.label)
-    comments = [case.citation] + [
-        "base point (%s): %s" % (t or "auto", ",".join(str(x) for x in v))
-        for v, t in case.base_points]
+    case, comments = _build_case(args.label)
     genfile.write_generator_file(args.path, case.group,
                                  form=case.space.gram, comments=comments)
     print("wrote %s" % args.path)

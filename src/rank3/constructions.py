@@ -452,21 +452,14 @@ def _subquotient(F, gram, gens, sub_rows, rad_rows):
     rows must lie in the subspace and in the radical of the restricted
     form; pivot-first ordering picks the complement basis.
     """
-    acc = list(rad_rows)
-    cur = linalg.rank(F, acc) if acc else 0
-    basis = []
-    for s in sub_rows:
-        r = linalg.rank(F, acc + [s])
-        if r > cur:
-            acc.append(s)
-            cur = r
-            basis.append(s)
+    span = linalg.Echelon(F)
+    rad = [r for r in rad_rows if span.add(r)]
+    basis = [s for s in sub_rows if span.add(s)]
     dim = len(basis)
-    solve_rows = list(basis) + list(rad_rows)
-    M = linalg.mat_from_rows(solve_rows)
+    full_coords = span.coordinates(basis + rad)
 
     def coords(vec):
-        row = linalg.solve_row(F, M, vec)
+        row = full_coords(vec)
         if row is None:
             raise ValueError("vector is outside the subspace")
         return row[:dim]

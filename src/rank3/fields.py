@@ -145,7 +145,6 @@ class FiniteField:
             if not is_irreducible(modulus, p):
                 raise ValueError("modulus %r is reducible over GF(%d)" % (modulus, p))
             self.modulus = tuple(c % p for c in modulus)
-        self._build_tables()
         self.primitive = self._find_primitive()
         if self.a > 1:
             self._build_logs()
@@ -158,10 +157,6 @@ class FiniteField:
         raise AssertionError("no irreducible polynomial found")
 
     # -- construction internals ------------------------------------------
-
-    def _build_tables(self):
-        # nothing heavy for prime fields
-        self._inv_cache = None
 
     def _mul_slow(self, x, y):
         p, a = self.p, self.a
@@ -281,10 +276,6 @@ class FiniteField:
 
     def is_square(self, x):
         return self.square_class(x) == SQUARE
-
-    def class_of_sign(self, parity):
-        """Square class of (-1)^parity."""
-        return self.square_class(self.pow(self.neg(1), parity % 2)) if parity % 2 else SQUARE
 
     def elements(self):
         return range(self.q)

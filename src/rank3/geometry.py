@@ -62,16 +62,6 @@ class QuadraticSpace:
         cols = linalg.transpose(tuple(linalg.vec_mat(F, v, self.gram) for v in vectors))
         return linalg.nullspace_rows(F, cols)
 
-    def restrict(self, basis_rows):
-        """Gram matrix of the form restricted to the span of basis_rows."""
-        F = self.field
-        B = linalg.mat_from_rows(basis_rows)
-        G = linalg.mat_mul(F, B, linalg.mat_mul(F, self.gram, linalg.transpose(B)))
-        return G
-
-    def subspace(self, basis_rows):
-        return QuadraticSpace(self.field, self.restrict(basis_rows))
-
     def __repr__(self):
         return "QuadraticSpace(%r, dim=%d)" % (self.field, self.n)
 
@@ -170,17 +160,13 @@ def point_type(space, v):
         return ZERO
     if space.n % 2 == 0:
         return gamma
-    # sign of the even-dimensional perp via discriminants:
-    # disc(V) = class(2*gamma) * disc(v-perp)
-    F = space.field
-    k = (space.n - 1) // 2
-    disc_perp_sq = (space.disc_class() == F.square_class(F.mul(F.from_int(2), gamma)))
-    target_sq = (F.square_class(F.pow(F.neg(1), k)) == SQUARE)
-    return PLUS if disc_perp_sq == target_sq else MINUS
+    return type_of_qvalue(space, gamma)
 
 
 def type_of_qvalue(space, gamma):
-    """Type of any nonsingular vector with Q = gamma (odd dim)."""
+    """Type of any nonsingular vector with Q = gamma (odd dim): the sign
+    of the even-dimensional perp, read off disc(V) = class(2*gamma) *
+    disc(v-perp)."""
     if gamma == 0:
         return ZERO
     F = space.field
@@ -322,24 +308,26 @@ def first_nonsingular_point(space, xi):
     return tuple(int(x) for x in block[0])
 
 
-def measured_rank3_parameters(space, xi):
-    """(|E|, k, l, lambda, mu) measured on the explicit point set."""
-    pts = nonsingular_points(space, xi)
-    N = len(pts)
-    P = np.array(pts, dtype=np.int64)
+def _delta_graph(space, xi):
+    """Adjacency matrix A of the perpendicularity graph on E_xi, and A^2."""
     G = space._gram_np
     if G is None:
-        raise ValueError("measurement implemented for prime fields only")
-    p = space.field.p
-    M = (P @ G @ P.T) % p
-    A = (M == 0).astype(np.int64)
+        raise ValueError("the Delta-graph is built for prime fields only")
+    P = np.array(nonsingular_points(space, xi), dtype=np.int64)
+    A = ((P @ G @ P.T) % space.field.p == 0).astype(np.int64)
     np.fill_diagonal(A, 0)
+    return A, A @ A
+
+
+def measured_rank3_parameters(space, xi):
+    """(|E|, k, l, lambda, mu) measured on the explicit point set."""
+    A, A2 = _delta_graph(space, xi)
+    N = len(A)
     ks = A.sum(axis=1)
     if ks.min() != ks.max():
         raise AssertionError("Delta-graph is not regular")
     k = int(ks[0])
     l = N - 1 - k
-    A2 = A @ A
     lam_vals = set(A2[A == 1].tolist())
     off = (1 - A).astype(bool)
     np.fill_diagonal(off, False)

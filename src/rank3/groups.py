@@ -102,14 +102,7 @@ def _span_candidates(F, rows):
         for c in units:
             yield linalg.vec_add(F, rows[i], linalg.vec_scale(F, c, rows[j]))
     if F.q ** k <= 200_000:
-        for coeffs in itertools.product(F.elements(), repeat=k):
-            if not any(coeffs):
-                continue
-            v = [0] * len(rows[0])
-            for c, r in zip(coeffs, rows):
-                if c:
-                    v = linalg.vec_add(F, tuple(v), linalg.vec_scale(F, c, r))
-            yield tuple(v)
+        yield from linalg.span_vectors(F, rows)
 
 
 def reflection_decompose(space, g):

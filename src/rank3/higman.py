@@ -157,19 +157,13 @@ def srg_verify(space, xi):
     import numpy as np
     from . import geometry
 
-    pts = geometry.nonsingular_points(space, xi)
-    N = len(pts)
-    P = np.array(pts, dtype=np.int64)
-    p = space.field.p
-    M = (P @ space._gram_np @ P.T) % p
-    A = (M == 0).astype(np.int64)
-    np.fill_diagonal(A, 0)
+    A, A2 = geometry._delta_graph(space, xi)
+    N = len(A)
     ks = A.sum(axis=1)
     if ks.min() != ks.max():
         return SrgReport(N, -1, -1, -1, -1, 0, 0, 0, 0, False, "not regular")
     k = int(ks[0])
     l = N - 1 - k
-    A2 = A @ A
     lam = int(A2[A == 1][0]) if k else 0
     off = (1 - A).astype(bool)
     np.fill_diagonal(off, False)

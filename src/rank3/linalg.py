@@ -2,8 +2,13 @@
 
 Vectors are tuples of encoded field values; matrices are tuples of row
 tuples.  Everything here is pure Python and meant for small dimensions;
-the hot GF(3) paths live in the numpy-based orbit/meataxe code.
+the MeatAxe runs on it too, while the hot GF(3) orbit paths are numpy
+code in groups and geometry.  All elimination except det goes through
+one incremental reduced echelon basis, Echelon.
 """
+
+import bisect
+import itertools
 
 
 def identity(n):
@@ -55,15 +60,6 @@ def mat_mul(F, A, B):
     return tuple(vec_mat(F, row, B) for row in A)
 
 
-def mat_vec_col(F, A, v):
-    """Matrix times column vector (returns tuple)."""
-    return tuple(vec_dot(F, row, v) for row in A)
-
-
-def scalar_mat(F, c, A):
-    return tuple(tuple(F.mul(c, x) for x in row) for row in A)
-
-
 def kron(F, A, B):
     m, n = len(A), len(A[0])
     p, q = len(B), len(B[0])
@@ -78,37 +74,98 @@ def kron(F, A, B):
     return tuple(out)
 
 
+class Echelon:
+    """An incrementally built reduced echelon basis of a subspace of F^n.
+
+    rows are kept sorted by pivot column; each pivot entry is 1 and is the
+    only nonzero entry of its column, so the rows are the reduced echelon
+    form of the span and do not depend on the order vectors were added in.
+    """
+
+    def __init__(self, F, rows=()):
+        self.F = F
+        self.rows = []
+        self.pivots = []
+        for r in rows:
+            self.add(r)
+
+    def _axpy(self, v, c, row):
+        """v - c * row, as a list."""
+        F = self.F
+        if F.a == 1:
+            p = F.p
+            return [(x - c * y) % p for x, y in zip(v, row)]
+        return [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+
+    def reduce(self, v):
+        """v minus its component in the span, as a list.  Every pivot
+        column is zero in the other rows, so one pass suffices."""
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                v = self._axpy(v, v[p], row)
+        return v
+
+    def add(self, v):
+        """Add v to the span; False when it was already in it."""
+        w = self.reduce(v)
+        col = next((j for j, x in enumerate(w) if x), None)
+        if col is None:
+            return False
+        w = vec_scale(self.F, self.F.inv(w[col]), w)
+        for i, row in enumerate(self.rows):
+            if row[col]:
+                self.rows[i] = tuple(self._axpy(row, row[col], w))
+        at = bisect.bisect(self.pivots, col)
+        self.rows.insert(at, w)
+        self.pivots.insert(at, col)
+        return True
+
+    def coordinates(self, basis):
+        """A function taking v in the span to the x with x . basis = v, and
+        any other v to None; basis must be a basis of the span.
+
+        The coordinates of v in the reduced rows are v[pivots]; one inverse
+        of the basis's pivot block takes them to the basis.  The function
+        reads the rows as they are when it is called.
+        """
+        F = self.F
+        if len(basis) != len(self.rows) or any(any(self.reduce(b)) for b in basis):
+            raise ValueError("rows are not a basis of the span")
+        inv = mat_inv(F, tuple(tuple(b[p] for p in self.pivots) for b in basis))
+
+        def coords(v):
+            if len(self.pivots) < len(v) and any(self.reduce(v)):
+                return None
+            x = tuple(v[p] for p in self.pivots)
+            return vec_mat(F, x, inv) if x else ()
+
+        return coords
+
+
 def rref(F, A):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in A]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][col])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in rows[:r]), pivots
+    E = Echelon(F, A)
+    return tuple(E.rows), E.pivots
 
 
 def rank(F, A):
-    return len(rref(F, A)[0])
+    return len(Echelon(F, A).rows)
+
+
+def span_vectors(F, rows):
+    """Every combination of rows with coefficients not all zero, in
+    itertools.product order of the coefficient tuples."""
+    n = len(rows[0]) if rows else 0
+    for coeffs in itertools.product(range(F.q), repeat=len(rows)):
+        if not any(coeffs):
+            continue
+        v = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                for j, x in enumerate(row):
+                    v[j] = F.add(v[j], F.mul(c, x))
+        yield tuple(v)
 
 
 def det(F, A):

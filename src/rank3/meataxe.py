@@ -27,7 +27,7 @@ class GModule:
         for g in self.gens:
             if len(g) != self.dim or any(len(r) != self.dim for r in g):
                 raise ValueError("generator has wrong shape")
-            if linalg.mat_inv(self.field, g) is None:
+            if linalg.det(self.field, g) == 0:
                 raise ValueError("generator is singular")
 
 
@@ -82,32 +82,27 @@ def _eval_word(F, gens, recipe, dim):
 def spin(F, gens, seeds):
     """Smallest subspace containing the seeds and closed under the
     right action of the generators; returned as reduced basis rows."""
-    basis, _ = linalg.rref(F, [s for s in seeds if any(s)])
-    frontier = list(basis)
+    span = linalg.Echelon(F, seeds)
+    frontier = list(span.rows)
     while frontier:
         new = []
         for v in frontier:
             for g in gens:
                 w = linalg.vec_mat(F, v, g)
-                cand, _ = linalg.rref(F, list(basis) + [w])
-                if len(cand) > len(basis):
-                    basis = cand
+                if span.add(w):
                     new.append(w)
         frontier = new
-    return list(basis)
-
-
-def _coords_in(F, basis, v):
-    return linalg.solve_row(F, linalg.mat_from_rows(basis), v)
+    return list(span.rows)
 
 
 def submodule_action(M, basis):
     F = M.field
+    coords = linalg.Echelon(F, basis).coordinates(basis)
     gens = []
     for g in M.gens:
         rows = []
         for b in basis:
-            c = _coords_in(F, basis, linalg.vec_mat(F, b, g))
+            c = coords(linalg.vec_mat(F, b, g))
             if c is None:
                 raise ValueError("basis does not span a submodule")
             rows.append(c)
@@ -117,23 +112,16 @@ def submodule_action(M, basis):
 
 def quotient_action(M, basis):
     F = M.field
+    span = linalg.Echelon(F, basis)
     comp = []
-    cur = list(basis)
     for i in range(M.dim):
         e = tuple(1 if j == i else 0 for j in range(M.dim))
-        cand, _ = linalg.rref(F, list(cur) + [e])
-        if len(cand) > len(cur):
-            cur = cand
+        if span.add(e):
             comp.append(e)
-    full = comp + list(basis)
-    gens = []
-    for g in M.gens:
-        rows = []
-        for b in comp:
-            c = _coords_in(F, full, linalg.vec_mat(F, b, g))
-            rows.append(c[:len(comp)])
-        gens.append(tuple(rows))
-    return GModule(F, len(comp), tuple(gens))
+    coords = span.coordinates(comp + list(basis))
+    gens = tuple(tuple(coords(linalg.vec_mat(F, b, g))[:len(comp)]
+                       for b in comp) for g in M.gens)
+    return GModule(F, len(comp), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +129,8 @@ def quotient_action(M, basis):
 
 def _kernel_lines(F, ker):
     """All projective representatives in the row span of ker."""
-    span = groups_span = []
-    k = len(ker)
-    seen = set()
-    import itertools
-    for coeffs in itertools.product(range(F.q), repeat=k):
-        if not any(coeffs):
-            continue
-        v = [0] * len(ker[0])
-        for c, row in zip(coeffs, ker):
-            if c:
-                for j, x in enumerate(row):
-                    v[j] = F.add(v[j], F.mul(c, x))
-        pt = geometry.canonical_point(F, tuple(v))
-        if pt not in seen:
-            seen.add(pt)
-            groups_span.append(pt)
-    return groups_span
+    return list(dict.fromkeys(geometry.canonical_point(F, v)
+                              for v in linalg.span_vectors(F, ker)))
 
 
 def find_submodule(M, rng, max_tries=200):
@@ -238,14 +211,15 @@ def modules_isomorphic(A, B, seed=0, max_tries=60):
             continue
         # lockstep standard basis from the two kernel vectors
         basis_a, basis_b = [ka[0]], [kb[0]]
+        span_a, span_b = linalg.Echelon(F, basis_a), linalg.Echelon(F, basis_b)
         i = 0
         ok = True
         while i < len(basis_a) and len(basis_a) < dim:
             for gi in range(len(A.gens)):
                 wa = linalg.vec_mat(F, basis_a[i], A.gens[gi])
                 wb = linalg.vec_mat(F, basis_b[i], B.gens[gi])
-                inda = len(linalg.rref(F, basis_a + [wa])[0]) > len(basis_a)
-                indb = len(linalg.rref(F, basis_b + [wb])[0]) > len(basis_b)
+                inda = span_a.add(wa)
+                indb = span_b.add(wb)
                 if inda != indb:
                     ok = False
                     break
@@ -297,23 +271,8 @@ def invariant_bilinear_form(M):
     if len(sols) > 4:
         raise ValueError("solution space too large; module not irreducible?")
     # search the (small) solution space for a symmetric member
-    sym_constraints = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            sym_constraints.append(tuple(
-                F.sub(1 if (a, b) == (i, j) else 0,
-                      1 if (a, b) == (j, i) else 0)
-                for a in range(d) for b in range(d)))
-    import itertools
     best_alt = None
-    for coeffs in itertools.product(range(F.q), repeat=len(sols)):
-        if not any(coeffs):
-            continue
-        v = [0] * (d * d)
-        for c, row in zip(coeffs, sols):
-            if c:
-                for k, x in enumerate(row):
-                    v[k] = F.add(v[k], F.mul(c, x))
+    for v in linalg.span_vectors(F, sols):
         B = tuple(tuple(v[a * d + b] for b in range(d)) for a in range(d))
         Bt = linalg.transpose(B)
         if B == Bt:

@@ -158,6 +158,16 @@ def test_cli_construct_unknown_label(capsys):
     assert exit_code("construct", "nope") == 2
 
 
+def test_cli_export_unknown_label(tmp_path, capsys):
+    assert exit_code("construct", "nope") == 2
+    construct_err = capsys.readouterr().err
+    assert exit_code("export", "nope", str(tmp_path / "x.gen")) == 2
+    err = capsys.readouterr().err
+    assert err == construct_err
+    assert "unknown construction 'nope'; known: " in err
+    assert not (tmp_path / "x.gen").exists()
+
+
 @pytest.mark.parametrize("command", ["orbit", "cd"])
 def test_cli_rejects_dims_past_the_packed_code_limit(tmp_path, capsys, command):
     n = 40

@@ -23,6 +23,11 @@ def test_permutation_module():
         assert linalg.det(GF3, g) != 0
 
 
+def test_singular_generator_rejected():
+    with pytest.raises(ValueError, match="generator is singular"):
+        GModule(GF3, 2, (((1, 1), (1, 1)),))
+
+
 def test_spin_is_invariant():
     M = permutation_module(5, [cycle(5), transposition(5)])
     basis = spin(GF3, M.gens, [(1, 2, 0, 0, 0)])
