@@ -97,11 +97,10 @@ def cmd_check_eq(args):
 
 def _build_case(label):
     """The named construction and its generator-file comment lines."""
-    try:
-        case = constructions.build_case(label)
-    except ValueError:
+    if label not in constructions.CASE_BUILDERS:
         raise SystemExit2("unknown construction %r; known: %s"
                           % (label, ", ".join(sorted(constructions.CASE_BUILDERS))))
+    case = constructions.build_case(label)
     comments = [case.citation] + [
         "base point (%s): %s" % (t or "auto", ",".join(str(x) for x in v))
         for v, t in case.base_points]
@@ -115,27 +114,28 @@ def cmd_construct(args):
     return 0
 
 
-def cmd_orbit(args):
+def _orbit_report(args):
+    """The OrbitReport of the vector argument under the file's group."""
     group, space = _load_group(args.file)
     v = _parse_vector(args.vector, group.dim)
-    rep = groups.cd_parameters(space, group, v)
-    payload = rep.to_json()
-    return _emit(args, payload, lambda pl: print(
+    return groups.cd_parameters(space, group, v)
+
+
+def cmd_orbit(args):
+    rep = _orbit_report(args)
+    return _emit(args, rep.to_json(), lambda pl: print(
         "orbit size %d, base point of type %s" % (rep.size, rep.xi)))
 
 
 def cmd_cd(args):
-    group, space = _load_group(args.file)
-    v = _parse_vector(args.vector, group.dim)
-    rep = groups.cd_parameters(space, group, v)
-    payload = rep.to_json()
+    rep = _orbit_report(args)
 
     def text(pl):
         print("size=%d c=%d d=%d type=%s" % (rep.size, rep.c, rep.d, rep.xi))
         if rep.eq1:
             print("eq1: r=t %s, r=s %s" % (rep.eq1["t"], rep.eq1["s"]))
             print("eq2: %s  eq3: %s  eq4: %s" % (rep.eq2, rep.eq3, rep.eq4))
-    return _emit(args, payload, text)
+    return _emit(args, rep.to_json(), text)
 
 
 def cmd_mullineux(args):

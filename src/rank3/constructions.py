@@ -125,10 +125,12 @@ def _parabolic_gram(alpha, s):
 def parabolic_subgroup(n, alpha):
     """Stabilizer (inside Omega_n(3)) of the totally singular subspace
     <e_1,...,e_alpha>, written on the basis (e, x, f) with Gram
-    [[0,0,I],[0,I,0],[I,0,0]]."""
+    [[0,0,I],[0,I,0],[I,0,0]].  alpha = m is rejected: x is then a line,
+    too small for Omega(x) and the spinor-norm compensator used here."""
     m = (n - 1) // 2
-    if n % 2 == 0 or alpha < 1 or alpha > m:
-        raise ValueError("need odd n and 1 <= alpha <= m")
+    if n % 2 == 0 or alpha < 1 or alpha >= m:
+        raise ValueError("need odd n and 1 <= alpha <= m - 1 = %d "
+                         "(P_m is not built)" % (m - 1))
     F = GF3
     s = n - 2 * alpha
     gram = _parabolic_gram(alpha, s)
@@ -255,9 +257,10 @@ def field_extension_subgroup():
         basis27.append(tuple(fields._decode(z, 3, 3)))
         z = F27.frobenius(z)
 
+    normal_coords = linalg.Echelon(F, basis27).coordinates(basis27)
+
     def to_normal_coords(u):
-        row = linalg.solve_row(F, linalg.mat_from_rows(basis27),
-                               tuple(fields._decode(u, 3, 3)))
+        row = normal_coords(tuple(fields._decode(u, 3, 3)))
         assert row is not None
         return row
 
@@ -311,10 +314,10 @@ def field_extension_subgroup():
                            "scalar restriction from GF(27)")
 
 
-def trace_form_disc_class():
-    """Square class of the discriminant of the trace form on GF(27)."""
-    case = field_extension_subgroup()
-    block = [row[:3] for row in case.space.gram[:3]]
+def trace_form_disc_class(space):
+    """Square class of the discriminant of the trace form on GF(27), read
+    off the first 3x3 block of the field_extension_subgroup space."""
+    block = [row[:3] for row in space.gram[:3]]
     return GF3.square_class(linalg.det(GF3, block))
 
 
@@ -337,11 +340,11 @@ def deleted_permutation_module(n):
     solve_rows = list(basis)
     if drop:
         solve_rows.append((1,) * n)  # quotient by the all-ones line
-    M = linalg.mat_from_rows(solve_rows)
+    solve = linalg.Echelon(F, solve_rows).coordinates(solve_rows)
     dim = len(basis)
 
     def coords(vec):
-        row = linalg.solve_row(F, M, vec)
+        row = solve(vec)
         assert row is not None
         return row[:dim]
 
@@ -727,7 +730,6 @@ CASE_BUILDERS = {
     "wreath-n13": lambda: wreath_o1_subgroup(13),
     "parabolic-n7-a1": lambda: parabolic_subgroup(7, 1),
     "parabolic-n7-a2": lambda: parabolic_subgroup(7, 2),
-    "parabolic-n7-a3": lambda: parabolic_subgroup(7, 3),
     "fieldext-n9": field_extension_subgroup,
     "deleted-n10": lambda: deleted_permutation_module(10),
     "deleted-n11": lambda: deleted_permutation_module(11),

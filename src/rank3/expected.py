@@ -128,7 +128,7 @@ def _case_fieldext():
     expected = {"+": [1053, 1134, 1134], "-": [1053, 1053, 1134],
                 "eq2": {"+": [True] * 3, "-": [True] * 3},
                 "disc": "square"}
-    computed = {"eq2": {}, "disc": constructions.trace_form_disc_class()}
+    computed = {"eq2": {}, "disc": constructions.trace_form_disc_class(case.space)}
     for xi in ("+", "-"):
         parts = constructions.orbit_partition(case.space, case.group, xi)
         parts.sort(key=lambda p: p.size)

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import geometry, higman, linalg
-from .fields import SQUARE, NONSQUARE
-from .geometry import PLUS, MINUS, ZERO
+from .fields import SQUARE
+from .geometry import PLUS, MINUS
 
 ORBIT_CAP = 30_000_000
+# group_closure raises once a group has more elements than this
+CLOSURE_CAP = 200_000
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -206,7 +208,7 @@ def hyperbolic_pair(space):
     return e, f
 
 
-def group_closure(F, gens, cap=200_000):
+def group_closure(F, gens):
     """Full enumeration of the generated matrix group (small groups only)."""
     n = len(gens[0])
     ident = linalg.identity(n)
@@ -220,7 +222,7 @@ def group_closure(F, gens, cap=200_000):
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)
-                    if len(seen) > cap:
+                    if len(seen) > CLOSURE_CAP:
                         raise RuntimeError("group closure cap exceeded")
         frontier = nxt
     return seen
@@ -243,12 +245,20 @@ _OMEGA_CACHE = {}
 
 
 def omega_generators(space):
-    """Verified generator set for Omega(V).
+    """Verified generator set for Omega(V), dim >= 3.
 
-    dim 3: products of two reflections with square spinor norm, full
-    enumeration against |Omega_3(q)|.  dim >= 4: Eichler transformations over
-    a hyperbolic-pair seed; self-check by orbit sizes (q=3, odd dim) plus
-    det/spinor/form checks on every generator.
+    The generators are the Eichler transformations E(e, cv) and E(f, cv)
+    for a hyperbolic pair (e, f), v in a basis of <e, f>-perp and c in
+    {1} (q = 3) or {1, a primitive element}.  Every generator is checked
+    to preserve the form and to have det 1, and up to dim 9 to have square
+    spinor norm.  The set is then verified to generate all of Omega:
+
+    - dim 3: by full enumeration against |Omega_3(q)|;
+    - odd dim >= 5 over GF(3): by the sizes of the orbits on plus and
+      minus points, 3^m (3^m +- 1) / 2;
+    - any other space: by the per-generator checks only.
+
+    A failed verification raises RuntimeError.
     """
     key = (space.field, space.gram)
     if key in _OMEGA_CACHE:
@@ -257,83 +267,41 @@ def omega_generators(space):
     n = space.n
     if n < 3:
         raise ValueError("dim >= 3 required")
+    e, f = hyperbolic_pair(space)
+    perp = space.perp_basis([e, f])
+    scalars = [1] if F.q == 3 else [1, F.primitive]
+    gens = []
+    for v in perp:
+        for c in scalars:
+            cv = linalg.vec_scale(F, c, v)
+            gens.append(eichler(space, e, cv))
+            gens.append(eichler(space, f, cv))
+    for g in gens:
+        assert preserves_form(F, g, space.gram)
+        assert linalg.det(F, g) == 1
+        if n <= 9:
+            assert spinor_norm(space, g) == SQUARE
+    group = MatrixGroup(F, n, tuple(gens), label="Omega_%d(%d)" % (n, F.q),
+                        gram=space.gram)
     if n == 3:
-        group = _omega3(space)
-    else:
-        e, f = hyperbolic_pair(space)
-        perp = space.perp_basis([e, f])
-        scalars = [1] if F.q == 3 else [1, F.primitive]
-        gens = []
-        for v in perp:
-            for c in scalars:
-                cv = linalg.vec_scale(F, c, v)
-                gens.append(eichler(space, e, cv))
-                gens.append(eichler(space, f, cv))
-        for g in gens:
-            assert preserves_form(F, g, space.gram)
-            assert linalg.det(F, g) == 1
-            if n <= 9:
-                assert spinor_norm(space, g) == SQUARE
-        group = MatrixGroup(F, n, tuple(gens), label="Omega_%d(%d)" % (n, F.q),
-                            gram=space.gram)
-        if F.q == 3 and n % 2 == 1:
-            m = (n - 1) // 2
-            if m >= 2:
-                for xi, sgn in (("+", 1), ("-", -1)):
-                    gam = next(g for g in F.nonzero()
-                               if geometry.type_of_qvalue(space, g) ==
-                               (PLUS if xi == "+" else MINUS))
-                    x = find_vector_with_q(space, gam)
-                    size, _d, _c = _scan(group.gens, x, space.gram,
-                                         ORBIT_CAP)
-                    expected = 3 ** m * (3 ** m + sgn) // 2
-                    if size != expected:
-                        raise RuntimeError(
-                            "Omega self-check failed: orbit %d, expected %d"
-                            % (size, expected))
+        size = len(group_closure(F, group.gens))
+        if size != omega_order(3, F.q):
+            raise RuntimeError("Omega_3 enumeration: got %d, want %d"
+                               % (size, omega_order(3, F.q)))
+    elif F.q == 3 and n % 2 == 1:
+        m = (n - 1) // 2
+        for ptype, sgn in ((PLUS, 1), (MINUS, -1)):
+            gam = next(g for g in F.nonzero()
+                       if geometry.type_of_qvalue(space, g) == ptype)
+            x = find_vector_with_q(space, gam)
+            size, _d, _c = _scan(group.gens, x, space.gram, ORBIT_CAP)
+            expected = 3 ** m * (3 ** m + sgn) // 2
+            if size != expected:
+                raise RuntimeError(
+                    "Omega self-check failed: orbit %d, expected %d"
+                    % (size, expected))
     _OMEGA_CACHE[key] = group
     return group
-
-
-def _omega3(space):
-    F = space.field
-    target = omega_order(3, F.q)
-    nonsing = []
-    seen_dirs = set()
-    for v in _small_support_vectors(F, 3):
-        if space.q_value(v) == 0:
-            continue
-        d = geometry.canonical_point(F, v)
-        if d in seen_dirs:
-            continue
-        seen_dirs.add(d)
-        nonsing.append(v)
-        if len(nonsing) >= 40:
-            break
-    gens = []
-    ident = linalg.identity(3)
-    elems = set()
-    for u, v in itertools.combinations(nonsing, 2):
-        if F.square_class(space.q_value(u)) != F.square_class(space.q_value(v)):
-            continue
-        g = linalg.mat_mul(F, reflection(space, u), reflection(space, v))
-        if g == ident or g in gens:
-            continue
-        gens.append(g)
-        if len(gens) % 4 == 0 or len(gens) >= 12:
-            elems = group_closure(F, gens)
-            if len(elems) == target:
-                break
-    else:
-        elems = group_closure(F, gens)
-    if len(elems) != target:
-        raise RuntimeError("Omega_3 enumeration: got %d, want %d"
-                           % (len(elems), target))
-    for g in gens:
-        assert linalg.det(F, g) == 1
-        assert spinor_norm(space, g) == SQUARE
-    return MatrixGroup(F, 3, tuple(gens), label="Omega_3(%d)" % F.q,
-                       gram=space.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +320,6 @@ class OrbitReport:
     eq4: bool | None = None
     m: int | None = None
     seconds: float = 0.0
-    visited: int = 0
 
     def to_json(self):
         return {
@@ -360,7 +327,6 @@ class OrbitReport:
             "size": self.size, "c": self.c, "d": self.d,
             "eq1": self.eq1, "eq2": self.eq2, "eq3": self.eq3,
             "eq4": self.eq4, "m": self.m, "seconds": round(self.seconds, 3),
-            "visited": self.visited,
         }
 
 
@@ -529,8 +495,7 @@ def make_report(space, start, size, d, seconds):
     the equation verdicts."""
     c = size - 1 - d
     ptype = geometry.point_type(space, start)
-    rep = OrbitReport(tuple(start), ptype, size, c, d, seconds=seconds,
-                      visited=size)
+    rep = OrbitReport(tuple(start), ptype, size, c, d, seconds=seconds)
     if space.n % 2 == 1:
         m = (space.n - 1) // 2
         rep.m = m

@@ -60,6 +60,12 @@ def test_parabolic_orbit_sizes():
     assert sum(sizes(case, "+")) == 378
 
 
+def test_parabolic_alpha_m_is_rejected():
+    with pytest.raises(ValueError, match=r"1 <= alpha <= m - 1 = 2"):
+        parabolic_subgroup(7, 3)
+    assert "parabolic-n7-a3" not in CASE_BUILDERS
+
+
 def test_parabolic_alpha2():
     case = parabolic_subgroup(7, 2)
     for xi in ("+", "-"):
@@ -73,7 +79,7 @@ def test_field_extension():
     parts = orbit_partition(case.space, case.group, "+") + \
         orbit_partition(case.space, case.group, "-")
     assert all(p.eq2 for p in parts)  # c - 2d = xi*3^4 - 1 on every orbit
-    assert trace_form_disc_class() == "square"
+    assert trace_form_disc_class(case.space) == "square"
 
 
 @pytest.mark.parametrize("n", [10, 15])

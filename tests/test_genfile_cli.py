@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rank3 import cli, genfile, groups
-from rank3.constructions import build_case
+from rank3.constructions import CASE_BUILDERS, build_case
 from rank3.fields import field_create
 from rank3.genfile import (ParseError, format_generator_file,
                            parse_generator_lines, parse_generator_file,
@@ -130,6 +130,29 @@ def test_cli_construct_and_cd(tmp_path, capsys):
     assert (payload["c"], payload["d"]) == (12, 7)
     assert run_cli("orbit", str(path), "1,0,0,0,0") == 0
     assert "orbit size 5" in capsys.readouterr().out
+
+
+def test_cli_orbit_and_cd_share_one_report(tmp_path, capsys):
+    path = tmp_path / "case.gen"
+    assert run_cli("export", "wreath-n5", str(path)) == 0
+    capsys.readouterr()
+    payloads = []
+    for cmd in ("orbit", "cd"):
+        assert run_cli(cmd, "--json", str(path), "1,1,0,0,0") == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["seconds"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["size"] == 20 and "visited" not in payloads[0]
+
+
+@pytest.mark.parametrize("label", sorted(CASE_BUILDERS))
+def test_cli_construct_every_label(label, capsys):
+    case = build_case(label)
+    assert run_cli("construct", label) == 0
+    group, _ = parse_generator_lines(capsys.readouterr().out.splitlines())
+    assert group.gens == case.group.gens
+    assert group.gram == case.space.gram
 
 
 def test_cli_split(tmp_path, capsys):

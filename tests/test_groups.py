@@ -10,6 +10,7 @@ from rank3.groups import (MatrixGroup, cd_parameters, decode_codes, eichler,
                           reflection_decompose, spinor_norm)
 
 GF9 = field_create(3, 2)
+GF27 = field_create(3, 3)
 
 
 def test_omega_orders():
@@ -79,9 +80,9 @@ def test_reflection_decompose_roundtrip():
     assert tuple(tuple(r) for r in prod) == tuple(tuple(r) for r in g)
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (5, 3), (3, 9)])
+@pytest.mark.parametrize("n,q", [(3, 3), (5, 3), (3, 9), (3, 27)])
 def test_omega_generators_group_order(n, q):
-    F = GF3 if q == 3 else GF9
+    F = {3: GF3, 9: GF9, 27: GF27}[q]
     sp = standard_space(n, F)
     G = omega_generators(sp)
     for g in G.gens:
