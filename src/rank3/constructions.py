@@ -64,7 +64,7 @@ def orbit_partition(space, group, xi, cap=groups.ORBIT_CAP):
     reports = []
     while remaining.size:
         start = tuple(int(x) for x in
-                      groups.decode_codes(remaining[:1], space.n)[0])
+                      geometry.decode_codes(remaining[:1], space.n)[0])
         t0 = time.time()
         size, d, codes = groups.orbit_codes(space, group, start, cap)
         reports.append(groups.make_report(space, start, size, d,
@@ -304,11 +304,11 @@ def field_extension_subgroup():
             out.extend(to_normal_coords(u))
         return tuple(out)
 
-    w = F27.element(3)  # a primitive element omega
+    w = 3  # a primitive element omega
     base = (
-        (embed(((w ** 1).value, 0, 0)), None),
-        (embed(((w ** 2).value, 0, 0)), None),
-        (embed(((w ** 4).value, (w ** 4).value, 0)), None),
+        (embed((F27.pow(w, 1), 0, 0)), None),
+        (embed((F27.pow(w, 2), 0, 0)), None),
+        (embed((F27.pow(w, 4), F27.pow(w, 4), 0)), None),
     )
     return ConstructedCase("fieldext-n9", space, group, base,
                            "scalar restriction from GF(27)")

@@ -258,7 +258,8 @@ def _ingest_case(filename, expected_cd, max_starts=60):
             group = groups.MatrixGroup(group.field, group.dim, group.gens,
                                        label=filename, gram=B)
         space = geometry.QuadraticSpace(group.field, group.gram)
-        seen = []
+        powers = geometry.code_powers(group.dim).tolist()
+        seen = []  # sorted packed codes of each orbit scanned so far
         observed = []
         for v in groups._small_support_vectors(group.field, group.dim):
             if len(observed) >= max_starts:
@@ -266,13 +267,17 @@ def _ingest_case(filename, expected_cd, max_starts=60):
             if space.q_value(v) == 0:
                 continue
             pt = geometry.canonical_point(group.field, v)
-            if any(pt in orb for orb in seen):
+            code = sum(x * w for x, w in zip(pt, powers))
+            if any(codes.take(codes.searchsorted(code), mode="clip") == code
+                   for codes in seen):
                 continue
-            rep = groups.cd_parameters(space, group, v)
+            t0 = time.time()
+            size, d, codes = groups.orbit_codes(space, group, v)
+            rep = groups.make_report(space, v, size, d, time.time() - t0)
             observed.append([rep.c, rep.d])
             if [rep.c, rep.d] == list(expected_cd):
                 return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
-            seen.append(set(groups.orbit(group, v, space=space)))
+            seen.append(codes)
         return {"cd": list(expected_cd)}, {"cd": "not found", "observed": observed}
     return run
 

@@ -287,9 +287,6 @@ class FiniteField:
         """Embed an ordinary integer via the prime subfield."""
         return n % self.p
 
-    def element(self, value):
-        return FieldElement(self, value % self.q if self.a == 1 else value)
-
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
                 and (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus))
@@ -301,68 +298,6 @@ class FiniteField:
         if self.a == 1:
             return "GF(%d)" % self.p
         return "GF(%d^%d)" % (self.p, self.a)
-
-
-class FieldElement:
-    """Thin operator wrapper around an encoded field value."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other.value
-        return self.field.from_int(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return self.value == self.field.from_int(other)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def trace(self):
-        return FieldElement(self.field, self.field.trace(self.value))
-
-    def norm(self):
-        return FieldElement(self.field, self.field.norm(self.value))
-
-    def square_class(self):
-        return self.field.square_class(self.value)
-
-    def __repr__(self):
-        return "%r(%d)" % (self.field, self.value)
 
 
 @lru_cache(maxsize=None)

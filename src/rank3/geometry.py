@@ -2,8 +2,9 @@
 
 A space carries a symmetric invertible Gram matrix for the bilinear form f;
 the quadratic form is Q(v) = 2^-1 * f(v,v).  Vector values are encoded field
-integers; vectors are tuples.  Exhaustive counting has a chunked numpy fast
-path for prime fields.
+integers; vectors are tuples.  Over a prime field, exhaustive counting and
+the point enumerators all read one table: Q of every vector, indexed by its
+packed code and built as an outer sum over a split of the coordinates.
 """
 
 import itertools
@@ -44,6 +45,7 @@ class QuadraticSpace:
         else:
             self._gram_np = None
         self._qcounts = None
+        self._qtable = None
 
     def form(self, u, v):
         F = self.field
@@ -111,26 +113,13 @@ def q_value_counts(space):
     total = F.q ** space.n
     if total > _EXHAUSTIVE_LIMIT:
         raise ValueError("space too large for exhaustive counting")
-    counts = {}
     if F.a == 1:
-        p, n = F.p, space.n
-        G = space._gram_np
-        half = space._half
-        chunk = 1 << 19
-        acc = np.zeros(p, dtype=np.int64)
-        powers = p ** np.arange(n, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            V = (idx[:, None] // powers[None, :]) % p
-            qv = (((V @ G) * V).sum(axis=1) * half) % p
-            acc += np.bincount(qv, minlength=p)
-        counts = {g: int(acc[g]) for g in range(p)}
+        acc = np.bincount(_q_table(space), minlength=F.p)
+        counts = {g: int(acc[g]) for g in range(F.p)}
     else:
+        counts = dict.fromkeys(F.elements(), 0)
         for v in itertools.product(F.elements(), repeat=space.n):
-            g = space.q_value(v)
-            counts[g] = counts.get(g, 0) + 1
-        for g in F.elements():
-            counts.setdefault(g, 0)
+            counts[space.q_value(v)] += 1
     space._qcounts = counts
     return counts
 
@@ -237,84 +226,96 @@ def code_powers(n, p=3):
     return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def _point_blocks(space, want):
-    """Non-singular points of type want over a prime field, as int64 row
-    blocks, one per position of the leading 1, in nonsingular_points order."""
-    F = space.field
-    p, n = F.p, space.n
-    G = space._gram_np
-    if G is None:
-        raise ValueError("packed point enumeration needs a prime field")
-    gset = np.array([g for g in F.nonzero() if type_of_qvalue(space, g) == want])
-    powers = p ** np.arange(n, dtype=np.int64)
-    for lead in range(n):
-        tail = n - lead - 1
-        count = p ** tail
-        idx = np.arange(count, dtype=np.int64)
-        V = np.zeros((count, n), dtype=np.int64)
-        V[:, lead] = 1
-        if tail:
-            V[:, lead + 1:] = (idx[:, None] // powers[None, :tail]) % p
-        qv = (((V @ G) * V).sum(axis=1) * space._half) % p
-        yield V[np.isin(qv, gset)]
+def decode_codes(codes, n, p=3):
+    """Rows of the vectors with the given packed codes."""
+    return (codes[:, None] // code_powers(n, p)[None, :]) % p
 
 
-def _point_set(space, xi):
-    """(type, number of points) of the non-singular points of type xi."""
+def _q_table(space):
+    """Q of every vector of a prime-field space, indexed by its packed code
+    (cached).  Over the split v = x || y of the coordinates,
+    Q(x || y) = Q(x) + Q(y) + x . G_xy . y, an outer sum of two tables of
+    about p^(n/2) entries each."""
+    if space._qtable is None:
+        G = space._gram_np
+        if G is None:
+            raise ValueError("point enumeration needs a prime field, got %r"
+                             % space.field)
+        p, n, a = space.field.p, space.n, space.n // 2
+        X = decode_codes(np.arange(p ** a), a, p)
+        Y = decode_codes(np.arange(p ** (n - a)), n - a, p)
+        Q = (X @ G[:a, a:]) @ Y.T
+        Q += ((X @ G[:a, :a]) * X).sum(axis=1)[:, None] * space._half
+        Q += ((Y @ G[a:, a:]) * Y).sum(axis=1)[None, :] * space._half
+        Q %= p
+        space._qtable = Q.astype(np.min_scalar_type(p - 1)).ravel()
+    return space._qtable
+
+
+def _type_masks(space, xi):
+    """For t = 0..n-1, which vectors with their leading 1 at place value p^t
+    (the codes in [p^t, 2p^t)) are points of type xi: a bool array indexed
+    by code - p^t, the big-endian index of the tail behind the 1."""
     if space.n % 2 == 0:
         raise ValueError("point types need odd dimension")
     if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
         raise ValueError("space too large to materialize")
     want = PLUS if xi in ("+", PLUS, 1) else MINUS
-    m, q = (space.n - 1) // 2, space.field.q
-    return want, q ** m * (q ** m + (1 if want == PLUS else -1)) // 2
+    p, m = space.field.p, (space.n - 1) // 2
+    Q = _q_table(space)
+    of_type = np.zeros(p, dtype=bool)
+    of_type[[g for g in range(1, p) if type_of_qvalue(space, g) == want]] = True
+    masks = [of_type[Q[p ** t:2 * p ** t]] for t in range(space.n)]
+    found = sum(int(mask.sum()) for mask in masks)
+    expected = p ** m * (p ** m + (1 if want == PLUS else -1)) // 2
+    assert found == expected, (found, expected)
+    return masks
 
 
-def nonsingular_points(space, xi):
-    """All non-singular projective points of type xi (odd dim), as tuples
-    with first nonzero coordinate 1."""
-    want, expected = _point_set(space, xi)
-    F = space.field
-    if F.a == 1:
-        pts = [tuple(int(x) for x in row)
-               for block in _point_blocks(space, want) for row in block]
-    else:
-        gammas = [g for g in F.nonzero() if type_of_qvalue(space, g) == want]
-        pts = []
-        for lead in range(space.n):
-            for tail in itertools.product(F.elements(), repeat=space.n - lead - 1):
-                v = (0,) * lead + (1,) + tail
-                if space.q_value(v) in gammas:
-                    pts.append(v)
-    assert len(pts) == expected, (len(pts), expected)
-    return pts
+def _tail_indices(space, xi):
+    """Per position of the leading 1, left to right: (t, idx), with t the
+    number of coordinates behind the 1 and idx the ascending little-endian
+    indices of the tails that make points of type xi."""
+    p = space.field.p
+    for t, mask in reversed(list(enumerate(_type_masks(space, xi)))):
+        # with its axes reversed, the mask is indexed little-endian
+        yield t, np.flatnonzero(mask.reshape((p,) * t).T)
+
+
+def _point_tuples(space, t, idx):
+    """The points with t coordinates behind the leading 1 and the given
+    little-endian tail indices."""
+    head = (0,) * (space.n - 1 - t) + (1,)
+    tails = decode_codes(idx, t, space.field.p)[:, ::-1]
+    return [head + tuple(tail) for tail in tails.tolist()]
 
 
 def nonsingular_codes(space, xi):
     """The points of nonsingular_points as sorted packed codes (prime
     fields; see code_powers)."""
-    want, expected = _point_set(space, xi)
-    powers = code_powers(space.n, space.field.p)
-    codes = np.sort(np.concatenate(
-        [block @ powers for block in _point_blocks(space, want)]))
-    assert len(codes) == expected, (len(codes), expected)
-    return codes
+    p = space.field.p
+    return np.concatenate([p ** t + np.flatnonzero(mask)
+                           for t, mask in enumerate(_type_masks(space, xi))])
+
+
+def nonsingular_points(space, xi):
+    """All non-singular projective points of type xi (odd dim, prime field),
+    as tuples with first nonzero coordinate 1.  The leading 1 moves right,
+    and behind it the first coordinate varies fastest."""
+    return [v for t, idx in _tail_indices(space, xi)
+            for v in _point_tuples(space, t, idx)]
 
 
 def first_nonsingular_point(space, xi):
     """nonsingular_points(space, xi)[0], without enumerating the rest."""
-    want, _count = _point_set(space, xi)
-    block = next(b for b in _point_blocks(space, want) if len(b))
-    return tuple(int(x) for x in block[0])
+    t, idx = next((t, idx) for t, idx in _tail_indices(space, xi) if idx.size)
+    return _point_tuples(space, t, idx[:1])[0]
 
 
 def _delta_graph(space, xi):
     """Adjacency matrix A of the perpendicularity graph on E_xi, and A^2."""
-    G = space._gram_np
-    if G is None:
-        raise ValueError("the Delta-graph is built for prime fields only")
     P = np.array(nonsingular_points(space, xi), dtype=np.int64)
-    A = ((P @ G @ P.T) % space.field.p == 0).astype(np.int64)
+    A = ((P @ space._gram_np @ P.T) % space.field.p == 0).astype(np.int64)
     np.fill_diagonal(A, 0)
     return A, A @ A
 

@@ -411,7 +411,7 @@ def _scan(gens, start, gram, cap):
     while True:
         parts = []
         for lo in range(0, len(frontier), rows):
-            V = decode_codes(frontier[lo:lo + rows], n)
+            V = geometry.decode_codes(frontier[lo:lo + rows], n)
             d += int(((V @ gx) % 3 == 0).sum())
             # entries of v @ g are at most 4n <= 156, exact in float32
             # and in uint8, where mod 3 is far cheaper than on floats
@@ -460,11 +460,6 @@ def _orbit_generic(space, gens, start, cap):
     return seen, d
 
 
-def decode_codes(codes, n):
-    """Rows of the points with the given packed codes."""
-    return (codes[:, None] // geometry.code_powers(n)[None, :]) % 3
-
-
 def orbit(group, start, cap=ORBIT_CAP, space=None):
     """The orbit of a projective point, as a sorted list of canonical tuples."""
     F = group.field
@@ -475,7 +470,8 @@ def orbit(group, start, cap=ORBIT_CAP, space=None):
         size, _d, codes = _scan(group.gens, start, gram, cap)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
-        return [tuple(int(x) for x in row) for row in decode_codes(codes, group.dim)]
+        return [tuple(int(x) for x in row)
+                for row in geometry.decode_codes(codes, group.dim)]
     sp = space or geometry.QuadraticSpace(F, gram)
     seen, _d = _orbit_generic(sp, group.gens, start, cap)
     return sorted(seen)
@@ -526,5 +522,8 @@ def cd_parameters(space, group, start, cap=ORBIT_CAP):
 
 def orbit_codes(space, group, start, cap=ORBIT_CAP):
     """(size, d, sorted packed codes) for GF(3) spaces."""
+    F = space.field
+    if not (F.p == 3 and F.a == 1):
+        raise ValueError("orbit_codes scans GF(3) only, got %r" % F)
     _check_start(space, group, start)
     return _scan(group.gens, start, space.gram, cap)

@@ -92,3 +92,41 @@ def test_raising_case_is_reported_as_failed(fast_registry, monkeypatch, capsys):
     out = capsys.readouterr()
     assert json.loads(out.out)["summary"]["failed"] == 1
     assert "Traceback" not in out.err
+
+
+def export_to_ingest(tmp_path, monkeypatch, case, filename):
+    from rank3 import genfile
+    genfile.write_generator_file(str(tmp_path / filename), case.group,
+                                 form=case.space.gram)
+    monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
+
+
+@pytest.mark.parametrize("pin,computed", [
+    ((44, 111), {"cd": [44, 111]}),
+    ((1, 1), {"cd": "not found", "observed": [[0, 12], [44, 111]]}),
+])
+def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, pin,
+                                           computed):
+    from rank3 import constructions
+    export_to_ingest(tmp_path, monkeypatch,
+                     constructions.build_case("wreath-n13"), "l213-dim13.gen")
+    result = expected.run_case("ingest-demo", "ingest", "exported frame "
+                               "stabilizer", expected._ingest_case(
+                                   "l213-dim13.gen", pin))
+    assert result.expected == {"cd": list(pin)}
+    assert result.computed == computed
+    assert result.match == (pin == (44, 111))
+    assert result.error is None
+
+
+def test_ingest_case_names_a_field_other_than_gf3(tmp_path, monkeypatch):
+    from rank3 import constructions, fields, geometry, groups
+    sp = geometry.standard_space(3, fields.field_create(3, 2))
+    case = constructions.ConstructedCase("o3-9", sp, groups.omega_generators(sp),
+                                         (), "Omega_3(9)")
+    export_to_ingest(tmp_path, monkeypatch, case, "o3-9.gen")
+    result = expected.run_case("ingest-demo", "ingest", "GF(9) file",
+                               expected._ingest_case("o3-9.gen", (1, 1)))
+    assert result.match is False
+    assert result.error["type"] == "ValueError"
+    assert "GF(3^2)" in result.error["message"]

@@ -108,14 +108,6 @@ def test_subfield_embedding():
             assert GF27.mul(x, y) == GF3.mul(x, y)
 
 
-def test_element_wrapper():
-    w = GF27.element(3)  # the adjoined root
-    assert (w ** 3).value == GF27.pow(3, 3)
-    assert (w + w).value == GF27.add(3, 3)
-    assert (w * (w ** -1)).value == 1
-    assert (-w + w).value == 0
-
-
 def test_field_cache_identity():
     assert field_create(3, 2) is field_create(3, 2)
     assert field_create(3, 1) is GF3

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank3 import cli, genfile, groups
 from rank3.constructions import CASE_BUILDERS, build_case
@@ -203,3 +208,63 @@ def test_cli_rejects_dims_past_the_packed_code_limit(tmp_path, capsys, command):
     vector = ",".join(["1", "1"] + ["0"] * (n - 2))
     assert exit_code(command, str(path), vector) == 2
     assert "dim <= 39" in capsys.readouterr().err
+
+
+_FUZZ_SEED = format_generator_file(build_case("wreath-n5").group,
+                                   form=build_case("wreath-n5").space.gram)
+_TOKENS = st.one_of(
+    st.sampled_from(["rank3gen", "v1", "dim", "field", "gens", "modulus",
+                     "form", "gen", "#", ""]),
+    st.integers(-3, 30).map(str), st.text(max_size=6))
+
+
+@st.composite
+def generator_texts(draw):
+    """Arbitrary text, or a valid generator file with a few lines deleted,
+    duplicated, inserted or with one token replaced."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=300))
+    lines = _FUZZ_SEED.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "insert", "token"]))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "insert":
+            lines.insert(i, draw(st.text(max_size=40)))
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_texts())
+def test_parser_raises_only_parse_errors(text):
+    try:
+        parse_generator_lines(text.splitlines(True))
+    except ParseError:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_texts())
+def test_cli_orbit_on_malformed_files_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.gen")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        try:
+            parse_generator_file(path)
+            return  # still a valid file
+        except ParseError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = exit_code("orbit", path, "1,0,0,0,0")
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

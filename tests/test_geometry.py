@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from rank3 import geometry, linalg
 from rank3.fields import GF3, field_create
 from rank3.geometry import (MINUS, PLUS, ZERO, QuadraticSpace, canonical_point,
-                            count_norm_vectors, nonsingular_points, point_type,
-                            q_value_counts, sign_of_space, standard_space,
-                            type_of_qvalue)
+                            count_norm_vectors, decode_codes, nonsingular_points,
+                            point_type, q_value_counts, sign_of_space,
+                            standard_space, type_of_qvalue)
 
+GF5 = field_create(5, 1)
 GF9 = field_create(3, 2)
 
 
@@ -133,6 +134,60 @@ def test_nonsingular_points_order(n):
         powers = geometry.code_powers(n)
         assert list(geometry.nonsingular_codes(sp, xi)) == sorted(
             sum(int(x) * int(p) for x, p in zip(v, powers)) for v in pts)
+
+
+def check_enumerator(sp):
+    """Compare every enumerator with a plain itertools.product reference."""
+    F, n = sp.field, sp.n
+    q = {v: sp.q_value(v) for v in itertools.product(F.elements(), repeat=n)}
+    assert q_value_counts(sp) == {g: list(q.values()).count(g)
+                                  for g in F.elements()}
+    if n % 2 == 0:
+        return
+    powers = geometry.code_powers(n, F.p)
+    for xi, want in (("+", PLUS), ("-", MINUS)):
+        # leading 1 moves right; behind it the first coordinate varies fastest
+        reference = []
+        for lead in range(n):
+            for tail in itertools.product(F.elements(), repeat=n - lead - 1):
+                v = (0,) * lead + (1,) + tail[::-1]
+                if q[v] != 0 and type_of_qvalue(sp, q[v]) == want:
+                    reference.append(v)
+        assert nonsingular_points(sp, xi) == reference
+        codes = geometry.nonsingular_codes(sp, xi)
+        assert codes.tolist() == sorted(
+            sum(int(x) * int(w) for x, w in zip(v, powers)) for v in reference)
+        assert decode_codes(codes, n, F.p).tolist() == sorted(
+            list(v) for v in reference)
+        if reference:
+            assert geometry.first_nonsingular_point(sp, xi) == reference[0]
+
+
+@pytest.mark.parametrize("field,n", [(GF3, n) for n in range(1, 10)]
+                         + [(GF5, n) for n in range(1, 6)])
+def test_enumerator_matches_product_reference(field, n):
+    # n = 1 splits into an empty first half
+    for disc in ("square", "nonsquare"):
+        check_enumerator(standard_space(n, field, disc))
+
+
+@pytest.mark.parametrize("field", [GF3, GF5])
+def test_enumerator_non_diagonal_gram(field):
+    big = standard_space(7, field)
+    basis = big.perp_basis([(1, 1, 0, 0, 0, 0, 0), (0, 1, 2, 1, 0, 0, 0)])
+    gram = tuple(tuple(big.form(u, v) for v in basis) for u in basis)
+    sp = QuadraticSpace(field, gram)
+    assert sp.n == 5
+    assert any(gram[i][j] for i in range(5) for j in range(5) if i != j)
+    check_enumerator(sp)
+
+
+def test_nonsingular_points_needs_prime_field():
+    sp = standard_space(3, GF9)
+    for enumerate_points in (nonsingular_points, geometry.nonsingular_codes,
+                             geometry.first_nonsingular_point):
+        with pytest.raises(ValueError, match="prime field"):
+            enumerate_points(sp, "+")
 
 
 def test_measured_parameters_small():

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from rank3 import groups, linalg
 from rank3.fields import GF3, field_create
-from rank3.geometry import QuadraticSpace, standard_space
-from rank3.groups import (MatrixGroup, cd_parameters, decode_codes, eichler,
+from rank3.geometry import QuadraticSpace, decode_codes, standard_space
+from rank3.groups import (MatrixGroup, cd_parameters, eichler,
                           find_vector_with_q, omega_generators, omega_order,
                           orbit, orbit_codes, preserves_form, reflection,
                           reflection_decompose, spinor_norm)
@@ -110,6 +110,16 @@ def test_orbit_codes_roundtrip():
     assert sorted(codes) == list(codes)
     V = decode_codes(codes, 5)
     assert sorted(tuple(int(x) for x in row) for row in V) == orbit(G, v, space=sp)
+
+
+def test_orbit_codes_refuses_other_fields():
+    # the packed-code scan works mod 3; on Omega_3(9) it would silently
+    # return an orbit of size 1
+    sp = standard_space(3, GF9)
+    G = omega_generators(sp)
+    assert cd_parameters(sp, G, (3, 0, 0)).size == 45
+    with pytest.raises(ValueError, match=r"GF\(3\^2\)"):
+        orbit_codes(sp, G, (3, 0, 0))
 
 
 def test_cd_parameters_full_group():
