@@ -401,14 +401,6 @@ def wedge_matrix(F, g):
     return tuple(out)
 
 
-def wedge_gram(F, gram):
-    n = len(gram)
-    idx = _pairs(n, True)
-    return tuple(tuple(F.sub(F.mul(gram[i][k], gram[j][l]),
-                             F.mul(gram[i][l], gram[j][k]))
-                       for (k, l) in idx) for (i, j) in idx)
-
-
 def sym_matrix(F, g):
     """Action on the basis {e_i.e_j (i<j), e_i.e_i} of the symmetric square."""
     n = len(g)
@@ -497,7 +489,7 @@ def wedge_square_rep():
     nat = _hyperbolic_o7_space()
     om = groups.omega_generators(nat)
     idx = _pairs(7, True)
-    gram = wedge_gram(F, nat.gram)
+    gram = wedge_matrix(F, nat.gram)
     space = geometry.QuadraticSpace(F, gram)
     gens = tuple(wedge_matrix(F, g) for g in om.gens)
     group = groups.MatrixGroup(F, 21, gens, label="wedge-n7", gram=gram)
@@ -567,16 +559,16 @@ def _sp6_data():
             if i != j:
                 seeds.append(tuple((1 if k == i else 0) + (1 if k == 3 + j else 0)
                                    for k in range(n)))
+    # the transvections t(v): x -> x + f(x, v) v; t(v)^-1 = t(v)^2 is the
+    # one with 2 in place of 1, so it adds nothing to the group
     gens = []
     for v in seeds:
-        for lam in (1, 2):
-            t = tuple(tuple(F.add(1 if r == c else 0,
-                                  F.mul(lam, F.mul(f(tuple(1 if k == r else 0
-                                                           for k in range(n)), v),
-                                                   v[c])))
-                            for c in range(n)) for r in range(n))
-            assert groups.preserves_form(F, t, gram)
-            gens.append(t)
+        t = tuple(tuple(F.add(1 if r == c else 0,
+                              F.mul(f(tuple(1 if k == r else 0
+                                            for k in range(n)), v), v[c]))
+                        for c in range(n)) for r in range(n))
+        assert groups.preserves_form(F, t, gram)
+        gens.append(t)
     return gram, tuple(gens)
 
 
@@ -586,7 +578,7 @@ def symplectic_lambda2_module():
     F = GF3
     gram6, sp_gens = _sp6_data()
     idx = _pairs(6, True)
-    big_gram = wedge_gram(F, gram6)
+    big_gram = wedge_matrix(F, gram6)
     big_gens = [wedge_matrix(F, g) for g in sp_gens]
     w = [0] * len(idx)
     for i in range(3):

@@ -10,7 +10,6 @@ orbit), "ingest" (adds user-supplied generator files from ./ingest).
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import constructions, fields, genfile, geometry, groups, higman
@@ -318,13 +317,6 @@ CASES = [
 ]
 
 
-def thread_cap():
-    try:
-        return max(1, int(os.environ.get("RANK3_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_case(label, tier, citation, fn):
     """Run one case; a case that raises becomes a failed result carrying
     the exception's type and message, so the rest of the suite still runs."""
@@ -349,12 +341,7 @@ def run_reproduction_suite(tier="core"):
     selected = [c for c in CASES if c[1] == "core"
                 or (tier in ("heavy", "all") and c[1] == "heavy")
                 or (tier in ("ingest", "all") and c[1] == "ingest")]
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run_case(*c), selected))
-    else:
-        results = [run_case(*c) for c in selected]
+    results = [run_case(*c) for c in selected]
     results.sort(key=lambda r: r.label)
     summary = {"passed": sum(1 for r in results if r.match and not r.skipped),
                "failed": sum(1 for r in results if not r.match),

@@ -17,14 +17,7 @@ _DEFAULT_MODULI = {
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +101,7 @@ def _decode(value, p, a):
 
 
 def _prime_factors(n):
+    """The distinct prime factors of n, by trial division up to sqrt(n)."""
     out = []
     d = 2
     while d * d <= n:

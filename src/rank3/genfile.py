@@ -24,17 +24,16 @@ class ParseError(ValueError):
 
 
 def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            x = q
-            while x % p == 0:
-                x //= p
-                a += 1
-            if x != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, a
-    raise ValueError("bad field size %d" % q)
+    primes = fields._prime_factors(q)
+    if not primes:
+        raise ValueError("bad field size %d" % q)
+    if len(primes) > 1:
+        raise ValueError("%d is not a prime power" % q)
+    p, a = primes[0], 0
+    while q > 1:
+        q //= p
+        a += 1
+    return p, a
 
 
 def _read_matrix(lines, pos, n, q):

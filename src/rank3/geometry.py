@@ -321,7 +321,8 @@ def _delta_graph(space, xi):
 
 
 def measured_rank3_parameters(space, xi):
-    """(|E|, k, l, lambda, mu) measured on the explicit point set."""
+    """(|E|, k, l, lambda, mu) measured on the explicit point set.  Raises
+    AssertionError unless the Delta-graph is strongly regular."""
     A, A2 = _delta_graph(space, xi)
     N = len(A)
     ks = A.sum(axis=1)

@@ -92,65 +92,33 @@ def eichler(space, u, v):
 
 
 # ---------------------------------------------------------------------------
-# spinor norm via greedy reflection decomposition
-
-def _span_candidates(F, rows):
-    """Vectors in the span of rows, small support first."""
-    k = len(rows)
-    for r in rows:
-        yield r
-    units = list(F.nonzero())
-    for i, j in itertools.combinations(range(k), 2):
-        for c in units:
-            yield linalg.vec_add(F, rows[i], linalg.vec_scale(F, c, rows[j]))
-    if F.q ** k <= 200_000:
-        yield from linalg.span_vectors(F, rows)
-
-
-def reflection_decompose(space, g):
-    """Vectors u_1..u_k with g equal to the product of the r_{u_i}."""
-    F = space.field
-    n = space.n
-    if not preserves_form(F, g, space.gram):
-        raise ValueError("not an isometry")
-    ident = linalg.identity(n)
-    h = linalg.mat_from_rows(g)
-    pinned = []
-    us = []
-    while h != ident:
-        perp = space.perp_basis(pinned) if pinned else ident
-        x = None
-        for cand in _span_candidates(F, perp):
-            if space.q_value(cand) != 0 and linalg.vec_mat(F, cand, h) != cand:
-                x = cand
-                break
-        if x is None:
-            raise AssertionError("no moved non-singular vector found")
-        y = linalg.vec_mat(F, x, h)
-        u = linalg.vec_sub(F, y, x)
-        if space.q_value(u) != 0:
-            h = linalg.mat_mul(F, h, reflection(space, u))
-            us.append(u)
-        else:
-            w = linalg.vec_add(F, y, x)  # Q(w) = 4Q(x) != 0
-            h = linalg.mat_mul(F, h, reflection(space, w))
-            h = linalg.mat_mul(F, h, reflection(space, x))
-            us.extend([w, x])
-        assert linalg.vec_mat(F, x, h) == x
-        pinned.append(x)
-    return us
-
+# spinor norm from the Wall form
 
 def spinor_norm(space, g):
-    """Square class of the product of Q(u_i) over a reflection decomposition.
-    Omega is exactly the kernel (SQUARE) inside SO."""
+    """Square class of the discriminant of the Wall form of g, which is the
+    spinor norm (Zassenhaus 1962; Taylor, Geometry of the Classical Groups,
+    ch. 11).  Omega is exactly its kernel (SQUARE) inside SO.
+
+    The Wall form lives on the image of 1 - g: for y = w(1 - g) and
+    y' = w'(1 - g) it is chi(y, y') = f(y, w').  The rows y_i = e_i - g[i]
+    that are independent of the earlier ones form a basis, with w_i = e_i.
+    A reflection r_u gives chi(u, u) = Q(u); on SO the image has even dim,
+    so the sign and the factor 2 in f = 2Q do not change the class.
+    """
     F = space.field
+    if not preserves_form(F, g, space.gram):
+        raise ValueError("not an isometry")
     if linalg.det(F, g) != 1:
         raise ValueError("spinor norm defined here for det-1 isometries")
-    prod = 1
-    for u in reflection_decompose(space, g):
-        prod = F.mul(prod, space.q_value(u))
-    return F.square_class(prod) if prod else SQUARE
+    basis = linalg.Echelon(F)
+    ys, ws = [], []
+    for i, e in enumerate(linalg.identity(space.n)):
+        y = linalg.vec_sub(F, e, g[i])
+        if basis.add(y):
+            ys.append(y)
+            ws.append(e)
+    chi = [[space.form(y, w) for w in ws] for y in ys]
+    return F.square_class(linalg.det(F, chi))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +218,8 @@ def omega_generators(space):
     The generators are the Eichler transformations E(e, cv) and E(f, cv)
     for a hyperbolic pair (e, f), v in a basis of <e, f>-perp and c in
     {1} (q = 3) or {1, a primitive element}.  Every generator is checked
-    to preserve the form and to have det 1, and up to dim 9 to have square
-    spinor norm.  The set is then verified to generate all of Omega:
+    to preserve the form, to have det 1 and to have square spinor norm.
+    The set is then verified to generate all of Omega:
 
     - dim 3: by full enumeration against |Omega_3(q)|;
     - odd dim >= 5 over GF(3): by the sizes of the orbits on plus and
@@ -279,8 +247,7 @@ def omega_generators(space):
     for g in gens:
         assert preserves_form(F, g, space.gram)
         assert linalg.det(F, g) == 1
-        if n <= 9:
-            assert spinor_norm(space, g) == SQUARE
+        assert spinor_norm(space, g) == SQUARE
     group = MatrixGroup(F, n, tuple(gens), label="Omega_%d(%d)" % (n, F.q),
                         gram=space.gram)
     if n == 3:

@@ -152,32 +152,15 @@ class SrgReport:
 
 
 def srg_verify(space, xi):
-    """Materialize E_xi, build the perpendicularity graph, verify the
-    quadratic identity and recover integral multiplicities from traces."""
-    import numpy as np
+    """Measure (N, k, l, lambda, mu) on the perpendicularity graph of E_xi,
+    which checks the identity A^2 = kI + lambda A + mu (J - I - A), and
+    recover integral multiplicities from traces."""
     from . import geometry
 
-    A, A2 = geometry._delta_graph(space, xi)
-    N = len(A)
-    ks = A.sum(axis=1)
-    if ks.min() != ks.max():
-        return SrgReport(N, -1, -1, -1, -1, 0, 0, 0, 0, False, "not regular")
-    k = int(ks[0])
-    l = N - 1 - k
-    lam = int(A2[A == 1][0]) if k else 0
-    off = (1 - A).astype(bool)
-    np.fill_diagonal(off, False)
-    mu = int(A2[off][0])
-    J = np.ones((N, N), dtype=np.int64)
-    I = np.eye(N, dtype=np.int64)
-    lhs = A2
-    rhs = k * I + lam * A + mu * (J - I - A)
-    if not np.array_equal(lhs, rhs):
-        i, j = np.argwhere(lhs != rhs)[0]
-        return SrgReport(N, k, l, lam, mu, 0, 0, 0, 0, False,
-                         "A^2 identity fails at entry (%d,%d)" % (i, j))
-    if not np.array_equal(A @ J, k * J):
-        return SrgReport(N, k, l, lam, mu, 0, 0, 0, 0, False, "AJ != kJ")
+    try:
+        N, k, l, lam, mu = geometry.measured_rank3_parameters(space, xi)
+    except AssertionError as e:
+        return SrgReport(-1, -1, -1, -1, -1, 0, 0, 0, 0, False, str(e))
     D = (lam - mu) ** 2 + 4 * (k - mu)
     sqrtD = math.isqrt(D)
     if sqrtD * sqrtD != D:

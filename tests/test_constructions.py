@@ -6,8 +6,8 @@ from rank3.constructions import (CASE_BUILDERS, build_case,
                                  deleted_permutation_module,
                                  field_extension_subgroup, orbit_partition,
                                  parabolic_subgroup, sym_gram, sym_matrix,
-                                 trace_form_disc_class, wedge_gram,
-                                 wedge_matrix, wreath_o1_subgroup,
+                                 trace_form_disc_class, wedge_matrix,
+                                 wreath_o1_subgroup,
                                  wreath_pinned_cd)
 from rank3.fields import GF3
 from rank3.geometry import standard_space
@@ -73,6 +73,19 @@ def test_parabolic_alpha2():
         assert sum(sizes(case, xi)) == total
 
 
+def test_sp6_lambda2_orbit_partition():
+    case = constructions.symplectic_lambda2_module()
+    assert len(case.group.gens) == 12
+    got = {xi: [(r.base_point, r.size, r.c, r.d)
+                for r in orbit_partition(case.space, case.group, xi)]
+           for xi in ("+", "-")}
+    assert got == {
+        "+": [((0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0), 110565, 73952, 36612),
+              ((0, 0, 0, 1, 0, 0, 1, 1, 1, 2, 0, 0, 0), 155520, 103922, 51597)],
+        "-": [((0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0), 265356, 176660, 88695)],
+    }
+
+
 def test_field_extension():
     case = field_extension_subgroup()
     assert sizes(case, "+") == [1053, 1134, 1134]
@@ -109,7 +122,9 @@ def test_functor_matrices_are_homomorphisms():
 def test_functor_grams_invariant():
     sp = standard_space(4, GF3)
     G = groups.omega_generators(sp)
-    for functor_m, functor_g in ((wedge_matrix, wedge_gram),
+    # the Gram matrix of the wedge square is the wedge square of the Gram
+    # matrix: both are the 2 x 2 minors
+    for functor_m, functor_g in ((wedge_matrix, wedge_matrix),
                                  (sym_matrix, sym_gram)):
         gram = functor_g(GF3, sp.gram)
         for g in G.gens:

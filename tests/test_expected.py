@@ -46,24 +46,12 @@ def test_skip_semantics(fast_registry):
     assert report["summary"]["failed"] == 0
 
 
-def test_deterministic_across_runs_and_threads(fast_registry, monkeypatch):
+def test_deterministic_across_runs_and_threads(fast_registry):
     first = expected.run_reproduction_suite("core")
-    monkeypatch.setenv("RANK3_THREADS", "4")
     second = expected.run_reproduction_suite("core")
     assert strip_seconds(first) == strip_seconds(second)
     assert json.dumps(strip_seconds(first), sort_keys=True) == \
         json.dumps(strip_seconds(second), sort_keys=True)
-
-
-def test_thread_cap_parsing(monkeypatch):
-    monkeypatch.delenv("RANK3_THREADS", raising=False)
-    assert expected.thread_cap() == 1
-    monkeypatch.setenv("RANK3_THREADS", "8")
-    assert expected.thread_cap() == 8
-    monkeypatch.setenv("RANK3_THREADS", "junk")
-    assert expected.thread_cap() == 1
-    monkeypatch.setenv("RANK3_THREADS", "-2")
-    assert expected.thread_cap() == 1
 
 
 def test_bad_tier_rejected():

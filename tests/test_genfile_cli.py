@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,18 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_generator_lines(broken)
     assert e.value.line_no == idx + 1
+
+
+def test_field_size_is_factored_up_to_its_square_root():
+    t0 = time.perf_counter()
+    group, _ = parse_generator_lines(["rank3gen v1",
+                                      "dim 1 field 100000007 gens 0"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (group.field.p, group.field.a) == (100000007, 1)
+    with pytest.raises(ParseError, match="12 is not a prime power"):
+        parse_generator_lines(["rank3gen v1", "dim 1 field 12 gens 0"])
+    with pytest.raises(ParseError, match="bad field size 1"):
+        parse_generator_lines(["rank3gen v1", "dim 1 field 1 gens 0"])
 
 
 def test_trailing_garbage_rejected():

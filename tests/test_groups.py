@@ -1,13 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rank3 import groups, linalg
-from rank3.fields import GF3, field_create
+from rank3.fields import GF3, NONSQUARE, SQUARE, field_create
 from rank3.geometry import QuadraticSpace, decode_codes, standard_space
 from rank3.groups import (MatrixGroup, cd_parameters, eichler,
                           find_vector_with_q, omega_generators, omega_order,
                           orbit, orbit_codes, preserves_form, reflection,
-                          reflection_decompose, spinor_norm)
+                          spinor_norm)
 
 GF9 = field_create(3, 2)
 GF27 = field_create(3, 3)
@@ -68,16 +70,41 @@ def test_spinor_norm_of_reflection_pairs():
     assert spinor_norm(sp, linalg.mat_mul(GF3, ru, rw)) == "nonsquare"
 
 
-def test_reflection_decompose_roundtrip():
-    sp = standard_space(4, GF3)
-    u = find_vector_with_q(sp, 1)
-    w = find_vector_with_q(sp, 2)
-    g = linalg.mat_mul(GF3, reflection(sp, u), reflection(sp, w))
-    vecs = reflection_decompose(sp, g)
-    prod = linalg.identity(4)
-    for v in reversed(vecs):
-        prod = linalg.mat_mul(GF3, prod, reflection(sp, v))
-    assert tuple(tuple(r) for r in prod) == tuple(tuple(r) for r in g)
+@pytest.mark.parametrize("q", [3, 5, 9, 27])
+def test_spinor_norm_matches_reflection_products(q):
+    # Wall form against the definition: a product of an even number of
+    # reflections r_u has spinor norm the class of the product of the Q(u)
+    F = field_create(*{3: (3, 1), 5: (5, 1), 9: (3, 2), 27: (3, 3)}[q])
+    rng = random.Random(q)
+    for n in range(2, 8):
+        for disc in (SQUARE, NONSQUARE):
+            sp = standard_space(n, F, disc)
+            for _ in range(4):
+                g, prod = linalg.identity(n), 1
+                for _ in range(rng.choice((2, 4))):
+                    u = tuple(rng.randrange(F.q) for _ in range(n))
+                    if sp.q_value(u) == 0:
+                        u = find_vector_with_q(sp, rng.choice(list(F.nonzero())))
+                    g = linalg.mat_mul(F, g, reflection(sp, u))
+                    prod = F.mul(prod, sp.q_value(u))
+                assert spinor_norm(sp, g) == F.square_class(prod)
+
+
+def test_spinor_norm_rejects_non_rotations():
+    sp = standard_space(3, GF3)
+    r = reflection(sp, (1, 0, 0))
+    with pytest.raises(ValueError, match="det-1"):
+        spinor_norm(sp, r)
+    with pytest.raises(ValueError, match="isometry"):
+        spinor_norm(sp, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    assert spinor_norm(sp, linalg.identity(3)) == SQUARE
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_eichler_generators_have_square_spinor_norm(n):
+    sp = standard_space(n, GF3)
+    for g in omega_generators(sp).gens:
+        assert spinor_norm(sp, g) == SQUARE
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (5, 3), (3, 9), (3, 27)])

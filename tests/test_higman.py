@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import higman
+from rank3 import geometry
 from rank3.fields import GF3
 from rank3.geometry import standard_space
 from rank3.higman import (CdPair, NotRankThree, check_eq1, check_specialized,
@@ -90,6 +91,28 @@ def test_srg_verify_small():
             assert rep.ok, rep.failure
             assert (rep.size, rep.k, rep.lam, rep.mu) == (p.total, p.k, p.lam, p.mu)
             assert (rep.f_s, rep.f_t) == (p.f_s, p.f_t)
+
+
+def _cycle(n):
+    A = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1
+    return A
+
+
+@pytest.mark.parametrize("A,reason", [
+    (np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]), "not regular"),
+    # the hexagon is regular, but opposite vertices share no neighbour
+    (_cycle(6), "intersection numbers are not constant"),
+])
+def test_non_srg_graph_is_refused(A, reason, monkeypatch):
+    monkeypatch.setattr(geometry, "_delta_graph", lambda space, xi: (A, A @ A))
+    sp = standard_space(5, GF3)
+    with pytest.raises(AssertionError, match=reason):
+        geometry.measured_rank3_parameters(sp, "+")
+    rep = srg_verify(sp, "+")
+    assert not rep.ok
+    assert reason in rep.failure
 
 
 def test_multiplicity_trace_identity():
