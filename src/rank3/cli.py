@@ -77,21 +77,15 @@ def cmd_higman(args):
 
 
 def cmd_check_eq(args):
-    p = higman.odd_orthogonal_params(args.m, args.xi)
-    cd = higman.CdPair(args.c, args.d, args.xi)
-    verdict = {"t": higman.check_eq1(p, p.t, cd),
-               "s": higman.check_eq1(p, p.s, cd)}
-    extra = {"eq2": higman.eq2_holds(args.m, args.xi, cd),
-             "eq3": higman.eq3_holds(args.m, args.xi, cd),
-             "eq4": higman.eq4_holds(args.m, cd)}
+    verdicts = higman.equation_verdicts(args.m, args.xi, args.c, args.d)
     payload = {"m": args.m, "xi": args.xi, "c": args.c, "d": args.d,
-               "eq1": verdict, **extra}
+               **verdicts}
 
     def text(pl):
         print("r=t: %s; r=s: %s" % tuple(
-            "HOLDS" if verdict[r] else "fails" for r in ("t", "s")))
+            "HOLDS" if verdicts["eq1"][r] else "fails" for r in ("t", "s")))
         for k in ("eq2", "eq3", "eq4"):
-            print("%s: %s" % (k, "HOLDS" if extra[k] else "fails"))
+            print("%s: %s" % (k, "HOLDS" if verdicts[k] else "fails"))
     return _emit(args, payload, text)
 
 

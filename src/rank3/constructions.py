@@ -36,16 +36,7 @@ class ConstructedCase:
                 raise ValueError("base point %r is not of type %s" % (v, t))
 
 
-def perm_matrix(F, perm):
-    """Row-vector convention: basis vector i maps to basis vector perm[i]."""
-    n = len(perm)
-    g = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        g[i][j] = 1
-    return tuple(tuple(r) for r in g)
-
-
-def _embed_block(F, g, n, offset):
+def _embed_block(g, n, offset):
     big = [list(r) for r in linalg.identity(n)]
     d = len(g)
     for i in range(d):
@@ -91,8 +82,8 @@ def wreath_o1_subgroup(n):
     space = geometry.standard_space(n, F)
     signs = [list(r) for r in linalg.identity(n)]
     signs[0][0] = signs[1][1] = 2
-    three_cycle = perm_matrix(F, (1, 2, 0) + tuple(range(3, n)))
-    n_cycle = perm_matrix(F, tuple(range(1, n)) + (0,))  # even since n is odd
+    three_cycle = linalg.perm_matrix((1, 2, 0) + tuple(range(3, n)))
+    n_cycle = linalg.perm_matrix(tuple(range(1, n)) + (0,))  # even since n is odd
     gens = (tuple(tuple(r) for r in signs), three_cycle, n_cycle)
     group = groups.MatrixGroup(F, n, gens, label="frame-stab-%d" % n,
                                gram=space.gram)
@@ -136,77 +127,37 @@ def parabolic_subgroup(n, alpha):
     gram = _parabolic_gram(alpha, s)
     space = geometry.QuadraticSpace(F, gram)
 
-    def unipotent(B, A):
-        # rows are images: e_j fixed; x_i -> x_i + B[i].e; f_j -> f_j + A[j].e + C[j].x
-        C = [[F.neg(B[i][j]) for i in range(s)] for j in range(alpha)]
-        u = [list(r) for r in linalg.identity(n)]
-        for i in range(s):
-            for j in range(alpha):
-                u[alpha + i][j] = B[i][j]
-        for j in range(alpha):
-            for k in range(alpha):
-                u[alpha + s + j][k] = A[j][k]
-            for i in range(s):
-                u[alpha + s + j][alpha + i] = C[j][i]
-        u = tuple(tuple(r) for r in u)
-        assert groups.preserves_form(F, u, gram)
-        return u
+    basis = linalg.identity(n)
+    e, x, f = basis[:alpha], basis[alpha:alpha + s], basis[alpha + s:]
 
-    gens = []
-    for i in range(s):
-        for j in range(alpha):
-            B = [[0] * alpha for _ in range(s)]
-            B[i][j] = 1
-            # A must satisfy A + A^t + B^t B = 0; over GF(3) take A = B^t B
-            A = [[(B[i][j1] * B[i][j2]) % 3 for j2 in range(alpha)]
-                 for j1 in range(alpha)]
-            gens.append(unipotent(B, A))
-    for j, k in itertools.combinations(range(alpha), 2):
-        A = [[0] * alpha for _ in range(alpha)]
-        A[j][k], A[k][j] = 1, 2
-        gens.append(unipotent([[0] * alpha for _ in range(s)], A))
-
-    def levi(D):
-        Dinv_t = linalg.transpose(linalg.mat_inv(F, D))
-        g = [list(r) for r in linalg.identity(n)]
-        for i in range(alpha):
-            for j in range(alpha):
-                g[i][j] = D[i][j]
-                g[alpha + s + i][alpha + s + j] = Dinv_t[i][j]
-        g = tuple(tuple(r) for r in g)
-        assert groups.preserves_form(F, g, gram)
-        return g
-
-    levis = []
+    # the unipotent radical, E(e_j, x_i) and then E(e_k, e_j) for j < k, and
+    # the Levi transvections are Eichler transformations (Taylor, ch. 11)
+    gens = [groups.eichler(space, e[j], x[i])
+            for i in range(s) for j in range(alpha)]
+    gens += [groups.eichler(space, e[k], e[j])
+             for j, k in itertools.combinations(range(alpha), 2)]
+    # Levi GL_alpha: the transvections e_1 -> e_1 + e_2, e_2 -> e_2 + e_1
     if alpha >= 2:
-        for a, b in ((0, 1), (1, 0)):
-            D = [list(r) for r in linalg.identity(alpha)]
-            D[a][b] = 1
-            levis.append(levi(tuple(tuple(r) for r in D)))
-    D = [list(r) for r in linalg.identity(alpha)]
-    D[0][0] = 2
-    levis.append(levi(tuple(tuple(r) for r in D)))
+        gens += [groups.eichler(space, e[1], f[0]),
+                 groups.eichler(space, e[0], f[1])]
+
+    # the torus element -1 on <e_1, f_1> has det 1 but non-square spinor
+    # norm; a product of two reflections inside X pushes it into Omega
+    comp = linalg.mat_mul(F, groups.reflection(space, x[0]),
+                          groups.reflection(space,
+                                            linalg.vec_add(F, x[0], x[1])))
+    assert groups.spinor_norm(space, comp) == fields.NONSQUARE
+    torus = [list(r) for r in basis]
+    torus[0][0] = torus[alpha + s][alpha + s] = 2
+    torus = linalg.mat_from_rows(torus)
+    assert groups.spinor_norm(space, torus) == fields.NONSQUARE
+    torus = linalg.mat_mul(F, torus, comp)
+    assert groups.spinor_norm(space, torus) == fields.SQUARE
+    gens.append(torus)
 
     sub = geometry.standard_space(s, F)
-    omega_x = [_embed_block(F, g, n, alpha)
-               for g in groups.omega_generators(sub).gens]
-
-    # a spinor-norm compensator acting inside X, used to push the
-    # non-Omega part of a Levi generator back into the kernel
-    a = (0,) * alpha + (1,) + (0,) * (s - 1) + (0,) * alpha
-    b = (0,) * alpha + (1, 1) + (0,) * (s - 2) + (0,) * alpha
-    comp = linalg.mat_mul(F, groups.reflection(space, a),
-                          groups.reflection(space, b))
-    assert groups.spinor_norm(space, comp) == fields.NONSQUARE
-
-    for g in levis:
-        if linalg.det(F, g) != 1:
-            continue
-        if groups.spinor_norm(space, g) != fields.SQUARE:
-            g = linalg.mat_mul(F, g, comp)
-        assert groups.spinor_norm(space, g) == fields.SQUARE
-        gens.append(g)
-    gens.extend(omega_x)
+    gens.extend(_embed_block(g, n, alpha)
+                for g in groups.omega_generators(sub).gens)
 
     group = groups.MatrixGroup(F, n, tuple(gens),
                                label="parabolic-n%d-a%d" % (n, alpha),
@@ -214,8 +165,8 @@ def parabolic_subgroup(n, alpha):
     base = []
     for t in (PLUS, MINUS):
         xv = next(v for v in
-                  ((0,) * alpha + tuple(x) + (0,) * alpha
-                   for x in groups._small_support_vectors(F, s))
+                  ((0,) * alpha + tuple(y) + (0,) * alpha
+                   for y in groups._small_support_vectors(F, s))
                   if space.q_value(v) != 0
                   and geometry.point_type(space, v) == t)
         eta = space.q_value(xv)
@@ -231,9 +182,9 @@ def parabolic_subgroup(n, alpha):
 # ---------------------------------------------------------------------------
 # restriction of scalars: Omega_3(27) blown down to GF(3)^9
 
-def _normal_element(F27):
-    """First z (in code order) whose Frobenius orbit {z, z^3, z^9} is a
-    GF(3)-basis of GF(27)."""
+def _normal_basis(F27):
+    """Power-basis coordinate rows of z, z^3, z^9 for the first z (in code
+    order) whose Frobenius orbit is a GF(3)-basis of GF(27)."""
     for code in range(1, 27):
         rows = []
         z = code
@@ -241,7 +192,7 @@ def _normal_element(F27):
             rows.append(tuple(fields._decode(z, 3, 3)))
             z = F27.frobenius(z)
         if linalg.rank(GF3, rows) == 3:
-            return code
+            return rows
     raise RuntimeError("no normal element found")
 
 
@@ -250,13 +201,8 @@ def field_extension_subgroup():
     GF(27)-form, plus the Frobenius map; written on a normal basis."""
     F27 = fields.field_create(3, 3)
     F = GF3
-    zeta = _normal_element(F27)
-    basis27 = []  # power-basis coordinate rows of zeta^(3^j)
-    z = zeta
-    for _ in range(3):
-        basis27.append(tuple(fields._decode(z, 3, 3)))
-        z = F27.frobenius(z)
-
+    basis27 = _normal_basis(F27)  # power-basis rows of zeta^(3^j)
+    zs = [fields._encode(r, 3) for r in basis27]
     normal_coords = linalg.Echelon(F, basis27).coordinates(basis27)
 
     def to_normal_coords(u):
@@ -270,7 +216,6 @@ def field_extension_subgroup():
     # basis of GF(3)^9: block i holds zeta^(3^j) * w_i for j = 0,1,2
     def blow_down(g27):
         big = [[0] * 9 for _ in range(9)]
-        zs = [fields._encode(r, 3) for r in basis27]
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -280,21 +225,15 @@ def field_extension_subgroup():
                         big[3 * i + j][3 * k + l] = row[l]
         return tuple(tuple(r) for r in big)
 
-    tr_gram = tuple(tuple(F27.trace(F27.mul(fields._encode(basis27[a], 3),
-                                            fields._encode(basis27[b], 3)))
-                          for b in range(3)) for a in range(3))
-    gram = [[0] * 9 for _ in range(9)]
-    for i in range(3):
-        for a in range(3):
-            for b in range(3):
-                gram[3 * i + a][3 * i + b] = tr_gram[a][b]
-    space = geometry.QuadraticSpace(F, tuple(tuple(r) for r in gram))
+    tr_gram = tuple(tuple(F27.trace(F27.mul(za, zb)) for zb in zs)
+                    for za in zs)
+    space = geometry.QuadraticSpace(
+        F, linalg.kron(F, linalg.identity(3), tr_gram))
 
-    frob = [[0] * 9 for _ in range(9)]
-    for i in range(3):
-        for j in range(3):
-            frob[3 * i + j][3 * i + (j + 1) % 3] = 1
-    gens = [blow_down(g) for g in om27.gens] + [tuple(tuple(r) for r in frob)]
+    # Frobenius permutes the normal basis inside each block
+    frob = linalg.perm_matrix(tuple(3 * (k // 3) + (k + 1) % 3
+                                    for k in range(9)))
+    gens = [blow_down(g) for g in om27.gens] + [frob]
     group = groups.MatrixGroup(F, 9, tuple(gens), label="fieldext-n9",
                                gram=space.gram)
 
@@ -330,36 +269,16 @@ def deleted_permutation_module(n):
     if not 8 <= n <= 16:
         raise ValueError("supported range is 8 <= n <= 16")
     F = GF3
-    E = []
-    for i in range(n - 1):
-        row = [0] * n
-        row[i], row[i + 1] = 1, 2
-        E.append(tuple(row))
-    drop = 1 if n % 3 == 0 else 0
-    basis = E[:n - 1 - drop]
-    solve_rows = list(basis)
-    if drop:
-        solve_rows.append((1,) * n)  # quotient by the all-ones line
-    solve = linalg.Echelon(F, solve_rows).coordinates(solve_rows)
-    dim = len(basis)
-
-    def coords(vec):
-        row = solve(vec)
-        assert row is not None
-        return row[:dim]
-
-    gram = tuple(tuple(sum(a * b for a, b in zip(u, v)) % 3 for v in basis)
-                 for u in basis)
-    space = geometry.QuadraticSpace(F, gram)
-
-    def action(perm):
-        P = perm_matrix(F, perm)
-        return tuple(coords(linalg.vec_mat(F, e, P)) for e in basis)
-
-    gens = (action((1, 0) + tuple(range(2, n))),
-            action(tuple(range(1, n)) + (0,)))
+    E = [tuple(1 if k == i else 2 if k == i + 1 else 0 for k in range(n))
+         for i in range(n - 1)]
+    # the all-ones line lies in span(E), and in its radical, when 3 | n
+    rad = [(1,) * n] if n % 3 == 0 else []
+    perms = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
+    space, gens, _coords = _subquotient(
+        F, linalg.identity(n), [linalg.perm_matrix(p) for p in perms], E, rad)
+    dim = space.n
     group = groups.MatrixGroup(F, dim, gens, label="deleted-n%d" % n,
-                               gram=gram)
+                               gram=space.gram)
     v = (1,) + (0,) * (dim - 1)                      # image of eps1 - eps2
     w = (1, 2, 1) + (0,) * (dim - 3)                 # image of eps1+eps2-eps3-eps4
     assert space.q_value(v) == 1 and space.q_value(w) == 2
@@ -476,11 +395,7 @@ def _form_val(F, gram, u, v):
 def _hyperbolic_o7_space():
     """Dim-7 space on the basis (e1,e2,e3,x,f1,f2,f3) with f(ei,fi)=1 and
     f(x,x)=1, so the inverse-Gram tensor is sum(ei.fi + fi.ei) + x.x."""
-    g = [[0] * 7 for _ in range(7)]
-    for i in range(3):
-        g[i][4 + i] = g[4 + i][i] = 1
-    g[3][3] = 1
-    return geometry.QuadraticSpace(GF3, tuple(tuple(r) for r in g))
+    return geometry.QuadraticSpace(GF3, _parabolic_gram(3, 1))
 
 
 def wedge_square_rep():
@@ -627,48 +542,37 @@ def symplectic_sym2_module():
 # ---------------------------------------------------------------------------
 # tensor products and imprimitive negative examples
 
-def tensor_product_subgroup(n1=3, n2=5):
-    """Omega_{n1}(3) x Omega_{n2}(3) acting on the tensor product."""
-    if not (n1 < n2 and n1 % 2 == 1 and n2 % 2 == 1):
-        raise ValueError("need odd n1 < n2")
+def _tensor_case(label, n1, n2, extra, citation):
+    """Omega_{n1}(3) x Omega_{n2}(3) on the tensor product of the standard
+    spaces, plus the extra generators; base point v1 (x) v2 with v1, v2
+    the first basis vectors."""
     F = GF3
     s1 = geometry.standard_space(n1, F)
     s2 = geometry.standard_space(n2, F)
-    g1 = groups.omega_generators(s1)
-    g2 = groups.omega_generators(s2)
-    n = n1 * n2
     i1, i2 = linalg.identity(n1), linalg.identity(n2)
-    gens = tuple(linalg.kron(F, g, i2) for g in g1.gens) + \
-        tuple(linalg.kron(F, i1, g) for g in g2.gens)
+    gens = tuple(linalg.kron(F, g, i2)
+                 for g in groups.omega_generators(s1).gens) + \
+        tuple(linalg.kron(F, i1, g)
+              for g in groups.omega_generators(s2).gens) + extra
     gram = linalg.kron(F, s1.gram, s2.gram)
+    n = n1 * n2
     space = geometry.QuadraticSpace(F, gram)
-    group = groups.MatrixGroup(F, n, gens, label="tensor-%dx%d" % (n1, n2),
-                               gram=gram)
-    v = (1,) + (0,) * (n - 1)  # v1 (x) v2 with v1, v2 the first basis vectors
-    return ConstructedCase("tensor-%dx%d" % (n1, n2), space, group,
-                           ((v, None),), "tensor product subgroup")
+    group = groups.MatrixGroup(F, n, gens, label=label, gram=gram)
+    v = (1,) + (0,) * (n - 1)
+    return ConstructedCase(label, space, group, ((v, None),), citation)
+
+
+def tensor_product_subgroup():
+    """Omega_3(3) x Omega_5(3) acting on the tensor product."""
+    return _tensor_case("tensor-3x5", 3, 5, (), "tensor product subgroup")
 
 
 def c7_wreath_subgroup():
     """(Omega_5(3) x Omega_5(3)) . 2 on GF(3)^5 (x) GF(3)^5, with the
     factor-swap; base point v (x) v."""
-    F = GF3
-    s = geometry.standard_space(5, F)
-    om = groups.omega_generators(s)
-    i5 = linalg.identity(5)
-    swap = [[0] * 25 for _ in range(25)]
-    for i in range(5):
-        for j in range(5):
-            swap[5 * i + j][5 * j + i] = 1
-    gens = tuple(linalg.kron(F, g, i5) for g in om.gens) + \
-        tuple(linalg.kron(F, i5, g) for g in om.gens) + \
-        (tuple(tuple(r) for r in swap),)
-    gram = linalg.kron(F, s.gram, s.gram)
-    space = geometry.QuadraticSpace(F, gram)
-    group = groups.MatrixGroup(F, 25, gens, label="c7wreath-d25", gram=gram)
-    v = (1,) + (0,) * 24
-    return ConstructedCase("c7wreath-d25", space, group, ((v, None),),
-                           "tensor-wreath subgroup on 5x5")
+    swap = linalg.perm_matrix(tuple(5 * (k % 5) + k // 5 for k in range(25)))
+    return _tensor_case("c7wreath-d25", 5, 5, (swap,),
+                        "tensor-wreath subgroup on 5x5")
 
 
 def imprimitive_o3_wr_s3():
@@ -681,8 +585,8 @@ def imprimitive_o3_wr_s3():
     gens = []
     for b in range(3):
         for g in om3.gens:
-            gens.append(_embed_block(F, g, 9, 3 * b))
-    cycle = perm_matrix(F, tuple((i + 3) % 9 for i in range(9)))
+            gens.append(_embed_block(g, 9, 3 * b))
+    cycle = linalg.perm_matrix(tuple((i + 3) % 9 for i in range(9)))
     gens.append(cycle)
     group = groups.MatrixGroup(F, 9, tuple(gens), label="imprim-o3s3",
                                gram=space.gram)
@@ -701,8 +605,8 @@ def subspace_stabilizer_n7_w3():
     space = geometry.standard_space(7, F)
     s3 = geometry.standard_space(3, F)
     s4 = geometry.standard_space(4, F)
-    gens = [_embed_block(F, g, 7, 0) for g in groups.omega_generators(s3).gens]
-    gens += [_embed_block(F, g, 7, 3) for g in groups.omega_generators(s4).gens]
+    gens = [_embed_block(g, 7, 0) for g in groups.omega_generators(s3).gens]
+    gens += [_embed_block(g, 7, 3) for g in groups.omega_generators(s4).gens]
     group = groups.MatrixGroup(F, 7, tuple(gens), label="substab-n7-w3",
                                gram=space.gram)
     x = geometry.first_nonsingular_point(s3, PLUS)

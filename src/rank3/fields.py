@@ -10,6 +10,9 @@ from functools import lru_cache
 SQUARE = "square"
 NONSQUARE = "nonsquare"
 
+# extension fields build log tables with q entries at creation
+MAX_EXTENSION_ORDER = 1 << 16
+
 _DEFAULT_MODULI = {
     (3, 2): (1, 0, 1),      # x^2 + 1
     (3, 3): (1, 2, 0, 1),   # x^3 - x + 1
@@ -123,6 +126,9 @@ class FiniteField:
             raise ValueError("characteristic must be prime, got %r" % (p,))
         if a < 1:
             raise ValueError("degree must be >= 1")
+        if a > 1 and p ** a > MAX_EXTENSION_ORDER:
+            raise ValueError("GF(%d^%d) is larger than the extension-field "
+                             "limit 2^16" % (p, a))
         self.p = p
         self.a = a
         self.q = p ** a

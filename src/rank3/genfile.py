@@ -23,7 +23,13 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+# field sizes are factored by trial division, so they are bounded first
+MAX_FIELD_ORDER = 1 << 31
+
+
 def _factor_prime_power(q):
+    if q > MAX_FIELD_ORDER:
+        raise ValueError("field size %d is larger than the limit 2^31" % q)
     primes = fields._prime_factors(q)
     if not primes:
         raise ValueError("bad field size %d" % q)

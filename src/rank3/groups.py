@@ -460,17 +460,11 @@ def make_report(space, start, size, d, seconds):
     ptype = geometry.point_type(space, start)
     rep = OrbitReport(tuple(start), ptype, size, c, d, seconds=seconds)
     if space.n % 2 == 1:
-        m = (space.n - 1) // 2
-        rep.m = m
+        rep.m = m = (space.n - 1) // 2
         if m >= 2 and ptype in (PLUS, MINUS):
             xi = "+" if ptype == PLUS else "-"
-            params = higman.odd_orthogonal_params(m, xi)
-            cd = higman.CdPair(c, d, xi)
-            rep.eq1 = {"s": higman.check_eq1(params, params.s, cd),
-                       "t": higman.check_eq1(params, params.t, cd)}
-            rep.eq2 = higman.eq2_holds(m, xi, cd)
-            rep.eq3 = higman.eq3_holds(m, xi, cd)
-            rep.eq4 = higman.eq4_holds(m, cd)
+            for key, verdict in higman.equation_verdicts(m, xi, c, d).items():
+                setattr(rep, key, verdict)
     return rep
 
 

@@ -7,6 +7,8 @@ cleared denominators, so no rationals appear anywhere.
 import math
 from dataclasses import dataclass, asdict
 
+from . import geometry
+
 
 @dataclass(frozen=True)
 class RankThreeParams:
@@ -122,6 +124,18 @@ def eq4_holds(m, cd):
     return 2 * cd.size >= 3 ** m + 1
 
 
+def equation_verdicts(m, xi, c, d):
+    """Equation (1) at r = s and r = t, and equations (2)-(4), for the
+    (c, d) of a type-xi point in dim 2m+1."""
+    params = odd_orthogonal_params(m, xi)
+    cd = CdPair(c, d, xi)
+    return {"eq1": {"s": check_eq1(params, params.s, cd),
+                    "t": check_eq1(params, params.t, cd)},
+            "eq2": eq2_holds(m, xi, cd),
+            "eq3": eq3_holds(m, xi, cd),
+            "eq4": eq4_holds(m, cd)}
+
+
 def check_specialized(m, xi, r_case, cd):
     """Equation (1) specialized at (xi, r): eq (2) on {(+,s),(-,t)},
     eq (3) on {(+,t),(-,s)}."""
@@ -154,25 +168,13 @@ class SrgReport:
 def srg_verify(space, xi):
     """Measure (N, k, l, lambda, mu) on the perpendicularity graph of E_xi,
     which checks the identity A^2 = kI + lambda A + mu (J - I - A), and
-    recover integral multiplicities from traces."""
-    from . import geometry
-
+    derive the spectrum from them with generic_params."""
     try:
         N, k, l, lam, mu = geometry.measured_rank3_parameters(space, xi)
     except AssertionError as e:
         return SrgReport(-1, -1, -1, -1, -1, 0, 0, 0, 0, False, str(e))
-    D = (lam - mu) ** 2 + 4 * (k - mu)
-    sqrtD = math.isqrt(D)
-    if sqrtD * sqrtD != D:
-        return SrgReport(N, k, l, lam, mu, 0, 0, 0, 0, False, "D not square")
-    s = (lam - mu + sqrtD) // 2
-    t = (lam - mu - sqrtD) // 2
-    # trace(A) = 0 = k + f_s*s + f_t*t together with f_s + f_t = N - 1
-    num = -(k + t * (N - 1))
-    if num % (s - t):
-        return SrgReport(N, k, l, lam, mu, s, t, 0, 0, False, "f_s not integral")
-    f_s = num // (s - t)
-    f_t = N - 1 - f_s
-    ok = f_s > 0 and f_t > 0
-    return SrgReport(N, k, l, lam, mu, s, t, f_s, f_t, ok,
-                     None if ok else "non-positive multiplicity")
+    try:
+        p = generic_params(k, l, lam, mu)
+    except NotRankThree as e:
+        return SrgReport(N, k, l, lam, mu, 0, 0, 0, 0, False, str(e))
+    return SrgReport(N, k, l, lam, mu, p.s, p.t, p.f_s, p.f_t, True)

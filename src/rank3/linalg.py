@@ -15,6 +15,13 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def perm_matrix(perm):
+    """Row-vector convention: basis vector i maps to basis vector perm[i]."""
+    n = len(perm)
+    return tuple(tuple(1 if j == perm[i] else 0 for j in range(n))
+                 for i in range(n))
+
+
 def mat_from_rows(rows):
     return tuple(tuple(r) for r in rows)
 

@@ -36,10 +36,7 @@ def permutation_module(n, perms, field=GF3):
     for perm in perms:
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of 0..%d: %r" % (n - 1, perm))
-        g = [[0] * n for _ in range(n)]
-        for i, j in enumerate(perm):
-            g[i][j] = 1
-        gens.append(tuple(tuple(r) for r in g))
+        gens.append(linalg.perm_matrix(perm))
     return GModule(field, n, tuple(gens))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -93,6 +94,18 @@ def test_field_size_is_factored_up_to_its_square_root():
         parse_generator_lines(["rank3gen v1", "dim 1 field 1 gens 0"])
 
 
+def test_field_sizes_past_the_limits_are_refused_at_once():
+    too_large = (["rank3gen v1", "dim 1 field 100000000000031 gens 0"],
+                 ["rank3gen v1", "dim 1 field 177147 gens 0",  # 3^11
+                  "modulus " + " ".join(["1"] + ["0"] * 10 + ["1"])])
+    for lines, limit in zip(too_large, (r"2\^31", r"2\^16")):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=limit):
+            parse_generator_lines(lines)
+        assert time.perf_counter() - t0 < 0.1
+    assert exit_code("count", "3", "177147") == 2
+
+
 def test_trailing_garbage_rejected():
     lines = bad_lines(lambda ls: ls + ["stray"])
     with pytest.raises(ParseError):
@@ -164,11 +177,43 @@ def test_cli_orbit_and_cd_share_one_report(tmp_path, capsys):
     assert payloads[0]["size"] == 20 and "visited" not in payloads[0]
 
 
+# sha256 of `rank3 construct <label>`.  A change to any generator, Gram
+# matrix, base point or citation changes the digest: update it, and name
+# the label in CHANGES.md.
+CONSTRUCT_SHA256 = {
+    "c7wreath-d25": "70352b97108bf6ccb49f3657dca83dde231394db2137587f3097d0cdd24e67e1",
+    "deleted-n10": "6939bcb4c1ffda9a2bf45976fe0af655665c053f44c3b721585a4ce527734299",
+    "deleted-n11": "1c62aa30d5dfeaae8f4bcfaf2d4b3f8c2ce0c72066ef508921e2ad73e5184edd",
+    "deleted-n12": "fb43e889075befd6be5d7c484e8e557fe36ca77aba2b30c87f348b97fcf07077",
+    "deleted-n13": "63773558dd54c7d8c42e3c0b788099febbbab1f12611b1fc1beb5ef025ce5b62",
+    "deleted-n14": "dc5f7d4b4c07fa3794e601f43afaa8d257dd4f8b8ab3070aa367f89536bdc656",
+    "deleted-n15": "40a57dd5a5903be257bfb6fecb94f11912486d4ca1a32b6fd2e5dc90f5952660",
+    "deleted-n16": "9c3591bb0b6ab27cb9786d45fe98fb06200f7299477c070fc221e5443f3a7871",
+    "fieldext-n9": "a53c0913dcbb8f2763fa9f506565e99b5605ebf454cdcf6138860c53c0dd3bef",
+    "imprim-o3s3": "ee121c50907d4cbd4c2d041b879fbe661bcad644369b32d10fb1b5ad40410375",
+    "parabolic-n7-a1": "fe9bd921aba95869ff05abe829fde14a2ff135ee40de881866e5b7411750c397",
+    "parabolic-n7-a2": "77900c4152e2a4d25f63fac967f2ab64d2332ab0d9fd4d56c07169c40e8770dc",
+    "sp6-lambda2": "e1bd1156bf235868648cb879f792aec3285beb1802b27b9e1427530018e5c464",
+    "sp6-sym2": "c4232743ea6acf9323b8d09e22967a060383b1bad15a53efe2722ac50ae7fc4a",
+    "substab-n7-w3": "47aea55e51b6f8915a0bc6de811d24b6358d3a168c300d90fdf383c434bd50d7",
+    "sym-n7-d27": "34459fb16f499bf3f9e26dc5086e9e5d7de54021813c7d376ad6a732ea5dfe8a",
+    "tensor-3x5": "ba1fd97ced9ec048b05207585ae010603052bb9e0a6f53a0c90041062a1dc717",
+    "wedge-n7": "1f34376e514a15d66738d55f702295133477986ac8ba7ba2aad94a7589fe4145",
+    "wreath-n11": "ab6d4ea4a56339e25daa7e4a966e897302283fbb9ebed03e732717786bec0993",
+    "wreath-n13": "70da22042f71de9c29ecf3c97a2628c881a8db08b1e919295d47ae63b117534e",
+    "wreath-n5": "7b97c881c354c284737eb04d4c5201f265c537e975ebcd1d1d894e5ef69904ad",
+    "wreath-n7": "a7a6eb080ea3c8252cfcecc665b601e82c691a7289e14e2a95c2d4b40b72cf6b",
+    "wreath-n9": "bbaf5002bb3e7ea5fa267617a6c674e00fa9ae57cadd0079db6e292d493e715f",
+}
+
+
 @pytest.mark.parametrize("label", sorted(CASE_BUILDERS))
 def test_cli_construct_every_label(label, capsys):
     case = build_case(label)
     assert run_cli("construct", label) == 0
-    group, _ = parse_generator_lines(capsys.readouterr().out.splitlines())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[label]
+    group, _ = parse_generator_lines(out.splitlines())
     assert group.gens == case.group.gens
     assert group.gram == case.space.gram
 

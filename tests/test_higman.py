@@ -100,16 +100,25 @@ def _cycle(n):
     return A
 
 
+# graphs that pass the measurement but have no integral spectrum
+_MEASURED = {"D = 5 is not a perfect square": (5, 2, 2, 0, 1)}
+
+
 @pytest.mark.parametrize("A,reason", [
     (np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]), "not regular"),
     # the hexagon is regular, but opposite vertices share no neighbour
     (_cycle(6), "intersection numbers are not constant"),
+    # the pentagon has constant lambda = 0 and mu = 1, but D = 5
+    (_cycle(5), "D = 5 is not a perfect square"),
 ])
 def test_non_srg_graph_is_refused(A, reason, monkeypatch):
     monkeypatch.setattr(geometry, "_delta_graph", lambda space, xi: (A, A @ A))
     sp = standard_space(5, GF3)
-    with pytest.raises(AssertionError, match=reason):
-        geometry.measured_rank3_parameters(sp, "+")
+    if reason in _MEASURED:
+        assert geometry.measured_rank3_parameters(sp, "+") == _MEASURED[reason]
+    else:
+        with pytest.raises(AssertionError, match=reason):
+            geometry.measured_rank3_parameters(sp, "+")
     rep = srg_verify(sp, "+")
     assert not rep.ok
     assert reason in rep.failure
