@@ -50,6 +50,9 @@ def _load_group(path):
 # subcommands
 
 def cmd_count(args):
+    if args.q > fields.MAX_EXTENSION_ORDER:
+        raise SystemExit2("count takes q <= 2^16 (it prints one row per "
+                          "gamma), got %d" % args.q)
     p, a = genfile._factor_prime_power(args.q)
     F = fields.field_create(p, a)
     space = geometry.standard_space(args.n, F)
@@ -172,6 +175,8 @@ def cmd_reproduce(args):
                 verdict = "PASS" if case["match"] else "FAIL"
             print("%-22s %-7s %6.1fs  %s"
                   % (case["case"], verdict, case["seconds"], case["citation"]))
+            if case.get("skipped"):
+                print("    %s" % case["reason"])
             if "error" in case:
                 print("    %s: %s" % (case["error"]["type"],
                                       case["error"]["message"]))

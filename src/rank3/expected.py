@@ -19,6 +19,10 @@ GF3 = fields.GF3
 INGEST_DIR = "ingest"
 
 
+class SkipCase(Exception):
+    """Raised by a case that cannot run here; the message is the reason."""
+
+
 @dataclass
 class CaseResult:
     label: str
@@ -28,6 +32,7 @@ class CaseResult:
     match: bool
     seconds: float
     skipped: bool = False
+    reason: str | None = None  # why the case was skipped
     error: dict | None = None  # {"type", "message"} when the case raised
 
     def to_json(self):
@@ -36,6 +41,7 @@ class CaseResult:
              "match": self.match, "seconds": round(self.seconds, 3)}
         if self.skipped:
             d["skipped"] = True
+            d["reason"] = self.reason
         if self.error is not None:
             d["error"] = self.error
         return d
@@ -247,7 +253,7 @@ def _ingest_case(filename, expected_cd, max_starts=60):
     def run():
         path = os.path.join(INGEST_DIR, filename)
         if not os.path.exists(path):
-            return None  # skipped
+            raise SkipCase("%s not found" % path)
         group = genfile.parse_generator_file(path)
         if group.gram is None:
             kind, B = meataxe.invariant_bilinear_form(
@@ -318,21 +324,21 @@ CASES = [
 
 
 def run_case(label, tier, citation, fn):
-    """Run one case; a case that raises becomes a failed result carrying
-    the exception's type and message, so the rest of the suite still runs."""
+    """Run one case.  A case that raises SkipCase is skipped with its
+    message as the reason; any other exception becomes a failed result
+    carrying its type and message, so the rest of the suite still runs."""
     t0 = time.time()
     try:
-        out = fn()
+        expected, computed = fn()
+    except SkipCase as e:
+        return CaseResult(label, citation, None, None, True,
+                          time.time() - t0, skipped=True, reason=str(e))
     except Exception as e:
         return CaseResult(label, citation, None, None, False,
                           time.time() - t0,
                           error={"type": type(e).__name__, "message": str(e)})
-    dt = time.time() - t0
-    if out is None:
-        return CaseResult(label, citation, None, None, True, dt, skipped=True)
-    expected, computed = out
     return CaseResult(label, citation, expected, computed,
-                      expected == computed, dt)
+                      expected == computed, time.time() - t0)
 
 
 def run_reproduction_suite(tier="core"):

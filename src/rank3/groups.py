@@ -12,13 +12,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import geometry, higman, linalg
+from . import fields, geometry, higman, linalg
 from .fields import SQUARE
 from .geometry import PLUS, MINUS
 
 ORBIT_CAP = 30_000_000
 # group_closure raises once a group has more elements than this
 CLOSURE_CAP = 200_000
+# frontier matrices per group_closure product; small keeps the peak low
+_CLOSURE_CHUNK = 64
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -177,16 +179,36 @@ def hyperbolic_pair(space):
 
 
 def group_closure(F, gens):
-    """Full enumeration of the generated matrix group (small groups only)."""
-    n = len(gens[0])
-    ident = linalg.identity(n)
-    seen = {ident}
-    frontier = [ident]
+    """Every element of the group that the n x n matrices gens generate.
+
+    A matrix over GF(p^a) is enumerated as its (na x na) image over GF(p):
+    entry x becomes the a x a block whose row i is t^i x on the power basis
+    1, t, ..., t^(a-1), an injective ring map (the identity when a = 1).
+    Each BFS level multiplies frontier chunks by all generators in one int64
+    product mod p.  The set holds each element's row-major bytes in the
+    smallest unsigned dtype holding p - 1; its length is the group order.
+    Raises RuntimeError past CLOSURE_CAP, ValueError near int64 overflow.
+    """
+    p, a = F.p, F.a
+    d = len(gens[0]) * a
+    if d * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError("group_closure: %d x %d products over GF(%d) can "
+                         "pass the int64 limit 2^63" % (d, d, p))
+    G = np.array([[[[fields._decode(F.mul(x, p ** i), p, a) for i in range(a)]
+                    for x in row] for row in g] for g in gens], dtype=np.int64)
+    G = G.transpose(0, 1, 3, 2, 4).reshape(len(gens), d, d)
+    dt = np.min_scalar_type(p - 1)
+    size = d * d * dt.itemsize
+    frontier = [np.eye(d, dtype=dt).tobytes()]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for h in frontier:
-            for g in gens:
-                m = linalg.mat_mul(F, h, g)
+        for s in range(0, len(frontier), _CLOSURE_CHUNK):
+            h = np.frombuffer(b"".join(frontier[s:s + _CLOSURE_CHUNK]),
+                              dtype=dt).reshape(-1, 1, d, d)
+            images = ((h.astype(np.int64) @ G) % p).astype(dt).tobytes()
+            for i in range(0, len(images), size):
+                m = images[i:i + size]
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)
@@ -221,7 +243,8 @@ def omega_generators(space):
     to preserve the form, to have det 1 and to have square spinor norm.
     The set is then verified to generate all of Omega:
 
-    - dim 3: by full enumeration against |Omega_3(q)|;
+    - dim 3: by full enumeration against |Omega_3(q)|, in group_closure's
+      batched numpy products over the prime field;
     - odd dim >= 5 over GF(3): by the sizes of the orbits on plus and
       minus points, 3^m (3^m +- 1) / 2;
     - any other space: by the per-generator checks only.

@@ -10,10 +10,14 @@ FAST_LABELS = {"wreath-n5", "substab-n7-w3", "mullineux-suite",
                "point-action-params"}
 
 
+def skip_demo():
+    raise expected.SkipCase("demo input not found")
+
+
 @pytest.fixture
 def fast_registry(monkeypatch):
     fast = [c for c in expected.CASES if c[0] in FAST_LABELS]
-    fast.append(("skipped-demo", "ingest", "always skipped", lambda: None))
+    fast.append(("skipped-demo", "ingest", "always skipped", skip_demo))
     monkeypatch.setattr(expected, "CASES", fast)
     return fast
 
@@ -42,8 +46,27 @@ def test_skip_semantics(fast_registry):
     report = expected.run_reproduction_suite("ingest")
     skipped = [c for c in report["cases"] if c.get("skipped")]
     assert [c["case"] for c in skipped] == ["skipped-demo"]
+    assert skipped[0]["reason"] == "demo input not found"
     assert report["summary"]["skipped"] == 1
     assert report["summary"]["failed"] == 0
+
+
+def test_missing_ingest_file_skips_with_reason(monkeypatch, tmp_path, capsys):
+    from rank3 import cli
+
+    monkeypatch.chdir(tmp_path)  # no ./ingest here
+    ingest = [c for c in expected.CASES if c[1] == "ingest"]
+    monkeypatch.setattr(expected, "CASES", ingest)
+    report = expected.run_reproduction_suite("ingest")
+    reasons = {c["case"]: c["reason"] for c in report["cases"]
+               if c.get("skipped")}
+    assert reasons == {"ingest-l213-dim13": "ingest/l213-dim13.gen not found",
+                       "ingest-mcl-dim21": "ingest/mcl-dim21.gen not found"}
+    assert cli.main(["reproduce", "ingest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("ingest-l213-dim13") and "SKIPPED" in line)
+    assert lines[i + 1] == "    ingest/l213-dim13.gen not found"
 
 
 def test_deterministic_across_runs_and_threads(fast_registry):

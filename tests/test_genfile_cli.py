@@ -152,6 +152,16 @@ def test_cli_count_json(capsys):
     assert counts == {0: 9, 1: 12, 2: 6}
 
 
+def test_cli_count_refuses_q_past_the_limit(capsys):
+    t0 = time.perf_counter()
+    assert exit_code("count", "1", "100003") == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert "2^16" in capsys.readouterr().err
+    assert run_cli("count", "--json", "3", "27") == 0
+    counts = [r["count"] for r in json.loads(capsys.readouterr().out)["counts"]]
+    assert len(counts) == 27 and sum(counts) == 27 ** 3
+
+
 def test_cli_construct_and_cd(tmp_path, capsys):
     path = tmp_path / "case.gen"
     assert run_cli("export", "wreath-n5", str(path)) == 0

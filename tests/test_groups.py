@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import groups, linalg
+from rank3 import fields, groups, linalg
 from rank3.fields import GF3, NONSQUARE, SQUARE, field_create
 from rank3.geometry import QuadraticSpace, decode_codes, standard_space
 from rank3.groups import (MatrixGroup, cd_parameters, eichler,
@@ -118,6 +119,73 @@ def test_omega_generators_group_order(n, q):
         assert spinor_norm(sp, g) == "square"
     size = len(groups.group_closure(F, G.gens))
     assert size == omega_order(n, q)
+
+
+def _reference_closure(F, gens):
+    """The pure-Python enumeration group_closure replaced: matrices over
+    GF(q) as tuples, one mat_mul per element and generator."""
+    ident = linalg.identity(len(gens[0]))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                m = linalg.mat_mul(F, h, g)
+                if m not in seen:
+                    seen.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return seen
+
+
+def _prime_field_bytes(F, m):
+    """m over GF(p^a) as the bytes of its (na x na) matrix over GF(p): entry
+    x becomes the block whose row i is the coordinates of t^i x."""
+    p, a = F.p, F.a
+    d = len(m) * a
+    out = np.zeros((d, d), dtype=np.uint8)
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
+            for i in range(a):
+                out[r * a + i, c * a:(c + 1) * a] = fields._decode(
+                    F.mul(x, p ** i), p, a)
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
+                                 (3, 3)])
+def test_group_closure_matches_reference(p, a):
+    F = field_create(p, a)
+    gens = omega_generators(standard_space(3, F)).gens
+    ref = _reference_closure(F, gens)
+    assert len(ref) == omega_order(3, F.q)
+    assert groups.group_closure(F, gens) == {_prime_field_bytes(F, m)
+                                             for m in ref}
+
+
+def test_group_closure_cap(monkeypatch):
+    gens = omega_generators(standard_space(3, GF27)).gens
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 100)
+    with pytest.raises(RuntimeError, match="cap"):
+        groups.group_closure(GF27, gens)
+
+
+def test_group_closure_refuses_int64_overflow():
+    F = field_create(2147483647, 1)  # 3 (p - 1)^2 > 2^63
+    with pytest.raises(ValueError, match=r"2\^63"):
+        groups.group_closure(F, [linalg.identity(3)])
+
+
+def test_omega3_check_rejects_a_proper_subgroup(monkeypatch):
+    sp = standard_space(3, GF27)
+    gens = omega_generators(sp).gens
+    assert len(groups.group_closure(GF27, gens[:2])) == 12
+    # with c = 1 in place of a primitive element, the set is its first two
+    # generators twice over
+    monkeypatch.setattr(GF27, "primitive", 1)
+    monkeypatch.setattr(groups, "_OMEGA_CACHE", {})
+    with pytest.raises(RuntimeError, match="got 12, want 9828"):
+        omega_generators(sp)
 
 
 def test_omega_transitive_on_types():
