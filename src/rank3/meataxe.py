@@ -2,7 +2,8 @@
 tensor module builders, randomized composition-factor splitting with an
 irreducibility certificate (spin the kernel of a singular algebra
 element, then the dual), module isomorphism via the standard-basis
-method, and invariant bilinear forms.
+method, and invariant bilinear forms as the isomorphism from an
+absolutely irreducible module to its dual, found by that same method.
 """
 
 import random
@@ -188,13 +189,13 @@ def composition_factors(M, seed=0, max_tries=200):
     return out
 
 
-def modules_isomorphic(A, B, seed=0, max_tries=60):
-    """Isomorphism test for irreducible modules (standard-basis method)."""
-    if A.field is not B.field or A.dim != B.dim or len(A.gens) != len(B.gens):
-        return False
+def _intertwiner(A, B, seed=0, max_tries=60):
+    """The S with g_A S = S g_B for every generator pair, or None when
+    A and B are not isomorphic; A must be irreducible (standard-basis
+    method).  Raises Undecided when no nullity-1 word turns up."""
     F, dim = A.field, A.dim
     if dim == 1:
-        return A.gens == B.gens
+        return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
     for _ in range(max_tries):
         recipe = _random_word(rng, len(A.gens))
@@ -203,31 +204,24 @@ def modules_isomorphic(A, B, seed=0, max_tries=60):
         ka = linalg.nullspace_rows(F, ta)
         kb = linalg.nullspace_rows(F, tb)
         if len(ka) != len(kb):
-            return False
+            return None
         if len(ka) != 1:
             continue
         # lockstep standard basis from the two kernel vectors
         basis_a, basis_b = [ka[0]], [kb[0]]
         span_a, span_b = linalg.Echelon(F, basis_a), linalg.Echelon(F, basis_b)
         i = 0
-        ok = True
         while i < len(basis_a) and len(basis_a) < dim:
-            for gi in range(len(A.gens)):
-                wa = linalg.vec_mat(F, basis_a[i], A.gens[gi])
-                wb = linalg.vec_mat(F, basis_b[i], B.gens[gi])
+            for ga, gb in zip(A.gens, B.gens):
+                wa = linalg.vec_mat(F, basis_a[i], ga)
+                wb = linalg.vec_mat(F, basis_b[i], gb)
                 inda = span_a.add(wa)
-                indb = span_b.add(wb)
-                if inda != indb:
-                    ok = False
-                    break
+                if inda != span_b.add(wb):
+                    return None
                 if inda:
                     basis_a.append(wa)
                     basis_b.append(wb)
-            if not ok:
-                break
             i += 1
-        if not ok:
-            return False
         if len(basis_a) < dim:
             continue  # A was not irreducible over this vector; resample
         # candidate intertwiner: basis_a[i] -> basis_b[i]
@@ -235,9 +229,17 @@ def modules_isomorphic(A, B, seed=0, max_tries=60):
                            linalg.mat_from_rows(basis_b))
         for ga, gb in zip(A.gens, B.gens):
             if linalg.mat_mul(F, ga, s) != linalg.mat_mul(F, s, gb):
-                return False
-        return True
+                return None
+        return s
     raise Undecided("no nullity-1 word found in %d tries" % max_tries)
+
+
+def modules_isomorphic(A, B, seed=0, max_tries=60):
+    """Isomorphism test for irreducible modules (standard-basis method).
+    Raises Undecided when no nullity-1 word turns up in max_tries."""
+    if A.field is not B.field or A.dim != B.dim or len(A.gens) != len(B.gens):
+        return False
+    return _intertwiner(A, B, seed, max_tries) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -246,40 +248,28 @@ def modules_isomorphic(A, B, seed=0, max_tries=60):
 def invariant_bilinear_form(M):
     """(kind, B) with kind in {'symmetric', 'alternating', 'none'}.
 
-    B solves g^t B g = B for all generators (equivalently invariance
-    under the generated group); for an irreducible module the solution
-    space has dimension at most 1, so the symmetric/alternating split
-    is read straight off the solution.
+    B solves g B g^T = B for every generator g (row convention): it is the
+    intertwiner from M to its dual, the module on the g^-T.  M must be
+    absolutely irreducible.  'none' means M has no non-degenerate
+    invariant form.  The scalar is pinned by making the last nonzero entry
+    of B, in row-major order, 1.  Raises Undecided when no nullity-1 word
+    turns up, as for a reducible or not absolutely irreducible M.
     """
     F, d = M.field, M.dim
-    ident = linalg.identity(d * d)
-    cols = []
-    for g in M.gens:
-        gt = linalg.transpose(g)
-        kg = linalg.kron(F, gt, gt)  # row convention: g B g^t = B
-        block = tuple(tuple(F.sub(kg[i][j], ident[i][j]) for j in range(d * d))
-                      for i in range(d * d))
-        cols.append(block)
-    stacked = tuple(tuple(x for block in cols for x in block[i])
-                    for i in range(d * d))
-    sols = linalg.nullspace_rows(F, stacked)
-    if not sols:
+    dual = GModule(F, d, tuple(linalg.transpose(linalg.mat_inv(F, g))
+                               for g in M.gens))
+    B = _intertwiner(M, dual)
+    if B is None:
         return ("none", None)
-    if len(sols) > 4:
-        raise ValueError("solution space too large; module not irreducible?")
-    # search the (small) solution space for a symmetric member
-    best_alt = None
-    for v in linalg.span_vectors(F, sols):
-        B = tuple(tuple(v[a * d + b] for b in range(d)) for a in range(d))
-        Bt = linalg.transpose(B)
-        if B == Bt:
-            return ("symmetric", B)
-        if all(F.add(B[a][b], Bt[a][b]) == 0 for a in range(d)
-               for b in range(d)) and all(B[a][a] == 0 for a in range(d)):
-            best_alt = B
-    if best_alt is not None:
-        return ("alternating", best_alt)
-    return ("none", None)
+    last = next(x for row in reversed(B) for x in reversed(row) if x)
+    B = tuple(linalg.vec_scale(F, F.inv(last), row) for row in B)
+    Bt = linalg.transpose(B)
+    if B == Bt:
+        return ("symmetric", B)
+    # The standard basis spins M from one kernel vector, so every
+    # intertwiner M -> M* is a multiple of B; B^T is one, hence B^T = -B.
+    assert B == tuple(linalg.vec_scale(F, F.neg(1), row) for row in Bt)
+    return ("alternating", B)
 
 
 # ---------------------------------------------------------------------------

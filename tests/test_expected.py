@@ -130,6 +130,22 @@ def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, pin,
     assert result.error is None
 
 
+def test_ingest_without_form_on_a_reducible_group_fails_undecided(
+        tmp_path, monkeypatch):
+    # S5 on its permutation module is reducible (trivial + dim 4), so the
+    # form computed for a file without a form block cannot be decided
+    from rank3 import fields, genfile, groups, linalg
+    perms = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    group = groups.MatrixGroup(fields.GF3, 5, tuple(
+        linalg.perm_matrix(p) for p in perms), label="s5-perm")
+    genfile.write_generator_file(str(tmp_path / "s5.gen"), group)
+    monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
+    result = expected.run_case("ingest-demo", "ingest", "S5 permutations",
+                               expected._ingest_case("s5.gen", (1, 1)))
+    assert not result.match and not result.skipped
+    assert result.error["type"] == "Undecided"
+
+
 def test_ingest_case_names_a_field_other_than_gf3(tmp_path, monkeypatch):
     from rank3 import constructions, fields, geometry, groups
     sp = geometry.standard_space(3, fields.field_create(3, 2))

@@ -3,9 +3,9 @@ import pytest
 
 from rank3 import linalg, meataxe
 from rank3.fields import GF3
-from rank3.meataxe import (GModule, composition_factors, invariant_bilinear_form,
-                           modules_isomorphic, permutation_module, spin,
-                           tensor_module)
+from rank3.meataxe import (GModule, Undecided, composition_factors,
+                           invariant_bilinear_form, modules_isomorphic,
+                           permutation_module, spin, tensor_module)
 
 
 def cycle(n):
@@ -35,7 +35,7 @@ def test_spin_is_invariant():
     for g in M.gens:
         for v in basis:
             img = linalg.vec_mat(GF3, v, g)
-            assert linalg.coords_in_basis(GF3, basis, img) is not None
+            assert not any(linalg.Echelon(GF3, basis).reduce(img))
 
 
 def test_all_ones_submodule():
@@ -91,16 +91,112 @@ def test_isomorphism_detects_equivalence():
     assert not modules_isomorphic(four, triv)
 
 
-def test_invariant_form_on_dim13():
-    M = permutation_module(8, [cycle(8), transposition(8)])
-    T = tensor_module(M, M)
-    f13 = next(f for f, _ in composition_factors(T) if f.dim == 13)
+def _is_invariant(M, B):
+    return all(linalg.mat_mul(GF3, g, linalg.mat_mul(
+        GF3, B, linalg.transpose(g))) == B for g in M.gens)
+
+
+def test_invariant_form_on_dim13(tensor_factors):
+    f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
     kind, B = invariant_bilinear_form(f13)
     assert kind == "symmetric"
     assert linalg.det(GF3, B) != 0
-    for g in f13.gens:
-        assert linalg.mat_mul(GF3, g, linalg.mat_mul(
-            GF3, B, linalg.transpose(g))) == B
+    assert _is_invariant(f13, B)
+
+
+def _reference_form(M):
+    """The invariant form as a d^2-unknown linear system: the Kronecker
+    solve of g B g^T = B, then a search of its solution space for a
+    symmetric member.  Kept as the oracle for invariant_bilinear_form."""
+    F, d = M.field, M.dim
+    ident = linalg.identity(d * d)
+    cols = []
+    for g in M.gens:
+        gt = linalg.transpose(g)
+        kg = linalg.kron(F, gt, gt)  # row convention: g B g^t = B
+        block = tuple(tuple(F.sub(kg[i][j], ident[i][j]) for j in range(d * d))
+                      for i in range(d * d))
+        cols.append(block)
+    stacked = tuple(tuple(x for block in cols for x in block[i])
+                    for i in range(d * d))
+    sols = linalg.nullspace_rows(F, stacked)
+    if not sols:
+        return ("none", None)
+    if len(sols) > 4:
+        raise ValueError("solution space too large; module not irreducible?")
+    best_alt = None
+    for v in linalg.span_vectors(F, sols):
+        B = tuple(tuple(v[a * d + b] for b in range(d)) for a in range(d))
+        Bt = linalg.transpose(B)
+        if B == Bt:
+            return ("symmetric", B)
+        if all(F.add(B[a][b], Bt[a][b]) == 0 for a in range(d)
+               for b in range(d)) and all(B[a][a] == 0 for a in range(d)):
+            best_alt = B
+    if best_alt is not None:
+        return ("alternating", best_alt)
+    return ("none", None)
+
+
+@pytest.fixture(scope="module")
+def tensor_factors():
+    """(n, factor) for every composition factor of the S5 .. S9 tensor
+    squares; 20 factors of dims 1 to 27."""
+    out = []
+    for n in range(5, 10):
+        M = permutation_module(n, [cycle(n), transposition(n)])
+        out.extend((n, f) for f, _ in composition_factors(tensor_module(M, M)))
+    return out
+
+
+def test_form_matches_reference(tensor_factors):
+    # exact equality, scalar included: scaling by the nonsquare 2 would swap
+    # the + and - point types of the S8 dim-13 form
+    small = [(n, f) for n, f in tensor_factors if f.dim <= 15]
+    assert {(8, 13), (7, 15)} <= {(n, f.dim) for n, f in small}
+    for n, f in small:
+        assert invariant_bilinear_form(f) == _reference_form(f), (n, f.dim)
+
+
+def test_large_forms_are_invariant(tensor_factors):
+    large = [(n, f) for n, f in tensor_factors if f.dim > 15]
+    assert sorted((n, f.dim) for n, f in large) == [(8, 21), (9, 21), (9, 27)]
+    for n, f in large:
+        kind, B = invariant_bilinear_form(f)
+        assert kind == "symmetric", (n, f.dim)
+        assert B == linalg.transpose(B) and linalg.det(GF3, B) != 0
+        assert _is_invariant(f, B)
+
+
+def test_alternating_form_of_sl2():
+    M = GModule(GF3, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
+    kind, B = invariant_bilinear_form(M)
+    assert kind == "alternating" and _is_invariant(M, B)
+    ref_kind, ref = _reference_form(M)
+    assert ref_kind == "alternating"
+    assert any(B == tuple(linalg.vec_scale(GF3, c, r) for r in ref)
+               for c in (1, 2))
+
+
+def test_no_form_on_sl3_natural_module():
+    M = GModule(GF3, 3, (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                         ((0, 1, 0), (0, 0, 1), (1, 0, 0))))
+    assert invariant_bilinear_form(M) == _reference_form(M) == ("none", None)
+
+
+def test_not_absolutely_irreducible_is_undecided():
+    # C4 on GF(3)^2: x^2 + 1 is irreducible, so no word has nullity 1
+    M = GModule(GF3, 2, (((0, 1), (2, 0)),))
+    with pytest.raises(Undecided):
+        invariant_bilinear_form(M)
+    with pytest.raises(Undecided):
+        modules_isomorphic(M, M)
+
+
+def test_reducible_module_form_is_undecided():
+    M = permutation_module(5, [cycle(5), transposition(5)])
+    with pytest.raises(Undecided):
+        invariant_bilinear_form(M)
 
 
 def test_s8_pipeline_end_to_end():
