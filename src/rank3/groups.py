@@ -3,7 +3,12 @@ spinor norm, verified Omega generator sets, and the orbit engine.
 
 Matrices act on row vectors on the right (v -> v @ g).  The orbit engine has
 a packed numpy fast path for GF(3) and a generic pure-Python path for
-extension fields (only ever needed at tiny sizes).
+extension fields (only ever needed at tiny sizes).  The GF(3) path holds
+points as packed base-3 codes and maps them by table lookups: per chunk of
+at most 7 digits of a code, a table of every generator's image of every
+digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
+are summed by a six-op bitsliced add, and the masks become codes again
+through 13-bit mask->code tables.
 """
 
 import itertools
@@ -330,13 +335,106 @@ _DENSE_MAX_DIM = 15
 # buffers of one BFS level.
 _CHUNK_ENTRIES = 1 << 17
 _BIT = (1 << np.arange(8)).astype(np.uint8)
+# Base-3 digits per image-table chunk of a code (a table holds 3^7 rows of
+# 2k masks), and bits per mask->code table piece of a mask.
+_TABLE_DIGITS = 7
+_PIECE_BITS = 13
+_PIECE = (1 << _PIECE_BITS) - 1
 
 
-def _canonical_codes(V, powers):
-    """Codes of the projective points of the rows of V (entries 0..2): the
-    smaller of the codes of v and -v, whose sum is 3 * code(v != 0)."""
-    codes = V @ powers
-    return np.minimum(codes, 3 * ((V != 0) @ powers) - codes)
+def _masks(V):
+    """The masks of the 1s and of the 2s of the rows of V (entries 0..2),
+    bit j for coordinate j, in the smallest unsigned dtype holding them."""
+    n = V.shape[-1]
+    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    return (V == 1) @ bits, (V == 2) @ bits
+
+
+def _gf3_add(a1, a2, b1, b2):
+    """a + b for GF(3) vectors bitsliced as the masks of their 1s and 2s
+    (Boothby and Bradshaw, arXiv:0901.1413): six bitwise ops."""
+    s = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ s, (a1 | b1) ^ s
+
+
+def _digit_chunks(n):
+    """Balanced runs [a, b) of at most _TABLE_DIGITS coordinates."""
+    c = -(-n // _TABLE_DIGITS)
+    bounds = list(itertools.accumulate(
+        (n // c + (i < n % c) for i in range(c)), initial=0))
+    return list(zip(bounds, bounds[1:]))
+
+
+def _chunk_digits(codes, chunks):
+    """Per chunk [a, b), the base-3 number v_a..v_(b-1) of each code: one
+    divmod per chunk, from the last (least significant) chunk up."""
+    digits = []
+    for a, b in reversed(chunks[1:]):
+        codes, digit = np.divmod(codes, 3 ** (b - a))
+        digits.append(digit)
+    return [codes] + digits[::-1]
+
+
+def _image_tables(G, gx, chunks):
+    """Per chunk [a, b): the images under the k generators of every digit
+    pattern of v_a..v_(b-1), as (3^(b-a), k) masks of the 1s and of the
+    2s, and f(v, start) as integers 0..2, all indexed by _chunk_digits.
+
+    All chunks are built at once by tripling from their last coordinate
+    down, T -> [T, T + row_i, T + 2 row_i], where 2 row_i swaps the two
+    masks.  f rides along as one more generator, the n x 1 matrix gx,
+    whose image is f(v, start) in bit 0.  A chunk shorter than the
+    longest goes on tripling by its first row; its first 3^(b-a) entries,
+    the ones kept, stay as they are.
+    """
+    k = len(G)
+    steps = max(b - a for a, b in chunks)
+    i = [[max(b - 1 - t, a) for a, b in chunks] for t in range(steps)]
+    # rows per step, chunk and generator; the tables are built as (chunk,
+    # generator, pattern), so that every op runs along the long axis
+    R1, R2 = (np.vstack([R, Rf])[:, i].transpose(1, 2, 0)[..., None]
+              for R, Rf in zip(_masks(G), _masks(gx[:, None])))
+    T1 = T2 = np.zeros((len(chunks), k + 1, 1), dtype=R1.dtype)
+    for r1, r2 in zip(R1, R2):
+        U1, U2 = _gf3_add(T1, T2, r1, r2)
+        W1, W2 = _gf3_add(T1, T2, r2, r1)
+        T1 = np.concatenate([T1, U1, W1], axis=2)
+        T2 = np.concatenate([T2, U2, W2], axis=2)
+    return [(T1[c, :k, :3 ** (b - a)].T.copy(),
+             T2[c, :k, :3 ** (b - a)].T.copy(),
+             T1[c, k, :3 ** (b - a)] + 2 * T2[c, k, :3 ** (b - a)])
+            for c, (a, b) in enumerate(chunks)]
+
+
+def _piece_tables(n):
+    """Per _PIECE_BITS-bit piece of a mask: the sum of 3^(n-1-j) over its
+    set bits j, by doubling T -> [T, T + 3^(n-1-j)]."""
+    w = geometry.code_powers(n)
+    tables = []
+    for lo in range(0, n, _PIECE_BITS):
+        t = np.zeros(1, dtype=np.int64)
+        for j in range(lo, min(lo + _PIECE_BITS, n)):
+            t = np.concatenate([t, t + w[j]])
+        tables.append(t)
+    return tables
+
+
+def _mask_codes(M, pieces):
+    """The code of the 0/1 vector of each mask in M."""
+    last = len(pieces) - 1
+    code = pieces[0][M & _PIECE if last else M]
+    for j in range(1, last + 1):
+        b = M >> (j * _PIECE_BITS)
+        code += pieces[j][b & _PIECE if j < last else b]
+    return code
+
+
+def _canonical_codes(M1, M2, pieces):
+    """Codes of the projective points of bitsliced vectors: with P and Q
+    the codes of the 1s and of the 2s, v has code P + 2Q and -v has
+    2P + Q; the smaller is P + Q + min(P, Q)."""
+    P, Q = _mask_codes(M1, pieces), _mask_codes(M2, pieces)
+    return P + Q + np.minimum(P, Q)
 
 
 def _mark(bits, codes):
@@ -370,23 +468,26 @@ def _scan(gens, start, gram, cap):
     """BFS orbit of a projective point over GF(3): (size, d, sorted codes).
 
     d counts the orbit points w != start with f(w, start) = 0.  Each level
-    maps the frontier by all generators at once, reduces mod 3 on
-    integers, drops images already seen chunk by chunk, and merges what is
-    left into the seen-set once.
+    splits the frontier codes into base-3 digit chunks of at most
+    _TABLE_DIGITS, looks up every generator's image of each chunk in
+    _image_tables and sums the chunks with the bitsliced _gf3_add.  The
+    image masks become canonical codes through the _PIECE_BITS-bit tables
+    of _piece_tables.  Images already seen are dropped chunk by chunk, and
+    what is left is merged into the seen-set once per level.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
         raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
                          "codes), got dim %d" % (MAX_CODE_DIM, n))
-    powers = geometry.code_powers(n)
+    pieces = _piece_tables(n)
     x = np.array(start, dtype=np.int64) % 3
     gx = (np.array(gram, dtype=np.int64) @ x) % 3
-    codes = _canonical_codes(x[None, :], powers)
+    codes = _canonical_codes(*_masks(x[None, :]), pieces)
     if not gens:
         return 1, 0, codes
-    G = np.concatenate([np.array(g, dtype=np.float32) % 3 for g in gens],
-                       axis=1)
-    rows = max(1, _CHUNK_ENTRIES // G.shape[1])
+    chunks = _digit_chunks(n)
+    tables = _image_tables(np.array(gens, dtype=np.int64) % 3, gx, chunks)
+    rows = max(1, _CHUNK_ENTRIES // (len(gens) * n))
     dense = n <= _DENSE_MAX_DIM
     if dense:
         seen = np.zeros((3 ** n + 7) // 8, dtype=np.uint8)
@@ -401,14 +502,15 @@ def _scan(gens, start, gram, cap):
     while True:
         parts = []
         for lo in range(0, len(frontier), rows):
-            V = geometry.decode_codes(frontier[lo:lo + rows], n)
-            d += int(((V @ gx) % 3 == 0).sum())
-            # entries of v @ g are at most 4n <= 156, exact in float32
-            # and in uint8, where mod 3 is far cheaper than on floats
-            img = (V.astype(np.float32) @ G).astype(np.uint8)
-            img %= 3
-            c = _canonical_codes(img.reshape(-1, n), powers)
-            parts.append(_drop_seen(seen, c))
+            digits = _chunk_digits(frontier[lo:lo + rows], chunks)
+            M1, M2, f = (t.take(digits[0], axis=0) for t in tables[0])
+            for (T1, T2, ft), digit in zip(tables[1:], digits[1:]):
+                M1, M2 = _gf3_add(M1, M2, T1.take(digit, axis=0),
+                                  T2.take(digit, axis=0))
+                f += ft.take(digit)
+            d += int(np.count_nonzero(f % 3 == 0))
+            c = _canonical_codes(M1, M2, pieces)
+            parts.append(_drop_seen(seen, c.ravel()))
         new = _distinct(np.concatenate(parts))
         if not new.size:
             break
@@ -421,9 +523,10 @@ def _scan(gens, start, gram, cap):
         else:
             seen = np.insert(seen, np.searchsorted(seen, new), new)
         frontier = new
-    if dense:
-        return size, d, np.sort(np.concatenate(levels))
-    return size, d, seen
+    codes = np.sort(np.concatenate(levels)) if dense else seen
+    assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
+        "orbit scan codes are not %d strictly increasing codes" % size
+    return size, d, codes
 
 
 def _orbit_generic(space, gens, start, cap):
@@ -460,8 +563,8 @@ def orbit(group, start, cap=ORBIT_CAP, space=None):
         size, _d, codes = _scan(group.gens, start, gram, cap)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
-        return [tuple(int(x) for x in row)
-                for row in geometry.decode_codes(codes, group.dim)]
+        # zip one list per coordinate: a list per point raises the peak
+        return list(zip(*geometry.decode_codes(codes, group.dim).T.tolist()))
     sp = space or geometry.QuadraticSpace(F, gram)
     seen, _d = _orbit_generic(sp, group.gens, start, cap)
     return sorted(seen)

@@ -32,6 +32,17 @@ class GModule:
                 raise ValueError("generator is singular")
 
 
+def _derived_module(F, dim, gens):
+    """GModule(F, dim, gens) without __post_init__'s checks, for the
+    actions on a submodule W and on the quotient V/W: their generators have
+    the right shape and are invertible by construction, since
+    det g = det(g|W) det(g|V/W)."""
+    M = object.__new__(GModule)
+    for name, value in (("field", F), ("dim", dim), ("gens", gens)):
+        object.__setattr__(M, name, value)
+    return M
+
+
 def permutation_module(n, perms, field=GF3):
     gens = []
     for perm in perms:
@@ -105,7 +116,7 @@ def submodule_action(M, basis):
                 raise ValueError("basis does not span a submodule")
             rows.append(c)
         gens.append(tuple(rows))
-    return GModule(F, len(basis), tuple(gens))
+    return _derived_module(F, len(basis), tuple(gens))
 
 
 def quotient_action(M, basis):
@@ -119,7 +130,7 @@ def quotient_action(M, basis):
     coords = span.coordinates(comp + list(basis))
     gens = tuple(tuple(coords(linalg.vec_mat(F, b, g))[:len(comp)]
                        for b in comp) for g in M.gens)
-    return GModule(F, len(comp), gens)
+    return _derived_module(F, len(comp), gens)
 
 
 # ---------------------------------------------------------------------------

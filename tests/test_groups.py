@@ -1,10 +1,12 @@
+import functools
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import fields, groups, linalg
+from rank3 import fields, geometry, groups, linalg
 from rank3.fields import GF3, NONSQUARE, SQUARE, field_create
 from rank3.geometry import QuadraticSpace, decode_codes, standard_space
 from rank3.groups import (MatrixGroup, cd_parameters, eichler,
@@ -278,12 +280,42 @@ def _no_generators5():
     return _perm_group(5, [])
 
 
+def _dense_invertible(n):
+    rng = np.random.default_rng(n)
+    while True:
+        P = rng.integers(0, 3, (n, n))
+        if linalg.det(GF3, P.tolist()) != 0:
+            return P
+
+
+def _dense_conjugate(n):
+    """P^-1 g P for the n-cycle and a sign change g, by a dense invertible
+    P, with the form P^-1 P^-T they preserve.  Orbits stay small (2n and
+    4n points from _dense_starts), but every image sums nonzero terms
+    across all digit chunks and mask pieces."""
+    P = _dense_invertible(n)
+    Pinv = np.array(linalg.mat_inv(GF3, P.tolist()))
+    _, perms = _perm_group(n, [tuple(range(1, n)) + (0,)], signs=[{0}])
+    gens = tuple(tuple(map(tuple, (Pinv @ np.array(g) @ P % 3).tolist()))
+                 for g in perms.gens)
+    gram = tuple(map(tuple, (Pinv @ Pinv.T % 3).tolist()))
+    return QuadraticSpace(GF3, gram), MatrixGroup(GF3, n, gens)
+
+
+def _dense_starts(n):
+    """Images under P of two sparse points, so the starts are dense too."""
+    P = _dense_invertible(n)
+    us = [(1, 1) + (0,) * (n - 2), (1, 2, 0, 1) + (0,) * (n - 4)]
+    return [tuple((np.array(u) @ P % 3).tolist()) for u in us]
+
+
 @pytest.mark.parametrize("make,starts", [
     (_wreath7, [(1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0),
                 (1, 2, 1, 1, 0, 0, 0), (0, 1, 1, 1, 1, 2, 0)]),
     (_cycles21, [(1, 1) + (0,) * 19, (2, 1, 0, 1) + (0,) * 17]),
     (_no_generators5, [(2, 1, 0, 0, 0)]),
-])
+] + [pytest.param(functools.partial(_dense_conjugate, n), _dense_starts(n),
+                   id="dense-%d" % n) for n in (13, 15, 16, 27, 39)])
 def test_scan_matches_generic_oracle(make, starts):
     sp, G = make()
     for v in starts:
@@ -307,3 +339,53 @@ def test_packed_code_dim_limit(n):
             orbit(G, v, space=sp)
         with pytest.raises(ValueError, match="dim <= 39"):
             cd_parameters(sp, G, v)
+
+
+def _bitsliced(values):
+    v = np.asarray(values, dtype=np.int64)
+    return (v == 1).astype(np.int64), (v == 2).astype(np.int64)
+
+
+def test_gf3_add_on_all_pairs():
+    pairs = list(itertools.product(range(3), repeat=2))
+    r1, r2 = groups._gf3_add(*_bitsliced([a for a, _ in pairs]),
+                             *_bitsliced([b for _, b in pairs]))
+    assert not (r1 & r2).any()
+    assert (r1 + 2 * r2).tolist() == [(a + b) % 3 for a, b in pairs]
+
+
+@pytest.mark.parametrize("n,sizes", [(13, [7, 6]), (16, [6, 5, 5]),
+                                     (21, [7, 7, 7]), (27, [7, 7, 7, 6]),
+                                     (39, [7, 7, 7, 6, 6, 6])])
+def test_image_tables_match_vector_products(n, sizes):
+    chunks = groups._digit_chunks(n)
+    assert [b - a for a, b in chunks] == sizes
+    assert chunks[0][0] == 0 and chunks[-1][1] == n
+    rng = np.random.default_rng(n)
+    G = rng.integers(0, 3, (3, n, n))
+    gx = rng.integers(0, 3, n)
+    bits = 1 << np.arange(n)
+    tables = groups._image_tables(G, gx, chunks)
+    # the last chunk is the shortest, tripled past its size when shorter
+    # than the first; test both on every digit pattern
+    for c in {0, len(chunks) - 1}:
+        a, b = chunks[c]
+        T1, T2, f = tables[c]
+        V = np.zeros((3 ** (b - a), n), dtype=np.int64)
+        V[:, a:b] = decode_codes(np.arange(3 ** (b - a)), b - a)
+        assert (f == V @ gx % 3).all()
+        images = np.einsum("pi,kij->pkj", V, G) % 3
+        assert (T1 == (images == 1) @ bits).all()
+        assert (T2 == (images == 2) @ bits).all()
+        # and the digits of a code index them
+        codes = V @ geometry.code_powers(n)
+        assert (groups._chunk_digits(codes, chunks)[c]
+                == np.arange(3 ** (b - a))).all()
+
+
+def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
+    sp, G = _wreath7()
+    # a _distinct that keeps duplicates lets one point into a level twice
+    monkeypatch.setattr(groups, "_distinct", np.sort)
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        groups._scan(G.gens, (1, 1, 0, 0, 0, 0, 0), sp.gram, groups.ORBIT_CAP)

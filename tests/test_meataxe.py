@@ -28,6 +28,23 @@ def test_singular_generator_rejected():
         GModule(GF3, 2, (((1, 1), (1, 1)),))
 
 
+def test_sub_and_quotient_modules_skip_the_det_check(monkeypatch):
+    M = permutation_module(6, [cycle(6), transposition(6)])
+    ones = spin(GF3, M.gens, [(1,) * 6])
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det",
+                        lambda F, g: calls.append(g) or det(F, g))
+    S = meataxe.submodule_action(M, ones)
+    Q = meataxe.quotient_action(M, ones)
+    assert (S.dim, Q.dim, calls) == (1, 5, [])
+    # the same modules pass the checked constructor, which runs the check
+    assert S == GModule(GF3, S.dim, S.gens)
+    assert Q == GModule(GF3, Q.dim, Q.gens)
+    assert len(calls) == len(S.gens) + len(Q.gens)
+    assert all(det(GF3, g) != 0 for g in S.gens + Q.gens)
+
+
 def test_spin_is_invariant():
     M = permutation_module(5, [cycle(5), transposition(5)])
     basis = spin(GF3, M.gens, [(1, 2, 0, 0, 0)])
