@@ -378,11 +378,8 @@ def _subquotient(F, gram, gens, sub_rows, rad_rows):
             raise ValueError("vector is outside the subspace")
         return row[:dim]
 
-    new_gram = tuple(tuple(
-        sum(a * gram[i][j] * b for i, a in enumerate(u) if a
-            for j, b in enumerate(v) if gram[i][j] and b) % F.p
-        for v in basis) for u in basis) if F.a == 1 else tuple(
-        tuple(_form_val(F, gram, u, v) for v in basis) for u in basis)
+    new_gram = linalg.mat_mul(F, basis, linalg.mat_mul(F, gram,
+                                                       linalg.transpose(basis)))
     new_gens = tuple(tuple(coords(linalg.vec_mat(F, b, g)) for b in basis)
                      for g in gens)
     return geometry.QuadraticSpace(F, new_gram), new_gens, coords

@@ -225,11 +225,11 @@ def _case_mullineux():
     ok = True
     for n in range(1, 21):
         for lam in partitions.p_regular_partitions(n):
+            # the good-node map, checked forward by the rim-symbol rule
             m = partitions.mullineux_map(lam)
-            if sum(m) != n or partitions.mullineux_map(m) != lam:
-                ok = False
-            if partitions.mullineux_map_frobenius(lam) != m:
-                ok = False
+            ok &= (sum(m) == n and partitions.mullineux_map(m) == lam
+                   and partitions.mullineux_symbol(m)
+                   == partitions.image_symbol(partitions.mullineux_symbol(lam)))
     computed["involution_n20"] = ok
     computed["hooks"] = [n for n in range(5, 61)
                          if partitions.is_mullineux_fixed((n - 2, 1, 1))]

@@ -181,15 +181,14 @@ class CountResult:
                 % (self.closed_form, self.exhaustive))
 
 
-def _closed_count(space, gamma, include_zero):
+def _closed_count(space, gamma):
     q = space.field.q
     n = space.n
     if n % 2 == 0:
         k = n // 2
         eps = 1 if sign_of_space(space) == "+" else -1
         if gamma == 0:
-            c = q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1))
-            return c if include_zero else c - 1
+            return q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1))
         return q ** (2 * k - 1) - eps * q ** (k - 1)
     k = (n - 1) // 2
     if gamma != 0:
@@ -197,23 +196,19 @@ def _closed_count(space, gamma, include_zero):
         return q ** (2 * k) + rho * q ** k
     total = q ** n
     for g in space.field.nonzero():
-        total -= _closed_count(space, g, True)
-    return total if include_zero else total - 1
+        total -= _closed_count(space, g)
+    return total
 
 
-def count_norm_vectors(space, gamma, include_zero=True):
+def count_norm_vectors(space, gamma):
     """#{v : Q(v) = gamma}; closed form plus exhaustive oracle when feasible.
 
-    For gamma = 0 the closed-form convention includes the zero vector;
-    pass include_zero=False to count singular *nonzero* vectors.
+    For gamma = 0 the count includes the zero vector.
     """
-    closed = _closed_count(space, gamma, include_zero)
+    closed = _closed_count(space, gamma)
     q = space.field.q
     if q ** space.n <= _EXHAUSTIVE_LIMIT:
-        ex = q_value_counts(space)[gamma]
-        if gamma == 0 and not include_zero:
-            ex -= 1
-        return CountResult(closed, ex, "both")
+        return CountResult(closed, q_value_counts(space)[gamma], "both")
     return CountResult(closed, None, "closed-form-only")
 
 

@@ -49,9 +49,6 @@ class MatrixGroup:
                 if not preserves_form(self.field, g, self.gram):
                     raise ValueError("generator does not preserve the form")
 
-    def __len__(self):
-        return len(self.gens)
-
 
 def preserves_form(F, g, gram):
     lhs = linalg.mat_mul(F, g, linalg.mat_mul(F, gram, linalg.transpose(g)))

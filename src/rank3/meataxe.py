@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from . import fields, geometry, linalg
 
 GF3 = fields.GF3
+# random algebra elements tried before a search gives up with Undecided
+_SPLIT_TRIES = 200
+_ISO_TRIES = 60
 
 
 class Undecided(RuntimeError):
@@ -142,13 +145,13 @@ def _kernel_lines(F, ker):
                               for v in linalg.span_vectors(F, ker)))
 
 
-def find_submodule(M, rng, max_tries=200):
+def find_submodule(M, rng):
     """A proper non-zero submodule basis, or None with an irreducibility
     certificate: every kernel line of some singular element spins to the
     whole space and a dual kernel vector spins the dual."""
     F, dim = M.field, M.dim
     gens_t = [linalg.transpose(g) for g in M.gens]
-    for _ in range(max_tries):
+    for _ in range(_SPLIT_TRIES):
         theta = _eval_word(F, M.gens, _random_word(rng, len(M.gens)), dim)
         ker = linalg.nullspace_rows(F, theta)
         nullity = len(ker)
@@ -172,16 +175,17 @@ def find_submodule(M, rng, max_tries=200):
             assert 0 < len(sub) < dim
             return spin(F, M.gens, sub)
         return None
-    raise Undecided("no singular algebra element found in %d tries" % max_tries)
+    raise Undecided("no singular algebra element found in %d tries"
+                    % _SPLIT_TRIES)
 
 
-def composition_factors(M, seed=0, max_tries=200):
+def composition_factors(M, seed=0):
     """[(irreducible factor, multiplicity)] in first-seen order."""
     rng = random.Random(seed)
     leaves = []
 
     def rec(mod):
-        sub = find_submodule(mod, rng, max_tries)
+        sub = find_submodule(mod, rng)
         if sub is None:
             leaves.append(mod)
             return
@@ -200,7 +204,7 @@ def composition_factors(M, seed=0, max_tries=200):
     return out
 
 
-def _intertwiner(A, B, seed=0, max_tries=60):
+def _intertwiner(A, B, seed=0):
     """The S with g_A S = S g_B for every generator pair, or None when
     A and B are not isomorphic; A must be irreducible (standard-basis
     method).  Raises Undecided when no nullity-1 word turns up."""
@@ -208,7 +212,7 @@ def _intertwiner(A, B, seed=0, max_tries=60):
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens))
         ta = _eval_word(F, A.gens, recipe, dim)
         tb = _eval_word(F, B.gens, recipe, dim)
@@ -242,15 +246,15 @@ def _intertwiner(A, B, seed=0, max_tries=60):
             if linalg.mat_mul(F, ga, s) != linalg.mat_mul(F, s, gb):
                 return None
         return s
-    raise Undecided("no nullity-1 word found in %d tries" % max_tries)
+    raise Undecided("no nullity-1 word found in %d tries" % _ISO_TRIES)
 
 
-def modules_isomorphic(A, B, seed=0, max_tries=60):
+def modules_isomorphic(A, B, seed=0):
     """Isomorphism test for irreducible modules (standard-basis method).
-    Raises Undecided when no nullity-1 word turns up in max_tries."""
+    Raises Undecided when no nullity-1 word turns up in _ISO_TRIES words."""
     if A.field is not B.field or A.dim != B.dim or len(A.gens) != len(B.gens):
         return False
-    return _intertwiner(A, B, seed, max_tries) is not None
+    return _intertwiner(A, B, seed) is not None
 
 
 # ---------------------------------------------------------------------------

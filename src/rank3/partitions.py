@@ -1,7 +1,12 @@
-"""Partition combinatorics for the p-rim symbol machinery (default p = 3):
-p-regularity, rim-strip symbols, the induced involution on p-regular
-partitions, modular Frobenius symbols, fixed-point and JS predicates.
+"""Partition combinatorics at p = 3: p-regularity, the Mullineux map by
+Kleshchev's good nodes, Mullineux's rim symbol and its image rule, and the
+fixed-point and JS predicates.
+
+Cells are (row, column) from 0, and the residue of a cell is
+column - row mod P.
 """
+
+P = 3
 
 
 def check_partition(lam):
@@ -15,10 +20,17 @@ def check_partition(lam):
     return lam
 
 
-def is_p_regular(lam, p=3):
-    """No part repeated p or more times."""
+def is_p_regular(lam):
+    """No part repeated P or more times."""
     lam = check_partition(lam)
-    return all(lam.count(x) < p for x in set(lam))
+    return all(lam.count(x) < P for x in set(lam))
+
+
+def _check_regular(lam):
+    lam = check_partition(lam)
+    if not is_p_regular(lam):
+        raise ValueError("partition is not %d-regular" % P)
+    return lam
 
 
 def partitions_of(n):
@@ -33,140 +45,119 @@ def partitions_of(n):
     return list(gen(n, n))
 
 
-def p_regular_partitions(n, p=3):
-    return [lam for lam in partitions_of(n) if is_p_regular(lam, p)]
+def p_regular_partitions(n):
+    return [lam for lam in partitions_of(n) if is_p_regular(lam)]
 
 
 # ---------------------------------------------------------------------------
-# p-rim stripping
+# Kleshchev's good nodes
 
-def _strip(lam, p):
-    """Remove one p-rim: walk the rim from top right to bottom left,
-    taking p consecutive cells, then skipping the rest of that row;
+def _signature(lam, i):
+    """The uncancelled removable and addable i-nodes of lam, by row.
+
+    The i-signature lists the addable and removable i-nodes from the top
+    row down; each addable node followed by a removable one cancels
+    against it, leaving the removable rows above the addable rows."""
+    removable, addable = [], []
+    for r in range(len(lam) + 1):
+        part = lam[r] if r < len(lam) else 0
+        if (part - r) % P == i and (r == 0 or lam[r - 1] > part):
+            addable.append(r)
+        if part and (part - 1 - r) % P == i and (r + 1 == len(lam)
+                                                 or lam[r + 1] < part):
+            if addable:
+                addable.pop()
+            else:
+                removable.append(r)
+    return removable, addable
+
+
+def mullineux_map(lam):
+    """The Mullineux image of a 3-regular partition (Kleshchev 1996;
+    Ford and Kleshchev 1997).
+
+    Walk down: remove the good node of the least residue i that has one,
+    until nothing is left.  Walk back: for each recorded i, last first,
+    add the cogood (-i)-node.  The good node is the lowest uncancelled
+    removable node, the cogood node the highest uncancelled addable one.
+    """
+    lam = list(_check_regular(lam))
+    residues = []
+    while lam:
+        for i in range(P):
+            removable = _signature(lam, i)[0]
+            if removable:
+                break
+        r = removable[-1]
+        lam[r] -= 1
+        if not lam[r]:
+            lam.pop()
+        residues.append(i)
+    for i in reversed(residues):
+        r = _signature(lam, -i % P)[1][0]
+        if r == len(lam):
+            lam.append(1)
+        else:
+            lam[r] += 1
+    return tuple(lam)
+
+
+# ---------------------------------------------------------------------------
+# Mullineux's rim symbol
+
+def _strip(lam):
+    """Remove one P-rim: walk the rim from top right to bottom left,
+    taking P consecutive cells, then skipping the rest of that row;
     the last segment may be short.
 
-    Returns (remaining partition, cells removed, per-row removal counts).
-    """
+    Returns (remaining partition, cells removed)."""
     k = len(lam)
     removed = [0] * k
     cnt = 0
     for i in range(k):
         lo = max(lam[i + 1] if i + 1 < k else 0, 1)
         ncells = lam[i] - lo + 1  # rim cells in row i
-        take = min(ncells, p - cnt)
+        take = min(ncells, P - cnt)
         removed[i] = take
         cnt += take
-        if cnt == p:
+        if cnt == P:
             cnt = 0  # group complete: remaining rim cells of the row are skipped
-    new = tuple(lam[i] - removed[i] for i in range(k))
-    new = tuple(x for x in new if x > 0)
-    if new and any(new[i] < new[i + 1] for i in range(len(new) - 1)):
+    new = tuple(x for x in (lam[i] - removed[i] for i in range(k)) if x > 0)
+    if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
         raise AssertionError("rim strip left a non-partition: %r" % (new,))
-    return new, sum(removed), removed
+    return new, sum(removed)
 
 
-def mullineux_symbol(lam, p=3):
-    """Iterated p-rim stripping: column i records (cells removed, rows
+def mullineux_symbol(lam):
+    """Iterated P-rim stripping: column i records (cells removed, rows
     present) at step i.  Returned as [top row, bottom row]."""
-    lam = check_partition(lam)
-    if not is_p_regular(lam, p):
-        raise ValueError("partition is not %d-regular" % p)
+    lam = _check_regular(lam)
     hs, rs = [], []
     while lam:
-        h_before_rows = len(lam)
-        lam, h, _ = _strip(lam, p)
+        rs.append(len(lam))
+        lam, h = _strip(lam)
         hs.append(h)
-        rs.append(h_before_rows)
     return [hs, rs]
 
 
-def _unstrip(mu, h, r, p):
-    """The unique lam with exactly r positive parts whose p-rim strip
-    removes h cells and leaves mu."""
-    if len(mu) > r:
-        raise ValueError("symbol column has fewer rows than the remainder")
-    pad = list(mu) + [0] * (r - len(mu))
-    found = []
-
-    def dfs(i, remaining, below, acc):
-        if i < 0:
-            if remaining == 0:
-                found.append(tuple(acc))
-            return
-        lo = max(1, remaining - p * i)
-        hi = min(p, remaining - i)
-        for s in range(lo, hi + 1):
-            part = pad[i] + s
-            if part < below or part < 1:
-                continue
-            dfs(i - 1, remaining - s, part, [part] + acc)
-
-    dfs(r - 1, h, 1, [])
-    good = []
-    for lam in found:
-        rest, got, _ = _strip(lam, p)
-        if got == h and rest == tuple(mu):
-            good.append(lam)
-    if len(good) != 1:
-        raise ValueError("symbol column (%d, %d) has %d preimages over %r"
-                         % (h, r, len(good), tuple(mu)))
-    return good[0]
-
-
-def partition_from_symbol(symbol, p=3):
-    """Inverse of mullineux_symbol, rebuilt from the last column inward."""
+def image_symbol(symbol):
+    """Mullineux's rule for the symbol of the image: keep the top row and
+    replace each r_i by h_i - r_i + eps_i, with eps_i = 0 iff P divides
+    h_i."""
     hs, rs = symbol
-    if len(hs) != len(rs) or not hs:
-        raise ValueError("symbol rows must be non-empty and equal length")
-    lam = ()
-    for h, r in zip(reversed(hs), reversed(rs)):
-        lam = _unstrip(lam, h, r, p)
-    if mullineux_symbol(lam, p) != [list(hs), list(rs)]:
-        raise AssertionError("symbol reconstruction failed to round-trip")
-    return lam
+    return [list(hs), [h - r + (0 if h % P == 0 else 1)
+                       for h, r in zip(hs, rs)]]
 
 
-def mullineux_map(lam, p=3):
-    """The rim-symbol involution: keep the top row, replace each bottom
-    entry r_i by h_i - r_i + eps_i with eps_i = 0 iff p divides h_i."""
-    hs, rs = mullineux_symbol(lam, p)
-    ss = [h - r + (0 if h % p == 0 else 1) for h, r in zip(hs, rs)]
-    if any(s <= 0 for s in ss):
-        raise AssertionError("invalid image symbol for %r" % (lam,))
-    return partition_from_symbol([hs, ss], p)
+def is_mullineux_fixed(lam):
+    s = mullineux_symbol(lam)
+    return image_symbol(s) == s
 
 
-# ---------------------------------------------------------------------------
-# modular Frobenius symbols
-
-def frobenius_symbol(lam, p=3):
-    """Rows (a, b, eps) with a_i = h_i - r_i, b_i = r_i - eps_i."""
-    hs, rs = mullineux_symbol(lam, p)
-    eps = [0 if h % p == 0 else 1 for h in hs]
-    a = [h - r for h, r in zip(hs, rs)]
-    b = [r - e for r, e in zip(rs, eps)]
-    return [a, b, eps]
-
-
-def mullineux_map_frobenius(lam, p=3):
-    """Same involution via interchanging the first two Frobenius rows."""
-    a, b, eps = frobenius_symbol(lam, p)
-    hs = [x + y + e for x, y, e in zip(a, b, eps)]
-    rs = [x + e for x, e in zip(a, eps)]  # swapped: new b-row is the old a-row
-    return partition_from_symbol([hs, rs], p)
-
-
-def is_mullineux_fixed(lam, p=3):
-    a, b, _eps = frobenius_symbol(lam, p)
-    return a == b
-
-
-def is_js_partition(lam, p=3):
+def is_js_partition(lam):
     """Consecutive distinct-part blocks (lam_i^{a_i}) must satisfy
-    lam_i - lam_{i+1} + a_i + a_{i+1} = 0 mod p."""
-    lam = check_partition(lam)
-    if not is_p_regular(lam, p):
-        raise ValueError("partition is not %d-regular" % p)
+    lam_i - lam_{i+1} + a_i + a_{i+1} = 0 mod P."""
+    lam = _check_regular(lam)
     blocks = []
     for x in lam:
         if blocks and blocks[-1][0] == x:
@@ -174,7 +165,7 @@ def is_js_partition(lam, p=3):
         else:
             blocks.append([x, 1])
     return all((blocks[i][0] - blocks[i + 1][0]
-                + blocks[i][1] + blocks[i + 1][1]) % p == 0
+                + blocks[i][1] + blocks[i + 1][1]) % P == 0
                for i in range(len(blocks) - 1))
 
 

@@ -246,6 +246,7 @@ def exit_code(*argv):
 
 def test_cli_usage_errors(capsys):
     assert exit_code("mullineux", "2,3") == 2
+    assert exit_code("mullineux", "1,1,1") == 2  # not 3-regular
     assert exit_code("frobnicate") == 2
     assert exit_code("cd", "/nonexistent.gen", "1,0") == 2
 

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3.partitions import (check_partition, frobenius_symbol, is_js_partition,
-                              is_mullineux_fixed, is_p_regular, mullineux_map,
-                              mullineux_map_frobenius, mullineux_symbol,
+from rank3 import expected, partitions
+from rank3.partitions import (P, _signature, check_partition, image_symbol,
+                              is_js_partition, is_mullineux_fixed, is_p_regular,
+                              mullineux_map, mullineux_symbol,
                               p_regular_partitions, parse_partition,
-                              partition_from_symbol, partitions_of)
+                              partitions_of)
 
 TABLE = [
     ((4, 2), (2, 2, 1, 1)),
@@ -47,8 +48,15 @@ def test_published_pairs():
         assert mullineux_map(mu) == lam
 
 
+def test_non_regular_input_is_refused():
+    for fn in (mullineux_map, mullineux_symbol, is_mullineux_fixed,
+               is_js_partition):
+        with pytest.raises(ValueError):
+            fn((1, 1, 1))
+
+
 def test_m4_image():
-    # image of the single row (4): symbol route gives (2,2)
+    # the single row (4) maps to (2,2)
     assert mullineux_map((4,)) == (2, 2)
     assert not is_mullineux_fixed((4,))
 
@@ -62,16 +70,55 @@ def test_involution_and_weight_exhaustive():
             assert mullineux_map(mu) == lam
 
 
-def test_symbol_roundtrip():
-    for n in range(1, 16):
+def test_good_node_map_agrees_with_rim_symbol():
+    # Mullineux's rule: the symbol of M(lam) is image_symbol of lam's symbol
+    for n in range(1, 21):
         for lam in p_regular_partitions(n):
-            assert partition_from_symbol(mullineux_symbol(lam)) == lam
+            assert mullineux_symbol(mullineux_map(lam)) == \
+                image_symbol(mullineux_symbol(lam))
 
 
-def test_frobenius_route_agrees():
-    for n in range(1, 16):
+def _add_node(lam, r):
+    lam = list(lam)
+    if r == len(lam):
+        lam.append(1)
+    else:
+        lam[r] += 1
+    return tuple(lam)
+
+
+def test_every_good_node_gives_the_same_image():
+    # Kleshchev: for every i with a good i-node A, M(lam) is M(lam - A)
+    # plus its cogood (-i)-node, whichever i the walk would have taken
+    checks = 0
+    for n in range(1, 17):
         for lam in p_regular_partitions(n):
-            assert mullineux_map_frobenius(lam) == mullineux_map(lam)
+            for i in range(P):
+                removable = _signature(lam, i)[0]
+                if not removable:
+                    continue
+                r = removable[-1]
+                rest = tuple(x for x in lam[:r] + (lam[r] - 1,) + lam[r + 1:]
+                             if x)
+                m = mullineux_map(rest) if rest else ()
+                assert _add_node(m, _signature(m, -i % P)[1][0]) == \
+                    mullineux_map(lam)
+                checks += 1
+    assert checks == 580
+
+
+def test_ledger_case_fails_when_the_symbol_rule_is_mutated(monkeypatch):
+    case = next(c for c in expected.CASES if c[0] == "mullineux-suite")
+    assert expected.run_case(*case).match
+
+    def eps_always_one(symbol):
+        hs, rs = symbol
+        return [list(hs), [h - r + 1 for h, r in zip(hs, rs)]]
+
+    monkeypatch.setattr(partitions, "image_symbol", eps_always_one)
+    result = expected.run_case(*case)
+    assert not result.match
+    assert result.computed["involution_n20"] is False
 
 
 def test_fixed_points_are_involution_fixed():
