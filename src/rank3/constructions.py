@@ -389,21 +389,27 @@ def _form_val(F, gram, u, v):
     return linalg.vec_dot(F, linalg.vec_mat(F, u, gram), v)
 
 
-def _hyperbolic_o7_space():
-    """Dim-7 space on the basis (e1,e2,e3,x,f1,f2,f3) with f(ei,fi)=1 and
-    f(x,x)=1, so the inverse-Gram tensor is sum(ei.fi + fi.ei) + x.x."""
-    return geometry.QuadraticSpace(GF3, _parabolic_gram(3, 1))
+def _omega7_pair():
+    """The dim-7 space on the basis (e1,e2,e3,x,f1,f2,f3) with f(ei,fi)=1
+    and f(x,x)=1, so the inverse-Gram tensor is sum(ei.fi + fi.ei) + x.x,
+    and two words in its Eichler generators that generate Omega_7(3): the
+    action on the 364 singular points is faithful, so a certified order
+    of |Omega_7(3)| there proves it."""
+    nat = geometry.QuadraticSpace(GF3, _parabolic_gram(3, 1))
+    pair = groups.certified_words(groups.omega_generators(nat).gens,
+                                  geometry.singular_codes(nat),
+                                  groups.omega_order(7, 3))
+    return nat, pair
 
 
 def wedge_square_rep():
     """Omega_7(3) acting on the wedge square of its natural module (dim 21)."""
     F = GF3
-    nat = _hyperbolic_o7_space()
-    om = groups.omega_generators(nat)
+    nat, pair = _omega7_pair()
     idx = _pairs(7, True)
     gram = wedge_matrix(F, nat.gram)
     space = geometry.QuadraticSpace(F, gram)
-    gens = tuple(wedge_matrix(F, g) for g in om.gens)
+    gens = tuple(wedge_matrix(F, g) for g in pair)
     group = groups.MatrixGroup(F, 21, gens, label="wedge-n7", gram=gram)
     base = []
     for xi in (1, 2):  # v = (e1 - xi*f1) ^ x
@@ -419,11 +425,10 @@ def sym_square_o7_rep():
     """Omega_7(3) on the 27-dim complement of the invariant vector inside
     the symmetric square of its natural module."""
     F = GF3
-    nat = _hyperbolic_o7_space()
-    om = groups.omega_generators(nat)
+    nat, pair = _omega7_pair()
     idx = _pairs(7, False)
     big_gram = sym_gram(F, nat.gram)
-    big_gens = [sym_matrix(F, g) for g in om.gens]
+    big_gens = [sym_matrix(F, g) for g in pair]
     w = [0] * len(idx)
     for i in range(3):
         w[idx.index((i, 4 + i))] = 1
@@ -481,7 +486,14 @@ def _sp6_data():
                         for c in range(n)) for r in range(n))
         assert groups.preserves_form(F, t, gram)
         gens.append(t)
-    return gram, tuple(gens)
+    # Two words in the transvections, certified by |PSp_6(3)| = |Omega_7(3)|
+    # on the 364 points of PG(5,3), where Sp_6(3) acts with kernel {+-1}:
+    # the words and -1 generate Sp_6(3), and as Sp_6(3) is perfect, a
+    # subgroup of index 2 would be normal with an abelian quotient, so the
+    # words alone generate it.
+    points = np.concatenate([3 ** t + np.arange(3 ** t) for t in range(n)])
+    return gram, groups.certified_words(gens, points,
+                                        groups.omega_order(7, 3))
 
 
 def symplectic_lambda2_module():

@@ -293,6 +293,14 @@ def nonsingular_codes(space, xi):
                            for t, mask in enumerate(_type_masks(space, xi))])
 
 
+def singular_codes(space):
+    """The singular projective points as sorted packed codes (prime
+    fields; see code_powers)."""
+    p, Q = space.field.p, _q_table(space)
+    return np.concatenate([p ** t + np.flatnonzero(Q[p ** t:2 * p ** t] == 0)
+                           for t in range(space.n)])
+
+
 def nonsingular_points(space, xi):
     """All non-singular projective points of type xi (odd dim, prime field),
     as tuples with first nonzero coordinate 1.  The leading 1 moves right,
@@ -308,11 +316,17 @@ def first_nonsingular_point(space, xi):
 
 
 def _delta_graph(space, xi):
-    """Adjacency matrix A of the perpendicularity graph on E_xi, and A^2."""
+    """Adjacency matrix A of the perpendicularity graph on E_xi, and A^2.
+
+    A^2 is a float64 BLAS product: numpy has no BLAS for int64, whose
+    product is about 10x slower at N = 378.  Its entries count common
+    neighbours, at most N, so they are exact while N < 2^53.  The form's
+    product has inner dim n and stays in int64."""
     P = np.array(nonsingular_points(space, xi), dtype=np.int64)
     A = ((P @ space._gram_np @ P.T) % space.field.p == 0).astype(np.int64)
     np.fill_diagonal(A, 0)
-    return A, A @ A
+    assert len(A) < 2 ** 53
+    return A, (A.astype(np.float64) @ A).astype(np.int64)
 
 
 def measured_rank3_parameters(space, xi):

@@ -1,5 +1,6 @@
 """Matrix groups over finite fields: reflections, Eichler transformations,
-spinor norm, verified Omega generator sets, and the orbit engine.
+spinor norm, verified Omega generator sets, generation certificates by
+random Schreier-Sims on the action on points, and the orbit engine.
 
 Matrices act on row vectors on the right (v -> v @ g).  The orbit engine has
 a packed numpy fast path for GF(3) and a generic pure-Python path for
@@ -12,6 +13,7 @@ through 13-bit mask->code tables.
 """
 
 import itertools
+import random
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -220,6 +222,171 @@ def group_closure(F, gens):
     return seen
 
 
+# ---------------------------------------------------------------------------
+# generation certificates: random Schreier-Sims on the action on points
+
+# Seed of the certificates' random elements and of the first word draw
+_CERT_SEED = 0
+# product-replacement elements sifted per certificate before it gives up
+_CERT_SIFTS = 60
+# seeded pairs of words drawn by certified_words before it raises
+_WORD_DRAWS = 8
+_WORD_LENGTH = 8
+# product-replacement slots (Celler et al., Comm. Algebra 23, 1995)
+_PR_SLOTS = 10
+
+
+def point_perms(gens, codes):
+    """The permutations of the sorted packed codes of a set of projective
+    GF(3) points that the matrices gens induce, as a (k, N) index array:
+    point i goes to point perms[g, i].  Raises ValueError unless every
+    generator maps the set onto itself."""
+    n = len(gens[0])
+    w = geometry.code_powers(n)
+    images = geometry.decode_codes(codes, n) @ (np.array(gens) % 3) % 3
+    canon = np.minimum(images @ w, (-images % 3) @ w)
+    perms = np.searchsorted(codes, canon)
+    if not (codes.take(perms, mode="clip") == canon).all():
+        raise ValueError("the matrices do not preserve the point set")
+    return perms.astype(np.min_scalar_type(len(codes)))
+
+
+class _Level:
+    """One level of a stabiliser chain on N points: the base point, the
+    strong generators with their inverses, the basic orbit as a mask and
+    its Schreier vector (the strong generator via[x] maps parent[x] to x),
+    and a memo of coset inverses."""
+
+    def __init__(self, base, ident):
+        self.base = base
+        self.strong, self.inverses = [], []
+        self.found = np.zeros(ident.size, dtype=bool)
+        self.found[base] = True
+        self.parent = np.empty(ident.size, dtype=np.intp)
+        self.via = np.empty(ident.size, dtype=np.intp)
+        self.memo = {base: ident}
+
+    def extend(self, g, ginv):
+        """Add the permutation g, with its inverse, to the strong generators
+        and extend the basic orbit.  The first round maps the old orbit by
+        g alone, as the old generators map it onto itself."""
+        self.strong.append(g)
+        self.inverses.append(ginv)
+        S, offset = g[None, :], len(self.strong) - 1
+        frontier = np.flatnonzero(self.found)
+        while True:
+            img = S[:, frontier].ravel()
+            hit = np.flatnonzero(~self.found[img])
+            if not hit.size:
+                return
+            new, first = np.unique(img[hit], return_index=True)
+            gen, src = np.divmod(hit[first], frontier.size)
+            self.found[new] = True
+            self.parent[new] = frontier[src]
+            self.via[new] = gen + offset
+            frontier = new
+            S, offset = np.array(self.strong), 0
+
+    def coset_inverse(self, x):
+        """The inverse of the transversal element that maps the base point
+        to x, read off the Schreier vector and memoised, with those of the
+        points on its path."""
+        path = []
+        while x not in self.memo:
+            path.append(x)
+            x = int(self.parent[x])
+        u = self.memo[x]
+        for y in reversed(path):
+            u = u[self.inverses[self.via[y]]]
+            self.memo[y] = u
+        return u
+
+
+def schreier_sims_order(perms, order, rng):
+    """A lower bound on the order of the group the permutations perms (a
+    (k, N) index array) generate, by random Schreier-Sims (Seress,
+    Permutation Group Algorithms, 2003, ch. 4).
+
+    Product replacement draws random elements of the group, and each is
+    sifted through the stabiliser chain built so far; a nontrivial residue
+    joins the strong generators of every level whose base point it and
+    the earlier base points fix, or opens a new level.  Each basic orbit
+    is an orbit of a subgroup of the stabiliser of the earlier base
+    points, so the product of the basic orbit lengths never exceeds the
+    order of the group the sifted elements generate, which lies inside
+    <perms>.  The sifting stops once that product reaches order, or after
+    _CERT_SIFTS elements; the product is returned.
+    """
+    k, N = perms.shape
+    ident = np.arange(N, dtype=perms.dtype)
+    slots = [perms[i % k] for i in range(max(k, _PR_SLOTS))]
+    acc = ident
+    levels = []
+    bound = 1
+    for _ in range(_CERT_SIFTS):
+        i = rng.randrange(len(slots))
+        j = rng.randrange(len(slots) - 1)
+        s = slots[j + (j >= i)]
+        if rng.random() < 0.5:
+            s = np.argsort(s).astype(s.dtype)
+        slots[i] = s[slots[i]]
+        acc = slots[i][acc]
+        g = acc
+        depth = 0
+        for level in levels:
+            x = int(g[level.base])
+            if not level.found[x]:
+                break
+            g = level.coset_inverse(x)[g]
+            depth += 1
+        if (g == ident).all():
+            continue
+        if depth == len(levels):
+            levels.append(_Level(int(np.flatnonzero(g != ident)[0]), ident))
+        assert all(g[level.base] == level.base for level in levels[:depth])
+        ginv = np.argsort(g).astype(g.dtype)
+        for level in levels[:depth + 1]:
+            level.extend(g, ginv)
+        bound = 1
+        for level in levels:
+            bound *= int(np.count_nonzero(level.found))
+        if bound >= order:
+            break
+    return bound
+
+
+def certified_words(gens, codes, order):
+    """The first certified pair of seeded random words in the matrices gens.
+
+    Draw t = _CERT_SEED, _CERT_SEED + 1, ... seeds random.Random(t), which
+    picks two words of _WORD_LENGTH letters from gens and then drives
+    schreier_sims_order on the words' action on the GF(3) points with the
+    sorted packed codes.  The first pair whose certified order reaches
+    order is returned, as two matrices; when order is the order of a group
+    that holds gens and acts faithfully on the points, the pair generates
+    that group.  A pair that misses is drawn again; after _WORD_DRAWS
+    draws RuntimeError is raised.  The pair is kept in _OMEGA_CACHE.
+    """
+    key = ("words", tuple(gens), codes.tobytes(), order)
+    if key in _OMEGA_CACHE:
+        return _OMEGA_CACHE[key]
+    G = np.array(gens, dtype=np.int64) % 3
+    for draw in range(_CERT_SEED, _CERT_SEED + _WORD_DRAWS):
+        rng = random.Random(draw)
+        words = []
+        for _ in range(2):
+            m = np.eye(G.shape[1], dtype=np.int64)
+            for _ in range(_WORD_LENGTH):
+                m = m @ G[rng.randrange(len(G))] % 3
+            words.append(m)
+        if schreier_sims_order(point_perms(words, codes), order, rng) >= order:
+            pair = tuple(tuple(map(tuple, m.tolist())) for m in words)
+            _OMEGA_CACHE[key] = pair
+            return pair
+    raise RuntimeError("no certified pair of words in %d draws"
+                       % _WORD_DRAWS)
+
+
 def omega_order(n, q):
     """|Omega_n(q)|, n odd (and the dim-3 special case q(q^2-1)/2)."""
     if n % 2 == 0:
@@ -247,8 +414,14 @@ def omega_generators(space):
 
     - dim 3: by full enumeration against |Omega_3(q)|, in group_closure's
       batched numpy products over the prime field;
-    - odd dim >= 5 over GF(3): by the sizes of the orbits on plus and
-      minus points, 3^m (3^m +- 1) / 2;
+    - dim 5 and 7 over GF(3): certified, by schreier_sims_order on the
+      action on the 40 or 364 singular points, against |Omega_n(3)|.  The
+      action is faithful (-1 has det -1 in odd dim), so an order of
+      |Omega_n(3)| proves generation, and a proper subgroup such as G2(3)
+      in dim 7, transitive on both point types, cannot pass;
+    - odd dim >= 9 over GF(3): by the sizes of the orbits on plus and
+      minus points, 3^m (3^m +- 1) / 2, which a transitive proper
+      subgroup would also pass;
     - any other space: by the per-generator checks only.
 
     A failed verification raises RuntimeError.
@@ -280,6 +453,13 @@ def omega_generators(space):
         if size != omega_order(3, F.q):
             raise RuntimeError("Omega_3 enumeration: got %d, want %d"
                                % (size, omega_order(3, F.q)))
+    elif F.q == 3 and n in (5, 7):
+        order = omega_order(n, 3)
+        perms = point_perms(group.gens, geometry.singular_codes(space))
+        bound = schreier_sims_order(perms, order, random.Random(_CERT_SEED))
+        if bound < order:
+            raise RuntimeError("Omega_%d(3) certificate: order >= %d proved, "
+                               "want %d" % (n, bound, order))
     elif F.q == 3 and n % 2 == 1:
         m = (n - 1) // 2
         for ptype, sgn in ((PLUS, 1), (MINUS, -1)):

@@ -75,7 +75,7 @@ def test_parabolic_alpha2():
 
 def test_sp6_lambda2_orbit_partition():
     case = constructions.symplectic_lambda2_module()
-    assert len(case.group.gens) == 12
+    assert len(case.group.gens) == 2
     got = {xi: [(r.base_point, r.size, r.c, r.d)
                 for r in orbit_partition(case.space, case.group, xi)]
            for xi in ("+", "-")}
@@ -84,6 +84,40 @@ def test_sp6_lambda2_orbit_partition():
               ((0, 0, 0, 1, 0, 0, 1, 1, 1, 2, 0, 0, 0), 155520, 103922, 51597)],
         "-": [((0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0), 265356, 176660, 88695)],
     }
+
+
+def _alphabet_case(label, monkeypatch):
+    """The case as built before its words were certified: from the whole
+    alphabet of the words, 12 transvections or 10 Eichler images."""
+    with monkeypatch.context() as m:
+        m.setattr(groups, "certified_words", lambda gens, codes, order: gens)
+        return build_case(label)
+
+
+def test_sp6_lambda2_words_match_the_transvections(monkeypatch):
+    old = _alphabet_case("sp6-lambda2", monkeypatch)
+    new = build_case("sp6-lambda2")
+    assert (len(old.group.gens), len(new.group.gens)) == (12, 2)
+    assert old.space.gram == new.space.gram
+    for xi in ("+", "-"):
+        reports = [[dict(r.to_json(), seconds=0) for r in
+                    orbit_partition(case.space, case.group, xi)]
+                   for case in (old, new)]
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("label", ["wedge-n7", "sym-n7-d27"])
+def test_omega7_words_match_the_eichler_set(label, monkeypatch):
+    old = _alphabet_case(label, monkeypatch)
+    new = build_case(label)
+    assert (len(old.group.gens), len(new.group.gens)) == (10, 2)
+    assert old.space.gram == new.space.gram
+    assert old.base_points == new.base_points
+    cds = [sorted((rep.c, rep.d) for rep in
+                  (groups.cd_parameters(case.space, case.group, v)
+                   for v, _t in case.base_points))
+           for case in (old, new)]
+    assert cds[0] == cds[1]
 
 
 def test_field_extension():

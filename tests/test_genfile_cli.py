@@ -203,12 +203,12 @@ CONSTRUCT_SHA256 = {
     "imprim-o3s3": "ee121c50907d4cbd4c2d041b879fbe661bcad644369b32d10fb1b5ad40410375",
     "parabolic-n7-a1": "fe9bd921aba95869ff05abe829fde14a2ff135ee40de881866e5b7411750c397",
     "parabolic-n7-a2": "77900c4152e2a4d25f63fac967f2ab64d2332ab0d9fd4d56c07169c40e8770dc",
-    "sp6-lambda2": "e1bd1156bf235868648cb879f792aec3285beb1802b27b9e1427530018e5c464",
-    "sp6-sym2": "c4232743ea6acf9323b8d09e22967a060383b1bad15a53efe2722ac50ae7fc4a",
+    "sp6-lambda2": "c89e28ac8041427f732071c145c1c67a34e7e4e25931fe73c37c9516efd229e6",
+    "sp6-sym2": "2c2225f8c21f8845413effd166968c80c424e50e99fd1e5b3e458014b4ba0b46",
     "substab-n7-w3": "47aea55e51b6f8915a0bc6de811d24b6358d3a168c300d90fdf383c434bd50d7",
-    "sym-n7-d27": "34459fb16f499bf3f9e26dc5086e9e5d7de54021813c7d376ad6a732ea5dfe8a",
+    "sym-n7-d27": "6d9bef2a12304ab43f0c32a718cbc7a421f2a4bd45f3898fd4032d7ab337105d",
     "tensor-3x5": "ba1fd97ced9ec048b05207585ae010603052bb9e0a6f53a0c90041062a1dc717",
-    "wedge-n7": "1f34376e514a15d66738d55f702295133477986ac8ba7ba2aad94a7589fe4145",
+    "wedge-n7": "503b25c644d875be9902ced4909626f836d997825a938576f725123dade73dc5",
     "wreath-n11": "ab6d4ea4a56339e25daa7e4a966e897302283fbb9ebed03e732717786bec0993",
     "wreath-n13": "70da22042f71de9c29ecf3c97a2628c881a8db08b1e919295d47ae63b117534e",
     "wreath-n5": "7b97c881c354c284737eb04d4c5201f265c537e975ebcd1d1d894e5ef69904ad",

@@ -121,6 +121,13 @@ def test_omega_generators_group_order(n, q):
         assert spinor_norm(sp, g) == "square"
     size = len(groups.group_closure(F, G.gens))
     assert size == omega_order(n, q)
+    if q == 3:
+        # the certificate's order on the 4 conic or 40 singular points,
+        # where Omega_n(3) acts faithfully, against the enumeration
+        perms = groups.point_perms(G.gens, geometry.singular_codes(sp))
+        assert len(perms[0]) == {3: 4, 5: 40}[n]
+        assert groups.schreier_sims_order(perms, size,
+                                          random.Random(0)) == size
 
 
 def _reference_closure(F, gens):
@@ -188,6 +195,63 @@ def test_omega3_check_rejects_a_proper_subgroup(monkeypatch):
     monkeypatch.setattr(groups, "_OMEGA_CACHE", {})
     with pytest.raises(RuntimeError, match="got 12, want 9828"):
         omega_generators(sp)
+
+
+def _draw0_pair(gens):
+    """The words of certified_words' first draw, picked as it picks them."""
+    rng = random.Random(0)
+    words = []
+    for _ in range(2):
+        m = linalg.identity(len(gens[0]))
+        for _ in range(8):
+            m = linalg.mat_mul(GF3, m, gens[rng.randrange(len(gens))])
+        words.append(m)
+    return tuple(words)
+
+
+def test_certificate_rejects_the_proper_subgroup_of_draw0():
+    from rank3.constructions import _omega7_pair, orbit_partition
+    nat, pair = _omega7_pair()
+    draw0 = _draw0_pair(omega_generators(nat).gens)
+    # the words generate a proper subgroup: it splits the 378 plus points
+    G0 = MatrixGroup(GF3, 7, draw0, gram=nat.gram)
+    assert sorted(r.size for r in orbit_partition(nat, G0, "+")) == [27, 351]
+    order = omega_order(7, 3)
+    perms = groups.point_perms(draw0, geometry.singular_codes(nat))
+    assert groups.schreier_sims_order(perms, order, random.Random(0)) < order
+    # so the wedge and symmetric squares use a later draw
+    assert pair != draw0 and len(pair) == 2
+    assert len(orbit_partition(nat, MatrixGroup(GF3, 7, pair, gram=nat.gram),
+                               "+")) == 1
+
+
+def test_certificate_rejects_the_frame_stabilizer():
+    sp, G = _wreath7()
+    codes = geometry.singular_codes(sp)
+    order = omega_order(7, 3)
+    perms = groups.point_perms(G.gens, codes)
+    assert groups.schreier_sims_order(perms, order, random.Random(0)) < order
+    with pytest.raises(RuntimeError, match="no certified pair"):
+        groups.certified_words(G.gens, codes, order)
+
+
+def test_point_perms_refuses_a_matrix_that_moves_the_points_off_the_set():
+    sp = standard_space(5, GF3)
+    shear = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(5))
+                  for i in range(5))
+    with pytest.raises(ValueError, match="point set"):
+        groups.point_perms([shear], geometry.singular_codes(sp))
+
+
+def test_omega_certificate_rejects_a_proper_subgroup(monkeypatch):
+    # the Eichler set over all but the last vector of <e, f>-perp fixes that
+    # vector, so it generates a proper subgroup of Omega_7(3)
+    perp_basis = QuadraticSpace.perp_basis
+    monkeypatch.setattr(QuadraticSpace, "perp_basis",
+                        lambda self, vs: perp_basis(self, vs)[:-1])
+    monkeypatch.setattr(groups, "_OMEGA_CACHE", {})
+    with pytest.raises(RuntimeError, match=r"Omega_7\(3\) certificate"):
+        omega_generators(standard_space(7, GF3))
 
 
 def test_omega_transitive_on_types():
