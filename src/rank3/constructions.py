@@ -45,7 +45,7 @@ def _embed_block(g, n, offset):
     return tuple(tuple(r) for r in big)
 
 
-def orbit_partition(space, group, xi, cap=groups.ORBIT_CAP):
+def orbit_partition(space, group, xi):
     """All group orbits on the projective points of type xi.
 
     Returns a list of OrbitReports, one per orbit, ordered by the
@@ -57,7 +57,7 @@ def orbit_partition(space, group, xi, cap=groups.ORBIT_CAP):
         start = tuple(int(x) for x in
                       geometry.decode_codes(remaining[:1], space.n)[0])
         t0 = time.time()
-        size, d, codes = groups.orbit_codes(space, group, start, cap)
+        size, d, codes = groups.orbit_codes(space, group, start)
         reports.append(groups.make_report(space, start, size, d,
                                           time.time() - t0))
         pos = np.searchsorted(remaining, codes)
@@ -342,21 +342,12 @@ def sym_matrix(F, g):
 
 
 def sym_gram(F, gram):
-    n = len(gram)
-    idx = _pairs(n, False)
-
-    def entry(p, q):
-        (i, j), (k, l) = p, q
-        if i == j and k == l:
-            return F.mul(gram[i][k], gram[i][k])
-        if i == j:
-            return F.mul(2, F.mul(gram[i][k], gram[i][l]))
-        if k == l:
-            return F.mul(2, F.mul(gram[i][k], gram[j][k]))
-        return F.mul(2, F.add(F.mul(gram[i][k], gram[j][l]),
-                              F.mul(gram[i][l], gram[j][k])))
-
-    return tuple(tuple(entry(p, q) for q in idx) for p in idx)
+    """The Gram matrix of the symmetric square: sym_matrix of the Gram
+    matrix, with each e_k.e_l column (k != l) doubled."""
+    idx = _pairs(len(gram), False)
+    return tuple(tuple(x if k == l else F.mul(2, x)
+                       for x, (k, l) in zip(row, idx))
+                 for row in sym_matrix(F, gram))
 
 
 def _subquotient(F, gram, gens, sub_rows, rad_rows):

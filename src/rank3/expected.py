@@ -17,6 +17,8 @@ from . import meataxe, partitions
 
 GF3 = fields.GF3
 INGEST_DIR = "ingest"
+# an ingest case scans the orbits of at most this many start points
+INGEST_MAX_STARTS = 60
 
 
 class SkipCase(Exception):
@@ -45,10 +47,6 @@ class CaseResult:
         if self.error is not None:
             d["error"] = self.error
         return d
-
-
-def _sizes(space, group, xi):
-    return sorted(r.size for r in constructions.orbit_partition(space, group, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,8 @@ def _case_wreath(n):
 def _case_parabolic():
     case = constructions.parabolic_subgroup(7, 1)
     expected = {"+": [135, 243], "-": [108, 243]}
-    computed = {xi: _sizes(case.space, case.group, xi) for xi in ("+", "-")}
+    computed = {xi: sorted(r.size for r in constructions.orbit_partition(
+        case.space, case.group, xi)) for xi in ("+", "-")}
     return expected, computed
 
 
@@ -249,7 +248,7 @@ def _case_sp6_sym2_heavy():
     return expected, {"cd": [rep.c, rep.d]}
 
 
-def _ingest_case(filename, expected_cd, max_starts=60):
+def _ingest_case(filename, expected_cd):
     def run():
         path = os.path.join(INGEST_DIR, filename)
         if not os.path.exists(path):
@@ -267,7 +266,7 @@ def _ingest_case(filename, expected_cd, max_starts=60):
         seen = []  # sorted packed codes of each orbit scanned so far
         observed = []
         for v in groups._small_support_vectors(group.field, group.dim):
-            if len(observed) >= max_starts:
+            if len(observed) >= INGEST_MAX_STARTS:
                 break
             if space.q_value(v) == 0:
                 continue

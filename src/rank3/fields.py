@@ -19,10 +19,6 @@ _DEFAULT_MODULI = {
 }
 
 
-def _is_prime(n):
-    return _prime_factors(n) == [n]
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); polys are tuples, constant term first
 
@@ -59,10 +55,6 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_divides(d, a, p):
-    return not _poly_mod(a, d, p)
-
-
 def _all_monic(deg, p):
     for low in range(p ** deg):
         coeffs = []
@@ -83,7 +75,7 @@ def is_irreducible(modulus, p):
         return True
     for d in range(1, deg // 2 + 1):
         for cand in _all_monic(d, p):
-            if _poly_divides(cand, m, p):
+            if not _poly_mod(m, cand, p):
                 return False
     return True
 
@@ -122,7 +114,7 @@ class FiniteField:
     """GF(p^a) with integer-encoded elements."""
 
     def __init__(self, p, a, modulus=None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError("characteristic must be prime, got %r" % (p,))
         if a < 1:
             raise ValueError("degree must be >= 1")
@@ -235,9 +227,6 @@ class FiniteField:
             return pow(x, self.p - 2, self.p)
         return self._antilog[(-self._log[x]) % (self.q - 1)]
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def pow(self, x, e):
         if x == 0:
             if e < 0:
@@ -259,12 +248,6 @@ class FiniteField:
         assert t < self.p, "trace escaped the prime subfield"
         return t
 
-    def norm(self, x):
-        """N(x) = x^((q-1)/(p-1)), landing in the prime subfield."""
-        n = self.pow(x, (self.q - 1) // (self.p - 1))
-        assert n < self.p, "norm escaped the prime subfield"
-        return n
-
     def square_class(self, x):
         if x == 0:
             raise ValueError("square class of zero is undefined")
@@ -273,9 +256,6 @@ class FiniteField:
         if self.a == 1:
             return SQUARE if pow(x, (self.p - 1) // 2, self.p) == 1 else NONSQUARE
         return SQUARE if self._log[x] % 2 == 0 else NONSQUARE
-
-    def is_square(self, x):
-        return self.square_class(x) == SQUARE
 
     def elements(self):
         return range(self.q)

@@ -23,6 +23,7 @@ from . import fields, geometry, higman, linalg
 from .fields import SQUARE
 from .geometry import PLUS, MINUS
 
+# the orbit scans raise OrbitCapExceeded past this many points
 ORBIT_CAP = 30_000_000
 # group_closure raises once a group has more elements than this
 CLOSURE_CAP = 200_000
@@ -82,7 +83,7 @@ def eichler(space, u, v):
         raise ValueError("u must be singular and nonzero")
     if space.form(u, v) != 0:
         raise ValueError("u and v must be perpendicular")
-    if linalg.coords_in_basis(F, (u,), v) is not None:
+    if linalg.solve_row(F, (u,), v) is not None:
         raise ValueError("v must not be a multiple of u")
     qv = space.q_value(v)
     rows = []
@@ -131,25 +132,15 @@ def spinor_norm(space, g):
 # Omega generator sets
 
 def _small_support_vectors(F, n):
-    units = list(F.nonzero())
-    for i in range(n):
-        for a in units:
-            v = [0] * n
-            v[i] = a
-            yield tuple(v)
-    for i, j in itertools.combinations(range(n), 2):
-        for a in units:
-            for b in units:
+    """The vectors of support 1, then 2, then 3: supports in lexicographic
+    order, and the nonzero entries in lexicographic order on each."""
+    for k in (1, 2, 3):
+        for support in itertools.combinations(range(n), k):
+            for entries in itertools.product(F.nonzero(), repeat=k):
                 v = [0] * n
-                v[i], v[j] = a, b
+                for i, a in zip(support, entries):
+                    v[i] = a
                 yield tuple(v)
-    for i, j, k in itertools.combinations(range(n), 3):
-        for a in units:
-            for b in units:
-                for c in units:
-                    v = [0] * n
-                    v[i], v[j], v[k] = a, b, c
-                    yield tuple(v)
 
 
 def find_vector_with_q(space, gamma):
@@ -408,8 +399,8 @@ def omega_generators(space):
 
     The generators are the Eichler transformations E(e, cv) and E(f, cv)
     for a hyperbolic pair (e, f), v in a basis of <e, f>-perp and c in
-    {1} (q = 3) or {1, a primitive element}.  Every generator is checked
-    to preserve the form, to have det 1 and to have square spinor norm.
+    {1} (q = 3) or {1, a primitive element}.  spinor_norm checks that every
+    generator preserves the form, has det 1 and has square spinor norm.
     The set is then verified to generate all of Omega:
 
     - dim 3: by full enumeration against |Omega_3(q)|, in group_closure's
@@ -443,8 +434,6 @@ def omega_generators(space):
             gens.append(eichler(space, e, cv))
             gens.append(eichler(space, f, cv))
     for g in gens:
-        assert preserves_form(F, g, space.gram)
-        assert linalg.det(F, g) == 1
         assert spinor_norm(space, g) == SQUARE
     group = MatrixGroup(F, n, tuple(gens), label="Omega_%d(%d)" % (n, F.q),
                         gram=space.gram)
@@ -466,7 +455,7 @@ def omega_generators(space):
             gam = next(g for g in F.nonzero()
                        if geometry.type_of_qvalue(space, g) == ptype)
             x = find_vector_with_q(space, gam)
-            size, _d, _c = _scan(group.gens, x, space.gram, ORBIT_CAP)
+            size, _d, _c = _scan(group.gens, x, space.gram)
             expected = 3 ** m * (3 ** m + sgn) // 2
             if size != expected:
                 raise RuntimeError(
@@ -641,7 +630,7 @@ def _drop_seen(seen, codes):
     return codes[seen[pos] != codes]
 
 
-def _scan(gens, start, gram, cap):
+def _scan(gens, start, gram):
     """BFS orbit of a projective point over GF(3): (size, d, sorted codes).
 
     d counts the orbit points w != start with f(w, start) = 0.  Each level
@@ -692,8 +681,9 @@ def _scan(gens, start, gram, cap):
         if not new.size:
             break
         size += new.size
-        if size > cap:
-            raise OrbitCapExceeded("orbit exceeds the cap of %d points" % cap)
+        if size > ORBIT_CAP:
+            raise OrbitCapExceeded("orbit exceeds the cap of %d points"
+                                   % ORBIT_CAP)
         if dense:
             _mark(seen, new)
             levels.append(new)
@@ -706,7 +696,7 @@ def _scan(gens, start, gram, cap):
     return size, d, codes
 
 
-def _orbit_generic(space, gens, start, cap):
+def _orbit_generic(space, gens, start):
     F = space.field
     start = geometry.canonical_point(F, start)
     gxcol = linalg.vec_mat(F, start, space.gram)
@@ -720,9 +710,9 @@ def _orbit_generic(space, gens, start, cap):
                 w = geometry.canonical_point(F, linalg.vec_mat(F, v, g))
                 if w not in seen:
                     seen.add(w)
-                    if len(seen) > cap:
+                    if len(seen) > ORBIT_CAP:
                         raise OrbitCapExceeded(
-                            "orbit exceeds the cap of %d points" % cap)
+                            "orbit exceeds the cap of %d points" % ORBIT_CAP)
                     if linalg.vec_dot(F, w, gxcol) == 0:
                         d += 1
                     nxt.append(w)
@@ -730,20 +720,20 @@ def _orbit_generic(space, gens, start, cap):
     return seen, d
 
 
-def orbit(group, start, cap=ORBIT_CAP, space=None):
+def orbit(group, start, space=None):
     """The orbit of a projective point, as a sorted list of canonical tuples."""
     F = group.field
     gram = group.gram if group.gram is not None else (space.gram if space else None)
     if gram is None:
         gram = linalg.identity(group.dim)  # d-count unused here
     if F.p == 3 and F.a == 1:
-        size, _d, codes = _scan(group.gens, start, gram, cap)
+        size, _d, codes = _scan(group.gens, start, gram)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
         # zip one list per coordinate: a list per point raises the peak
         return list(zip(*geometry.decode_codes(codes, group.dim).T.tolist()))
     sp = space or geometry.QuadraticSpace(F, gram)
-    seen, _d = _orbit_generic(sp, group.gens, start, cap)
+    seen, _d = _orbit_generic(sp, group.gens, start)
     return sorted(seen)
 
 
@@ -771,23 +761,23 @@ def make_report(space, start, size, d, seconds):
     return rep
 
 
-def cd_parameters(space, group, start, cap=ORBIT_CAP):
+def cd_parameters(space, group, start):
     """OrbitReport with (c, d) and the equation verdicts."""
     F = space.field
     _check_start(space, group, start)
     t0 = time.time()
     if F.p == 3 and F.a == 1:
-        size, d, _ = _scan(group.gens, start, space.gram, cap)
+        size, d, _ = _scan(group.gens, start, space.gram)
     else:
-        seen, d = _orbit_generic(space, group.gens, start, cap)
+        seen, d = _orbit_generic(space, group.gens, start)
         size = len(seen)
     return make_report(space, start, size, d, time.time() - t0)
 
 
-def orbit_codes(space, group, start, cap=ORBIT_CAP):
+def orbit_codes(space, group, start):
     """(size, d, sorted packed codes) for GF(3) spaces."""
     F = space.field
     if not (F.p == 3 and F.a == 1):
         raise ValueError("orbit_codes scans GF(3) only, got %r" % F)
     _check_start(space, group, start)
-    return _scan(group.gens, start, space.gram, cap)
+    return _scan(group.gens, start, space.gram)

@@ -5,7 +5,7 @@ cleared denominators, so no rationals appear anywhere.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from . import geometry
 
@@ -24,9 +24,6 @@ class RankThreeParams:
     t: int
     f_s: int
     f_t: int
-
-    def to_json(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -134,17 +131,6 @@ def equation_verdicts(m, xi, c, d):
             "eq2": eq2_holds(m, xi, cd),
             "eq3": eq3_holds(m, xi, cd),
             "eq4": eq4_holds(m, cd)}
-
-
-def check_specialized(m, xi, r_case, cd):
-    """Equation (1) specialized at (xi, r): eq (2) on {(+,s),(-,t)},
-    eq (3) on {(+,t),(-,s)}."""
-    if r_case not in ("s", "t"):
-        raise ValueError("r_case must be 's' or 't'")
-    e = _xi_sign(xi)
-    if (e, r_case) in ((1, "s"), (-1, "t")):
-        return eq2_holds(m, xi, cd)
-    return eq3_holds(m, xi, cd)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,3 @@ def solve_row(F, A, b):
         elif R[rowi][-1]:
             return None
     return tuple(x)
-
-
-def coords_in_basis(F, basis_rows, v):
-    """Coordinates of v in the span of basis_rows, or None."""
-    return solve_row(F, mat_from_rows(basis_rows), v)

@@ -1,6 +1,6 @@
 """Partition combinatorics at p = 3: p-regularity, the Mullineux map by
 Kleshchev's good nodes, Mullineux's rim symbol and its image rule, and the
-fixed-point and JS predicates.
+fixed-point predicate.
 
 Cells are (row, column) from 0, and the residue of a cell is
 column - row mod P.
@@ -152,21 +152,6 @@ def image_symbol(symbol):
 def is_mullineux_fixed(lam):
     s = mullineux_symbol(lam)
     return image_symbol(s) == s
-
-
-def is_js_partition(lam):
-    """Consecutive distinct-part blocks (lam_i^{a_i}) must satisfy
-    lam_i - lam_{i+1} + a_i + a_{i+1} = 0 mod P."""
-    lam = _check_regular(lam)
-    blocks = []
-    for x in lam:
-        if blocks and blocks[-1][0] == x:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([x, 1])
-    return all((blocks[i][0] - blocks[i + 1][0]
-                + blocks[i][1] + blocks[i + 1][1]) % P == 0
-               for i in range(len(blocks) - 1))
 
 
 def parse_partition(text):

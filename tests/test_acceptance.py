@@ -158,8 +158,7 @@ def test_criterion_9_heavy_tier():
     with Budget("9-heavy", 3600):
         case = constructions.symplectic_sym2_module()
         heavy = case.base_points[-1][0]
-        rep = groups.cd_parameters(case.space, case.group, heavy,
-                                   cap=30_000_000)
+        rep = groups.cd_parameters(case.space, case.group, heavy)
         assert (rep.c, rep.d) == (7075430, 3538809)
 
 

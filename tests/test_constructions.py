@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from rank3 import constructions, groups
+from rank3 import constructions, fields, groups
 from rank3.constructions import (CASE_BUILDERS, build_case,
                                  deleted_module_closed_forms,
                                  deleted_permutation_module,
@@ -163,6 +165,40 @@ def test_functor_grams_invariant():
         gram = functor_g(GF3, sp.gram)
         for g in G.gens:
             assert groups.preserves_form(GF3, functor_m(GF3, g), gram)
+
+
+def _sym_gram_entrywise(F, gram):
+    """The symmetric-square Gram matrix, entry by entry (the former
+    sym_gram), as a reference for sym_matrix with doubled columns."""
+    idx = constructions._pairs(len(gram), False)
+
+    def entry(p, q):
+        (i, j), (k, l) = p, q
+        if i == j and k == l:
+            return F.mul(gram[i][k], gram[i][k])
+        if i == j:
+            return F.mul(2, F.mul(gram[i][k], gram[i][l]))
+        if k == l:
+            return F.mul(2, F.mul(gram[i][k], gram[j][k]))
+        return F.mul(2, F.add(F.mul(gram[i][k], gram[j][l]),
+                              F.mul(gram[i][l], gram[j][k])))
+
+    return tuple(tuple(entry(p, q) for q in idx) for p in idx)
+
+
+def test_sym_gram_matches_the_entrywise_formula():
+    cases = [(GF3, constructions._sp6_data()[0]),
+             (GF3, constructions._parabolic_gram(3, 1)),
+             (GF3, standard_space(4, GF3).gram)]
+    rng = random.Random(0)
+    for F in (GF3, fields.field_create(3, 2)):
+        for n in range(1, 8):
+            for _ in range(6):
+                cases.append((F, tuple(tuple(rng.randrange(F.q)
+                                             for _ in range(n))
+                                       for _ in range(n))))
+    for F, gram in cases:
+        assert sym_gram(F, gram) == _sym_gram_entrywise(F, gram)
 
 
 def test_bound_cases_violate_eq4():

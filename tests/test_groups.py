@@ -297,6 +297,37 @@ def test_cd_parameters_full_group():
         assert rep.d == p.k and rep.c == p.l
 
 
+def _small_support_reference(F, n):
+    """The three hand-written loops that _small_support_vectors replaced."""
+    units = list(F.nonzero())
+    for i in range(n):
+        for a in units:
+            v = [0] * n
+            v[i] = a
+            yield tuple(v)
+    for i, j in itertools.combinations(range(n), 2):
+        for a in units:
+            for b in units:
+                v = [0] * n
+                v[i], v[j] = a, b
+                yield tuple(v)
+    for i, j, k in itertools.combinations(range(n), 3):
+        for a in units:
+            for b in units:
+                for c in units:
+                    v = [0] * n
+                    v[i], v[j], v[k] = a, b, c
+                    yield tuple(v)
+
+
+@pytest.mark.parametrize("F", [GF3, GF9], ids=repr)
+def test_small_support_vectors_keep_their_order(F):
+    # the order fixes the parabolic base points and the ingest start points
+    for n in range(3, 8):
+        assert (list(groups._small_support_vectors(F, n))
+                == list(_small_support_reference(F, n)))
+
+
 def test_cd_rejects_singular_base():
     sp = standard_space(5, GF3)
     G = omega_generators(sp)
@@ -304,12 +335,13 @@ def test_cd_rejects_singular_base():
         cd_parameters(sp, G, (1, 1, 1, 0, 0))
 
 
-def test_orbit_cap():
+def test_orbit_cap(monkeypatch):
     sp = standard_space(5, GF3)
     G = omega_generators(sp)
     v = find_vector_with_q(sp, 2)
+    monkeypatch.setattr(groups, "ORBIT_CAP", 10)
     with pytest.raises(groups.OrbitCapExceeded):
-        cd_parameters(sp, G, v, cap=10)
+        cd_parameters(sp, G, v)
 
 
 def _perm_group(n, perms, signs=()):
@@ -383,8 +415,8 @@ def _dense_starts(n):
 def test_scan_matches_generic_oracle(make, starts):
     sp, G = make()
     for v in starts:
-        size, d, codes = groups._scan(G.gens, v, sp.gram, groups.ORBIT_CAP)
-        seen, d_ref = groups._orbit_generic(sp, G.gens, v, groups.ORBIT_CAP)
+        size, d, codes = groups._scan(G.gens, v, sp.gram)
+        seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert (size, d) == (len(seen), d_ref)
         assert list(codes) == sorted(set(codes))
         assert {tuple(int(x) for x in row)
@@ -452,4 +484,4 @@ def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
     # a _distinct that keeps duplicates lets one point into a level twice
     monkeypatch.setattr(groups, "_distinct", np.sort)
     with pytest.raises(AssertionError, match="strictly increasing"):
-        groups._scan(G.gens, (1, 1, 0, 0, 0, 0, 0), sp.gram, groups.ORBIT_CAP)
+        groups._scan(G.gens, (1, 1, 0, 0, 0, 0, 0), sp.gram)

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rank3 import geometry
 from rank3.fields import GF3
 from rank3.geometry import standard_space
-from rank3.higman import (CdPair, NotRankThree, check_eq1, check_specialized,
-                          eq2_holds, eq3_holds, eq4_holds, generic_params,
+from rank3.higman import (CdPair, NotRankThree, check_eq1, eq2_holds, eq3_holds, eq4_holds, generic_params,
                           odd_orthogonal_params, srg_verify)
 
 
@@ -69,7 +68,9 @@ def test_eq_specializations_agree():
         p = odd_orthogonal_params(m, xi)
         cd = CdPair(c, d, xi)
         r = p.s if r_case == "s" else p.t
-        assert check_specialized(m, xi, r_case, cd) == check_eq1(p, r, cd)
+        # eq (2) specializes eq (1) at (+, s) and (-, t); eq (3) at the others
+        eq = eq2_holds if (xi, r_case) in (("+", "s"), ("-", "t")) else eq3_holds
+        assert eq(m, xi, cd) == check_eq1(p, r, cd)
     check()
 
 

@@ -3,10 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from rank3 import expected, partitions
 from rank3.partitions import (P, _signature, check_partition, image_symbol,
-                              is_js_partition, is_mullineux_fixed, is_p_regular,
-                              mullineux_map, mullineux_symbol,
-                              p_regular_partitions, parse_partition,
-                              partitions_of)
+                              is_mullineux_fixed, is_p_regular, mullineux_map,
+                              mullineux_symbol, p_regular_partitions,
+                              parse_partition, partitions_of)
 
 TABLE = [
     ((4, 2), (2, 2, 1, 1)),
@@ -49,8 +48,7 @@ def test_published_pairs():
 
 
 def test_non_regular_input_is_refused():
-    for fn in (mullineux_map, mullineux_symbol, is_mullineux_fixed,
-               is_js_partition):
+    for fn in (mullineux_map, mullineux_symbol, is_mullineux_fixed):
         with pytest.raises(ValueError):
             fn((1, 1, 1))
 
@@ -131,25 +129,6 @@ def test_hook_fixed_window():
     # (n-2, 1, 1) is a fixed point exactly for n in {5, 6}
     hits = [n for n in range(5, 61) if is_mullineux_fixed((n - 2, 1, 1))]
     assert hits == [5, 6]
-
-
-def test_js_examples():
-    with pytest.raises(ValueError):
-        is_js_partition((3, 3, 3))  # not 3-regular
-    # single rows: (n) is JS for every n (no consecutive pair to violate)
-    for n in range(1, 10):
-        assert is_js_partition((n,))
-    # block rule: (4,2) has 4-2+1+1 = 4, not divisible by 3
-    assert is_js_partition((4, 2)) == ((4 - 2 + 1 + 1) % 3 == 0)
-    # (3,1): 3-1+1+1 = 4 -> False; (4,1): 4-1+1+1 = 5 -> False; (5,1): 6 -> True
-    assert is_js_partition((5, 1))
-
-
-def test_js_implies_weight_consistency():
-    # every JS partition is 3-regular by construction of the predicate's domain
-    for n in range(1, 14):
-        for lam in p_regular_partitions(n):
-            is_js_partition(lam)  # total function on 3-regular partitions
 
 
 def test_parse_partition():
