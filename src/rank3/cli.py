@@ -19,13 +19,15 @@ def _emit(args, payload, text_fn):
     return 0
 
 
-def _parse_vector(text, n):
+def _parse_vector(text, n, q):
     try:
         v = tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
         raise SystemExit2("vector must be comma-separated integers")
     if len(v) != n:
         raise SystemExit2("vector has %d entries, expected %d" % (len(v), n))
+    if any(x < 0 or x >= q for x in v):
+        raise SystemExit2("vector entry out of range [0, %d)" % q)
     return v
 
 
@@ -114,7 +116,7 @@ def cmd_construct(args):
 def _orbit_report(args):
     """The OrbitReport of the vector argument under the file's group."""
     group, space = _load_group(args.file)
-    v = _parse_vector(args.vector, group.dim)
+    v = _parse_vector(args.vector, group.dim, group.field.q)
     return groups.cd_parameters(space, group, v)
 
 
@@ -153,8 +155,7 @@ def cmd_split(args):
         group = genfile.parse_generator_file(args.file)
     except (OSError, genfile.ParseError) as e:
         raise SystemExit2(str(e))
-    M = meataxe.GModule(group.field, group.dim, group.gens)
-    factors = meataxe.composition_factors(M, seed=args.seed)
+    factors = meataxe.composition_factors(group, seed=args.seed)
     payload = {"dims": [[f.dim, mult] for f, mult in factors]}
 
     def text(pl):

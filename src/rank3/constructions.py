@@ -351,28 +351,12 @@ def sym_gram(F, gram):
 
 
 def _subquotient(F, gram, gens, sub_rows, rad_rows):
-    """Restrict a form and an action to span(sub_rows)/span(rad_rows).
-
-    Returns (QuadraticSpace, new gens, coords function).  The radical
-    rows must lie in the subspace and in the radical of the restricted
-    form; pivot-first ordering picks the complement basis.
-    """
-    span = linalg.Echelon(F)
-    rad = [r for r in rad_rows if span.add(r)]
-    basis = [s for s in sub_rows if span.add(s)]
-    dim = len(basis)
-    full_coords = span.coordinates(basis + rad)
-
-    def coords(vec):
-        row = full_coords(vec)
-        if row is None:
-            raise ValueError("vector is outside the subspace")
-        return row[:dim]
-
+    """linalg.subquotient with the form restricted too: (QuadraticSpace,
+    new gens, coords).  The radical rows must lie in the subspace and in
+    the radical of the restricted form."""
+    basis, new_gens, coords = linalg.subquotient(F, gens, sub_rows, rad_rows)
     new_gram = linalg.mat_mul(F, basis, linalg.mat_mul(F, gram,
                                                        linalg.transpose(basis)))
-    new_gens = tuple(tuple(coords(linalg.vec_mat(F, b, g)) for b in basis)
-                     for g in gens)
     return geometry.QuadraticSpace(F, new_gram), new_gens, coords
 
 

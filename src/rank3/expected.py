@@ -255,12 +255,11 @@ def _ingest_case(filename, expected_cd):
             raise SkipCase("%s not found" % path)
         group = genfile.parse_generator_file(path)
         if group.gram is None:
-            kind, B = meataxe.invariant_bilinear_form(
-                meataxe.GModule(group.field, group.dim, group.gens))
+            kind, B = meataxe.invariant_bilinear_form(group)
             if kind != "symmetric":
                 raise ValueError("no invariant symmetric form for %s" % filename)
-            group = groups.MatrixGroup(group.field, group.dim, group.gens,
-                                       label=filename, gram=B)
+            group = groups.MatrixGroup.unchecked(group.field, group.dim,
+                                                 group.gens, filename, B)
         space = geometry.QuadraticSpace(group.field, group.gram)
         powers = geometry.code_powers(group.dim).tolist()
         seen = []  # sorted packed codes of each orbit scanned so far

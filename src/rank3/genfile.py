@@ -128,7 +128,8 @@ def parse_generator_lines(raw_lines):
         gens.append(g)
     if pos != len(lines):
         raise ParseError("trailing content", lines[pos][0])
-    group = groups.MatrixGroup(F, n, tuple(gens), label="ingested", gram=form)
+    # checked above, with line numbers
+    group = groups.MatrixGroup.unchecked(F, n, tuple(gens), "ingested", form)
     return group, form
 
 

@@ -45,12 +45,23 @@ class MatrixGroup:
 
     def __post_init__(self):
         for g in self.gens:
+            if len(g) != self.dim or any(len(r) != self.dim for r in g):
+                raise ValueError("generator has wrong shape")
             if linalg.det(self.field, g) == 0:
                 raise ValueError("generator is singular")
         if self.gram is not None:
             for g in self.gens:
                 if not preserves_form(self.field, g, self.gram):
                     raise ValueError("generator does not preserve the form")
+
+    @classmethod
+    def unchecked(cls, field, dim, gens, label="", gram=None):
+        """The group without __post_init__'s checks, for generators known
+        to be dim x dim, invertible and to preserve gram: checked already,
+        or so by construction."""
+        G = object.__new__(cls)
+        vars(G).update(field=field, dim=dim, gens=gens, label=label, gram=gram)
+        return G
 
 
 def preserves_form(F, g, gram):
@@ -740,7 +751,7 @@ def orbit(group, start, space=None):
 def _check_start(space, group, start):
     if space.q_value(start) == 0:
         raise ValueError("base point must be non-singular")
-    if group.gram is None:
+    if group.gram != space.gram:
         for g in group.gens:
             if not preserves_form(space.field, g, space.gram):
                 raise ValueError("group does not preserve the form")

@@ -3,8 +3,9 @@
 Vectors are tuples of encoded field values; matrices are tuples of row
 tuples.  Everything here is pure Python and meant for small dimensions;
 the MeatAxe runs on it too, while the hot GF(3) orbit paths are numpy
-code in groups and geometry.  All elimination except det goes through
-one incremental reduced echelon basis, Echelon.
+code in groups and geometry.  Every elimination, det included, goes
+through one incremental reduced echelon basis, Echelon, and so does the
+one restriction of an action to a subquotient, subquotient.
 """
 
 import bisect
@@ -115,18 +116,25 @@ class Echelon:
 
     def add(self, v):
         """Add v to the span; False when it was already in it."""
-        w = self.reduce(v)
+        return self._join(self.reduce(v)) is not None
+
+    def _join(self, w):
+        """Join a reduced vector w to the rows.  None when w is zero, else
+        w's leading entry, negated when its column lands left of an odd
+        number of the earlier pivots."""
+        F = self.F
         col = next((j for j, x in enumerate(w) if x), None)
         if col is None:
-            return False
-        w = vec_scale(self.F, self.F.inv(w[col]), w)
+            return None
+        lead = w[col]
+        w = vec_scale(F, F.inv(lead), w)
         for i, row in enumerate(self.rows):
             if row[col]:
                 self.rows[i] = tuple(self._axpy(row, row[col], w))
         at = bisect.bisect(self.pivots, col)
         self.rows.insert(at, w)
         self.pivots.insert(at, col)
-        return True
+        return F.neg(lead) if (len(self.pivots) - 1 - at) % 2 else lead
 
     def coordinates(self, basis):
         """A function taking v in the span to the x with x . basis = v, and
@@ -148,6 +156,27 @@ class Echelon:
             return vec_mat(F, x, inv) if x else ()
 
         return coords
+
+
+def subquotient(F, gens, sub_rows, rad_rows):
+    """The action of the matrices gens on span(sub_rows)/span(rad_rows):
+    (basis, new gens, coords).  The basis is the sub_rows independent of
+    the radical and the rows before them; coords maps the subspace to
+    coordinates in it mod the radical, and raises ValueError off it."""
+    span = Echelon(F)
+    rad = [r for r in rad_rows if span.add(r)]
+    basis = [s for s in sub_rows if span.add(s)]
+    full_coords = span.coordinates(basis + rad)
+
+    def coords(vec):
+        row = full_coords(vec)
+        if row is None:
+            raise ValueError("vector is outside the subspace")
+        return row[:len(basis)]
+
+    new_gens = tuple(tuple(coords(vec_mat(F, b, g)) for b in basis)
+                     for g in gens)
+    return basis, new_gens, coords
 
 
 def rref(F, A):
@@ -176,26 +205,16 @@ def span_vectors(F, rows):
 
 
 def det(F, A):
-    rows = [list(r) for r in A]
-    n = len(rows)
+    """Determinant of a square A: its rows, each reduced by the ones before
+    it, are triangular at their pivot columns, so det A is the product of
+    their leading entries with the sign of the pivot order (see _join)."""
+    E = Echelon(F)
     d = 1
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
+    for row in A:
+        lead = E._join(E.reduce(row))
+        if lead is None:
             return 0
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            d = F.neg(d)
-        d = F.mul(d, rows[col][col])
-        inv = F.inv(rows[col][col])
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                c = F.mul(inv, rows[i][col])
-                rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[i], rows[col])]
+        d = F.mul(d, lead)
     return d
 
 

@@ -7,9 +7,8 @@ absolutely irreducible module to its dual, found by that same method.
 """
 
 import random
-from dataclasses import dataclass
 
-from . import fields, geometry, linalg
+from . import fields, geometry, groups, linalg
 
 GF3 = fields.GF3
 # random algebra elements tried before a search gives up with Undecided
@@ -21,29 +20,9 @@ class Undecided(RuntimeError):
     """The randomized search exhausted its iteration budget."""
 
 
-@dataclass(frozen=True)
-class GModule:
-    field: object
-    dim: int
-    gens: tuple
-
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g) != self.dim or any(len(r) != self.dim for r in g):
-                raise ValueError("generator has wrong shape")
-            if linalg.det(self.field, g) == 0:
-                raise ValueError("generator is singular")
-
-
-def _derived_module(F, dim, gens):
-    """GModule(F, dim, gens) without __post_init__'s checks, for the
-    actions on a submodule W and on the quotient V/W: their generators have
-    the right shape and are invertible by construction, since
-    det g = det(g|W) det(g|V/W)."""
-    M = object.__new__(GModule)
-    for name, value in (("field", F), ("dim", dim), ("gens", gens)):
-        object.__setattr__(M, name, value)
-    return M
+# A module is given by its generating matrices, so one type serves the
+# MeatAxe and the matrix groups.
+GModule = groups.MatrixGroup
 
 
 def permutation_module(n, perms, field=GF3):
@@ -108,32 +87,18 @@ def spin(F, gens, seeds):
 
 
 def submodule_action(M, basis):
-    F = M.field
-    coords = linalg.Echelon(F, basis).coordinates(basis)
-    gens = []
-    for g in M.gens:
-        rows = []
-        for b in basis:
-            c = coords(linalg.vec_mat(F, b, g))
-            if c is None:
-                raise ValueError("basis does not span a submodule")
-            rows.append(c)
-        gens.append(tuple(rows))
-    return _derived_module(F, len(basis), tuple(gens))
+    """M restricted to the submodule W spanned by the rows basis.  Like the
+    quotient's, its generators are invertible by construction, since
+    det g = det(g|W) det(g|V/W), so neither runs MatrixGroup's checks."""
+    sub, gens, _coords = linalg.subquotient(M.field, M.gens, basis, ())
+    return GModule.unchecked(M.field, len(sub), gens)
 
 
 def quotient_action(M, basis):
-    F = M.field
-    span = linalg.Echelon(F, basis)
-    comp = []
-    for i in range(M.dim):
-        e = tuple(1 if j == i else 0 for j in range(M.dim))
-        if span.add(e):
-            comp.append(e)
-    coords = span.coordinates(comp + list(basis))
-    gens = tuple(tuple(coords(linalg.vec_mat(F, b, g))[:len(comp)]
-                       for b in comp) for g in M.gens)
-    return _derived_module(F, len(comp), gens)
+    """The action of M on V/W, W spanned by the rows basis."""
+    comp, gens, _coords = linalg.subquotient(
+        M.field, M.gens, linalg.identity(M.dim), basis)
+    return GModule.unchecked(M.field, len(comp), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +257,7 @@ def invariant_bilinear_form(M):
 # invariant form, and the two 315-point orbits
 
 def s8_pipeline(seed=0):
-    from . import constructions, groups
+    from . import constructions
 
     F = GF3
     n = 8
@@ -305,7 +270,8 @@ def s8_pipeline(seed=0):
     if kind != "symmetric":
         raise RuntimeError("dim-13 factor carries no symmetric form")
     space = geometry.QuadraticSpace(F, B)
-    group = groups.MatrixGroup(F, 13, dim13.gens, label="s8-dim13", gram=B)
+    # B is invariant by construction: _intertwiner checked g B = B g^-T
+    group = groups.MatrixGroup.unchecked(F, 13, dim13.gens, "s8-dim13", B)
     dims = []
     for mod, mult in factors:
         dims.extend([mod.dim] * mult)

@@ -1,8 +1,11 @@
-"""The benchmark in perfbench/ wraps library functions by name and clears
-two in-process caches between passes.  A deleted or renamed function
-would leave its traced metrics unmeasured, so this checks the names."""
+"""The benchmark in perfbench/ wraps library functions by name, reads
+library attributes in its workloads and clears two in-process caches
+between passes.  A deleted or renamed function would leave its traced
+metrics unmeasured or a workload broken, so this checks the names."""
 
+import ast
 import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,23 @@ def test_every_traced_function_exists(bench):
     tracer, _workloads = bench
     t = tracer.Tracer()  # builds the wrappers without installing them
     assert t.absent == []
+
+
+def test_every_library_attribute_the_workloads_read_exists():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "rank3"
+               for alias in node.names}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {"meataxe", "linalg", "constructions"} <= modules
+    assert ("meataxe", "GModule") in read
+    missing = sorted("%s.%s" % (mod, name) for mod, name in read
+                     if not hasattr(importlib.import_module("rank3." + mod),
+                                    name))
+    assert missing == []
 
 
 def test_cold_caches_finds_the_caches_it_clears(bench, monkeypatch):

@@ -266,6 +266,28 @@ def test_cli_export_unknown_label(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["orbit", "cd"])
+def test_cli_refuses_vector_entries_outside_the_field(tmp_path, capsys,
+                                                      command):
+    F9 = field_create(3, 2)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    gf9 = tmp_path / "gf9.gen"
+    write_generator_file(str(gf9), groups.MatrixGroup(F9, 3, (swap,),
+                                                      gram=ident))
+    gf3 = tmp_path / "gf3.gen"
+    assert run_cli("export", "wreath-n5", str(gf3)) == 0
+    capsys.readouterr()
+    for path, vector in ((gf9, "10,0,0"), (gf9, "9,0,0"), (gf9, "-1,0,0"),
+                         (gf3, "4,0,0,0,0"), (gf3, "1,0,0,0,-2")):
+        assert exit_code(command, "--", str(path), vector) == 2
+        assert "out of range [0, %d)" % (9 if path == gf9 else 3) in \
+            capsys.readouterr().err
+    # the largest entries are still read
+    assert run_cli(command, str(gf9), "8,0,0") == 0
+    assert run_cli(command, str(gf3), "2,0,0,0,0") == 0
+
+
+@pytest.mark.parametrize("command", ["orbit", "cd"])
 def test_cli_rejects_dims_past_the_packed_code_limit(tmp_path, capsys, command):
     n = 40
     cycle = tuple(tuple(1 if (i + 1) % n == j else 0 for j in range(n))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import fields, geometry, groups, linalg
+from rank3 import fields, geometry, groups, linalg, meataxe
 from rank3.fields import GF3, NONSQUARE, SQUARE, field_create
 from rank3.geometry import QuadraticSpace, decode_codes, standard_space
 from rank3.groups import (MatrixGroup, cd_parameters, eichler,
@@ -33,6 +33,35 @@ def test_matrix_group_validation():
     not_isometry = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         MatrixGroup(GF3, 3, (not_isometry,), gram=sp.gram)
+
+
+def test_matrix_group_refuses_a_generator_of_the_wrong_shape():
+    ident = linalg.identity(3)
+    for g in (linalg.identity(2), ident[:2], ident[:2] + ((0, 0, 1, 0),)):
+        with pytest.raises(ValueError, match="wrong shape"):
+            MatrixGroup(GF3, 3, (ident, g))
+    # the module name the MeatAxe uses is the same class
+    with pytest.raises(ValueError, match="wrong shape"):
+        meataxe.GModule(GF3, 3, (linalg.identity(4),))
+    assert meataxe.GModule is MatrixGroup
+
+
+def test_orbit_scans_check_a_group_tagged_with_another_form(monkeypatch):
+    # wreath-n7's group preserves its own form, not the parabolic one
+    from rank3.constructions import build_case
+    para, wreath = build_case("parabolic-n7-a1"), build_case("wreath-n7")
+    assert wreath.group.gram is not None
+    assert wreath.group.gram != para.space.gram
+    v = para.base_points[0][0]
+    for scan in (cd_parameters, orbit_codes):
+        with pytest.raises(ValueError, match="does not preserve the form"):
+            scan(para.space, wreath.group, v)
+    # a group tagged with the space's own form is not checked again
+    calls = []
+    monkeypatch.setattr(groups, "preserves_form",
+                        lambda *args: calls.append(args) or True)
+    assert cd_parameters(para.space, para.group, v).size == 135
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from rank3.fields import GF3, field_create
 
 GF9 = field_create(3, 2)
 FIELDS = [GF3, GF9]
+DET_FIELDS = [GF3, field_create(5, 1), field_create(7, 1), GF9,
+              field_create(3, 3)]
 
 
 def vectors(F, n):
@@ -122,3 +125,53 @@ def test_span_vectors_in_product_order(F):
     assert list(linalg.span_vectors(F, ())) == []
     # dependent rows: every coefficient tuple still yields one vector
     assert len(list(linalg.span_vectors(F, ((1, 2), (1, 2))))) == F.q ** 2 - 1
+
+
+def _reference_det(F, A):
+    """Gaussian elimination with row swaps, the loop det ran before it ran
+    on Echelon; kept as its oracle."""
+    rows = [list(r) for r in A]
+    n = len(rows)
+    d = 1
+    for col in range(n):
+        sel = None
+        for i in range(col, n):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            return 0
+        if sel != col:
+            rows[col], rows[sel] = rows[sel], rows[col]
+            d = F.neg(d)
+        d = F.mul(d, rows[col][col])
+        inv = F.inv(rows[col][col])
+        for i in range(col + 1, n):
+            if rows[i][col]:
+                c = F.mul(inv, rows[i][col])
+                rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(rows[i], rows[col])]
+    return d
+
+
+@pytest.mark.parametrize("F", DET_FIELDS, ids=repr)
+def test_det_matches_the_row_swap_elimination(F):
+    rng = random.Random(F.q)
+    singular = 0
+    for n in range(7):
+        for trial in range(40):
+            A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+            if n and trial % 2:
+                # row i becomes a combination of the other rows
+                i = rng.randrange(n)
+                coeffs = [0 if r == i else rng.randrange(F.q) for r in range(n)]
+                A[i] = linalg.vec_mat(F, coeffs, A)
+            A = linalg.mat_from_rows(A)
+            d = linalg.det(F, A)
+            assert d == _reference_det(F, A)
+            singular += d == 0
+        # permutation matrices, whose det is their sign
+        for _ in range(10):
+            perm = rng.sample(range(n), n)
+            P = linalg.perm_matrix(perm)
+            assert linalg.det(F, P) == _reference_det(F, P)
+    assert singular >= 6 * 20

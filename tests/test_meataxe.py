@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,69 @@ def test_sub_and_quotient_modules_skip_the_det_check(monkeypatch):
     assert Q == GModule(GF3, Q.dim, Q.gens)
     assert len(calls) == len(S.gens) + len(Q.gens)
     assert all(det(GF3, g) != 0 for g in S.gens + Q.gens)
+
+
+def _reference_submodule(M, basis):
+    """The loop submodule_action ran before linalg.subquotient; kept as its
+    oracle, with the quotient's below.  Returns (dim, gens)."""
+    F = M.field
+    coords = linalg.Echelon(F, basis).coordinates(basis)
+    gens = []
+    for g in M.gens:
+        rows = []
+        for b in basis:
+            c = coords(linalg.vec_mat(F, b, g))
+            if c is None:
+                raise ValueError("basis does not span a submodule")
+            rows.append(c)
+        gens.append(tuple(rows))
+    return len(basis), tuple(gens)
+
+
+def _reference_quotient(M, basis):
+    F = M.field
+    span = linalg.Echelon(F, basis)
+    comp = []
+    for i in range(M.dim):
+        e = tuple(1 if j == i else 0 for j in range(M.dim))
+        if span.add(e):
+            comp.append(e)
+    coords = span.coordinates(comp + list(basis))
+    gens = tuple(tuple(coords(linalg.vec_mat(F, b, g))[:len(comp)]
+                       for b in comp) for g in M.gens)
+    return len(comp), gens
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_sub_and_quotient_actions_match_the_old_loops(n):
+    # every split of a seeded composition series of the permutation module
+    # and its tensor square
+    rng = random.Random(n)
+    U = permutation_module(n, [cycle(n), transposition(n)])
+    todo, splits = [U, tensor_module(U, U)], 0
+    while todo:
+        M = todo.pop()
+        W = meataxe.find_submodule(M, rng)
+        if W is None:
+            continue
+        # the spun rows, and a basis of W that is not in echelon form
+        P = linalg.identity(len(W))
+        while linalg.det(GF3, P) == 0:
+            P = tuple(tuple(rng.randrange(3) for _ in W) for _ in W)
+        for basis in (W, list(linalg.mat_mul(GF3, P, W))):
+            S = meataxe.submodule_action(M, basis)
+            Q = meataxe.quotient_action(M, basis)
+            assert (S.dim, S.gens) == _reference_submodule(M, basis)
+            assert (Q.dim, Q.gens) == _reference_quotient(M, basis)
+        todo += [S, Q]
+        splits += 1
+    assert splits >= 3
+    # a subspace that is not a submodule is refused by both
+    line = [(1,) + (0,) * (n - 1)]
+    with pytest.raises(ValueError):
+        _reference_submodule(U, line)
+    with pytest.raises(ValueError):
+        meataxe.submodule_action(U, line)
 
 
 def test_spin_is_invariant():
