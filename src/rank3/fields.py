@@ -294,3 +294,11 @@ def field_create(p, a, modulus=None):
 
 
 GF3 = field_create(3, 1)
+
+
+def gf3_add(a1, a2, b1, b2):
+    """a + b for GF(3) vectors bitsliced as the masks of their 1s and 2s
+    (Boothby and Bradshaw, arXiv:0901.1413): six bitwise ops, on Python
+    ints or numpy arrays alike.  -b is b with its masks swapped."""
+    s = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ s, (a1 | b1) ^ s

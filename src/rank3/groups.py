@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields, geometry, higman, linalg
-from .fields import SQUARE
+from .fields import SQUARE, gf3_add
 from .geometry import PLUS, MINUS
 
 # the orbit scans raise OrbitCapExceeded past this many points
@@ -527,13 +527,6 @@ def _masks(V):
     return (V == 1) @ bits, (V == 2) @ bits
 
 
-def _gf3_add(a1, a2, b1, b2):
-    """a + b for GF(3) vectors bitsliced as the masks of their 1s and 2s
-    (Boothby and Bradshaw, arXiv:0901.1413): six bitwise ops."""
-    s = (a1 | b2) ^ (a2 | b1)
-    return (a2 | b2) ^ s, (a1 | b1) ^ s
-
-
 def _digit_chunks(n):
     """Balanced runs [a, b) of at most _TABLE_DIGITS coordinates."""
     c = -(-n // _TABLE_DIGITS)
@@ -573,8 +566,8 @@ def _image_tables(G, gx, chunks):
               for R, Rf in zip(_masks(G), _masks(gx[:, None])))
     T1 = T2 = np.zeros((len(chunks), k + 1, 1), dtype=R1.dtype)
     for r1, r2 in zip(R1, R2):
-        U1, U2 = _gf3_add(T1, T2, r1, r2)
-        W1, W2 = _gf3_add(T1, T2, r2, r1)
+        U1, U2 = gf3_add(T1, T2, r1, r2)
+        W1, W2 = gf3_add(T1, T2, r2, r1)
         T1 = np.concatenate([T1, U1, W1], axis=2)
         T2 = np.concatenate([T2, U2, W2], axis=2)
     return [(T1[c, :k, :3 ** (b - a)].T.copy(),
@@ -647,7 +640,7 @@ def _scan(gens, start, gram):
     d counts the orbit points w != start with f(w, start) = 0.  Each level
     splits the frontier codes into base-3 digit chunks of at most
     _TABLE_DIGITS, looks up every generator's image of each chunk in
-    _image_tables and sums the chunks with the bitsliced _gf3_add.  The
+    _image_tables and sums the chunks with the bitsliced gf3_add.  The
     image masks become canonical codes through the _PIECE_BITS-bit tables
     of _piece_tables.  Images already seen are dropped chunk by chunk, and
     what is left is merged into the seen-set once per level.
@@ -682,8 +675,8 @@ def _scan(gens, start, gram):
             digits = _chunk_digits(frontier[lo:lo + rows], chunks)
             M1, M2, f = (t.take(digits[0], axis=0) for t in tables[0])
             for (T1, T2, ft), digit in zip(tables[1:], digits[1:]):
-                M1, M2 = _gf3_add(M1, M2, T1.take(digit, axis=0),
-                                  T2.take(digit, axis=0))
+                M1, M2 = gf3_add(M1, M2, T1.take(digit, axis=0),
+                                 T2.take(digit, axis=0))
                 f += ft.take(digit)
             d += int(np.count_nonzero(f % 3 == 0))
             c = _canonical_codes(M1, M2, pieces)

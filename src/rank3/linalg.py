@@ -5,11 +5,17 @@ tuples.  Everything here is pure Python and meant for small dimensions;
 the MeatAxe runs on it too, while the hot GF(3) orbit paths are numpy
 code in groups and geometry.  Every elimination, det included, goes
 through one incremental reduced echelon basis, Echelon, and so does the
-one restriction of an action to a subquotient, subquotient.
+one restriction of an action to a subquotient, subquotient.  Inside,
+Echelon holds a GF(3) row as the Python-int masks of its 1s and 2s and
+adds rows by the bitsliced fields.gf3_add, so its work is whole-row
+integer ops, and packing is bytes.translate and int parsing; over other
+fields it works one entry at a time, as the functions outside it do.
 """
 
 import bisect
 import itertools
+
+from .fields import gf3_add
 
 
 def identity(n):
@@ -82,59 +88,157 @@ def kron(F, A, B):
     return tuple(out)
 
 
+# bytes.translate tables from entries to the binary digits of the masks of
+# the 1s and of the 2s; any byte but 0, 1, 2 becomes "x", which int(_, 2)
+# refuses.  _ENTRIES takes the hex digits 0, 1, 2 back to entries.
+_ONES, _TWOS = (bytes(b"01"[i == k] if i < 3 else 120 for i in range(256))
+                for k in (1, 2))
+_ENTRIES = bytes.maketrans(b"012", b"\0\1\2")
+
+
+def _gf3_sum(a1, a2, plus, minus, rows):
+    """The packed GF(3) vector (a1, a2) plus rows[j] for every set bit j
+    of plus, minus rows[j] for every set bit j of minus."""
+    while plus:
+        low = plus & -plus
+        r1, r2 = rows[low.bit_length() - 1]
+        a1, a2 = gf3_add(a1, a2, r1, r2)
+        plus ^= low
+    while minus:
+        low = minus & -minus
+        r1, r2 = rows[low.bit_length() - 1]
+        a1, a2 = gf3_add(a1, a2, r2, r1)
+        minus ^= low
+    return a1, a2
+
+
 class Echelon:
     """An incrementally built reduced echelon basis of a subspace of F^n.
 
     rows are kept sorted by pivot column; each pivot entry is 1 and is the
     only nonzero entry of its column, so the rows are the reduced echelon
     form of the span and do not depend on the order vectors were added in.
+
+    Rows are held packed.  Over GF(3) a packed row is the pair of Python-int
+    masks of its 1s and of its 2s, bit j for column j: the pivot is the
+    lowest set bit, scaling by 2 swaps the masks and rows add by the
+    bitsliced fields.gf3_add.  The masks have no width limit, so no dim
+    guard is needed; pack refuses an entry outside 0, 1, 2 with ValueError.
+    Over any other field a packed row is its tuple.
     """
 
     def __init__(self, F, rows=()):
         self.F = F
-        self.rows = []
+        self.gf3 = F.q == 3
+        self.n = 0
+        self._rows = {}     # pivot column -> packed row
+        self._mask = 0      # over GF(3), the pivot columns' bits
         self.pivots = []
         for r in rows:
             self.add(r)
 
+    @property
+    def rows(self):
+        """The reduced rows as tuples, in pivot order."""
+        return [self.unpack(self._rows[p]) for p in self.pivots]
+
+    def pack(self, v):
+        """The packed form of the vector v."""
+        if not self.gf3:
+            return tuple(v)
+        self.n = len(v)
+        try:
+            b = bytes(v)[::-1] or b"\0"
+            return int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2)
+        except ValueError:
+            raise ValueError("GF(3) entries are 0, 1 or 2: %r" % (v,)) from None
+
+    def unpack(self, r):
+        """The tuple of the packed row r."""
+        if not self.gf3:
+            return r
+        # bit j of a mask becomes hex digit j, so the last n hex digits,
+        # reversed, are the entries
+        x = int(format(r[0], "b"), 16) + 2 * int(format(r[1], "b"), 16)
+        digits = format(x, "0%dx" % self.n)[:-self.n - 1:-1]
+        return tuple(digits.encode().translate(_ENTRIES))
+
     def _axpy(self, v, c, row):
-        """v - c * row, as a list."""
+        """v - c * row, as a list, over a field other than GF(3)."""
         F = self.F
         if F.a == 1:
             p = F.p
             return [(x - c * y) % p for x, y in zip(v, row)]
         return [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
 
+    def _reduce(self, v):
+        """The packed v minus its component in the span.  Every pivot
+        column is zero in the other rows, so one pass suffices, and v's
+        entries at the pivots are the coefficients: over GF(3) the rows
+        at its 1s are subtracted and the rows at its 2s added."""
+        if not self.gf3:
+            for p in self.pivots:
+                if v[p]:
+                    v = self._axpy(v, v[p], self._rows[p])
+            return v
+        o, t = v
+        return _gf3_sum(o, t, t & self._mask, o & self._mask, self._rows)
+
     def reduce(self, v):
-        """v minus its component in the span, as a list.  Every pivot
-        column is zero in the other rows, so one pass suffices."""
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = self._axpy(v, v[p], row)
-        return v
+        """v minus its component in the span, as a list."""
+        return list(self.unpack(self._reduce(self.pack(v))))
 
     def add(self, v):
         """Add v to the span; False when it was already in it."""
-        return self._join(self.reduce(v)) is not None
+        return self.add_packed(self.pack(v)) is not None
+
+    def add_packed(self, w):
+        """Add the packed w to the span: w reduced, or None when it was
+        already in it."""
+        w = self._reduce(w)
+        return None if self._join(w) is None else w
 
     def _join(self, w):
-        """Join a reduced vector w to the rows.  None when w is zero, else
-        w's leading entry, negated when its column lands left of an odd
-        number of the earlier pivots."""
+        """Join a reduced packed row w to the rows.  None when w is zero,
+        else w's leading entry, negated when its column lands left of an
+        odd number of the earlier pivots."""
         F = self.F
-        col = next((j for j, x in enumerate(w) if x), None)
-        if col is None:
-            return None
-        lead = w[col]
-        w = vec_scale(F, F.inv(lead), w)
-        for i, row in enumerate(self.rows):
-            if row[col]:
-                self.rows[i] = tuple(self._axpy(row, row[col], w))
+        if self.gf3:
+            o, t = w
+            low = (o | t) & -(o | t)
+            if not low:
+                return None
+            col = low.bit_length() - 1
+            lead = 1 if o & low else 2
+            if lead == 2:
+                o, t = t, o
+            w = o, t
+            self._mask |= low
+            for p, (r1, r2) in self._rows.items():
+                if r1 & low:
+                    self._rows[p] = gf3_add(r1, r2, t, o)
+                elif r2 & low:
+                    self._rows[p] = gf3_add(r1, r2, o, t)
+        else:
+            col = next((j for j, x in enumerate(w) if x), None)
+            if col is None:
+                return None
+            lead = w[col]
+            w = vec_scale(F, F.inv(lead), w)
+            for p, row in self._rows.items():
+                if row[col]:
+                    self._rows[p] = tuple(self._axpy(row, row[col], w))
         at = bisect.bisect(self.pivots, col)
-        self.rows.insert(at, w)
+        self._rows[col] = w
         self.pivots.insert(at, col)
         return F.neg(lead) if (len(self.pivots) - 1 - at) % 2 else lead
+
+    def image(self, v, g):
+        """The packed v times the matrix whose packed rows are g: one add
+        per nonzero entry of v over GF(3)."""
+        if not self.gf3:
+            return vec_mat(self.F, v, g)
+        return _gf3_sum(0, 0, *v, g)
 
     def coordinates(self, basis):
         """A function taking v in the span to the x with x . basis = v, and
@@ -145,12 +249,12 @@ class Echelon:
         reads the rows as they are when it is called.
         """
         F = self.F
-        if len(basis) != len(self.rows) or any(any(self.reduce(b)) for b in basis):
+        if len(basis) != len(self._rows) or any(any(self.reduce(b)) for b in basis):
             raise ValueError("rows are not a basis of the span")
         inv = mat_inv(F, tuple(tuple(b[p] for p in self.pivots) for b in basis))
 
         def coords(v):
-            if len(self.pivots) < len(v) and any(self.reduce(v)):
+            if len(self.pivots) < len(v) and any(self._reduce(self.pack(v))):
                 return None
             x = tuple(v[p] for p in self.pivots)
             return vec_mat(F, x, inv) if x else ()
@@ -211,7 +315,7 @@ def det(F, A):
     E = Echelon(F)
     d = 1
     for row in A:
-        lead = E._join(E.reduce(row))
+        lead = E._join(E._reduce(E.pack(row)))
         if lead is None:
             return 0
         d = F.mul(d, lead)

@@ -72,18 +72,21 @@ def _eval_word(F, gens, recipe, dim):
 
 def spin(F, gens, seeds):
     """Smallest subspace containing the seeds and closed under the
-    right action of the generators; returned as reduced basis rows."""
+    right action of the generators; returned as reduced basis rows.
+    The generators' rows are packed once, and the rows are spun packed;
+    each new image is spun on reduced, which zeroes its earlier pivots."""
     span = linalg.Echelon(F, seeds)
-    frontier = list(span.rows)
+    gens = [[span.pack(row) for row in g] for g in gens]
+    frontier = [span.pack(v) for v in seeds]
     while frontier:
         new = []
         for v in frontier:
             for g in gens:
-                w = linalg.vec_mat(F, v, g)
-                if span.add(w):
+                w = span.add_packed(span.image(v, g))
+                if w is not None:
                     new.append(w)
         frontier = new
-    return list(span.rows)
+    return span.rows
 
 
 def submodule_action(M, basis):
@@ -236,8 +239,9 @@ def invariant_bilinear_form(M):
     turns up, as for a reducible or not absolutely irreducible M.
     """
     F, d = M.field, M.dim
-    dual = GModule(F, d, tuple(linalg.transpose(linalg.mat_inv(F, g))
-                               for g in M.gens))
+    # mat_inv has shown each g^-T invertible, so the dual skips the checks
+    dual = GModule.unchecked(F, d, tuple(linalg.transpose(linalg.mat_inv(F, g))
+                                         for g in M.gens))
     B = _intertwiner(M, dual)
     if B is None:
         return ("none", None)

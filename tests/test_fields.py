@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +113,19 @@ def test_subfield_embedding():
 def test_field_cache_identity():
     assert field_create(3, 2) is field_create(3, 2)
     assert field_create(3, 1) is GF3
+
+
+def test_gf3_add_on_all_pairs():
+    # one coordinate per pair (a, b), as numpy masks and as Python-int masks
+    pairs = list(itertools.product(range(3), repeat=2))
+    a, b = (np.array([p[k] for p in pairs]) for k in (0, 1))
+    r1, r2 = fields.gf3_add(a == 1, a == 2, b == 1, b == 2)
+    assert not (r1 & r2).any()
+    assert (r1 + 2 * r2).tolist() == [(x + y) % 3 for x, y in pairs]
+
+    def mask(v, k):
+        return sum(1 << j for j, x in enumerate(v) if x == k)
+
+    total = (a + b) % 3
+    assert (fields.gf3_add(mask(a, 1), mask(a, 2), mask(b, 1), mask(b, 2))
+            == (mask(total, 1), mask(total, 2)))

@@ -466,19 +466,6 @@ def test_packed_code_dim_limit(n):
             cd_parameters(sp, G, v)
 
 
-def _bitsliced(values):
-    v = np.asarray(values, dtype=np.int64)
-    return (v == 1).astype(np.int64), (v == 2).astype(np.int64)
-
-
-def test_gf3_add_on_all_pairs():
-    pairs = list(itertools.product(range(3), repeat=2))
-    r1, r2 = groups._gf3_add(*_bitsliced([a for a, _ in pairs]),
-                             *_bitsliced([b for _, b in pairs]))
-    assert not (r1 & r2).any()
-    assert (r1 + 2 * r2).tolist() == [(a + b) % 3 for a, b in pairs]
-
-
 @pytest.mark.parametrize("n,sizes", [(13, [7, 6]), (16, [6, 5, 5]),
                                      (21, [7, 7, 7]), (27, [7, 7, 7, 6]),
                                      (39, [7, 7, 7, 6, 6, 6])])

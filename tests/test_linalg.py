@@ -1,10 +1,11 @@
+import bisect
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import linalg
+from rank3 import linalg, meataxe
 from rank3.fields import GF3, field_create
 
 GF9 = field_create(3, 2)
@@ -175,3 +176,174 @@ def test_det_matches_the_row_swap_elimination(F):
             P = linalg.perm_matrix(perm)
             assert linalg.det(F, P) == _reference_det(F, P)
     assert singular >= 6 * 20
+
+
+class _ReferenceEchelon:
+    """The per-entry Echelon that ran over every field before GF(3) rows
+    were packed into masks; kept as the oracle of the packed one."""
+
+    def __init__(self, F, rows=()):
+        self.F = F
+        self.rows = []
+        self.pivots = []
+        for r in rows:
+            self.add(r)
+
+    def _axpy(self, v, c, row):
+        return [(x - c * y) % 3 for x, y in zip(v, row)]
+
+    def reduce(self, v):
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                v = self._axpy(v, v[p], row)
+        return v
+
+    def add(self, v):
+        return self._join(self.reduce(v)) is not None
+
+    def _join(self, w):
+        F = self.F
+        col = next((j for j, x in enumerate(w) if x), None)
+        if col is None:
+            return None
+        lead = w[col]
+        w = linalg.vec_scale(F, F.inv(lead), w)
+        for i, row in enumerate(self.rows):
+            if row[col]:
+                self.rows[i] = tuple(self._axpy(row, row[col], w))
+        at = bisect.bisect(self.pivots, col)
+        self.rows.insert(at, w)
+        self.pivots.insert(at, col)
+        return F.neg(lead) if (len(self.pivots) - 1 - at) % 2 else lead
+
+    def coordinates(self, basis):
+        F = self.F
+        inv = linalg.mat_inv(F, tuple(tuple(b[p] for p in self.pivots)
+                                      for b in basis))
+
+        def coords(v):
+            if len(self.pivots) < len(v) and any(self.reduce(v)):
+                return None
+            x = tuple(v[p] for p in self.pivots)
+            return linalg.vec_mat(F, x, inv) if x else ()
+
+        return coords
+
+
+def _gf3_inputs(rng, n, rank):
+    """A zero vector, then in random order: rank random vectors of length
+    n and 2 * n + 2 vectors that are zero or combinations of them."""
+    rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rank)]
+    out = [(0,) * n]
+    for _ in range(2 * n + 2):
+        if rng.randrange(4) == 0:
+            out.append((0,) * n)
+        else:
+            k = rng.randrange(1, len(rows) + 1)
+            coeffs = [rng.randrange(3) for _ in range(k)]
+            out.append(linalg.vec_mat(GF3, coeffs, rows[:k]))
+    out[1:1] = rows
+    return out[:1] + rng.sample(out[1:], len(out) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 13, 27, 81])
+def test_packed_echelon_matches_the_per_entry_one(n):
+    rng = random.Random(n)
+    for rank in (1, n // 3 + 1, n) * 2:
+        E, R = linalg.Echelon(GF3), _ReferenceEchelon(GF3)
+        basis = []
+        for v in _gf3_inputs(rng, n, rank):
+            # the signed lead that det multiplies, then the rows
+            lead = E._join(E._reduce(E.pack(v)))
+            assert lead == R._join(R.reduce(v))
+            assert E.rows == R.rows and E.pivots == R.pivots
+            if lead is not None:
+                basis.append(v)
+        assert len(basis) == len(E.rows) <= rank
+        coords, ref = E.coordinates(basis), R.coordinates(basis)
+        for _ in range(20):
+            x = tuple(rng.randrange(3) for _ in basis)
+            inside = linalg.vec_mat(GF3, x, basis) if basis else (0,) * n
+            u = tuple(rng.randrange(3) for _ in range(n))
+            assert coords(inside) == ref(inside) == x
+            assert coords(u) == ref(u)
+            assert E.reduce(u) == R.reduce(u)
+        assert linalg.rref(GF3, basis) == (tuple(R.rows), R.pivots)
+
+
+@pytest.mark.parametrize("n", [13, 27, 81])
+def test_det_of_large_gf3_matrices(n):
+    rng = random.Random(n)
+    for trial in range(4):
+        # shuffled rows of an upper triangular matrix with a nonzero
+        # diagonal, then one row made a repeat of another, zero, or a
+        # combination of the others
+        A = [[0] * i + [rng.randrange(1, 3)] +
+             [rng.randrange(3) for _ in range(n - 1 - i)] for i in range(n)]
+        rng.shuffle(A)
+        i, j = rng.sample(range(n), 2)
+        A[i] = (A[i], A[j], [0] * n, linalg.vec_mat(
+            GF3, [0 if r == i else rng.randrange(3) for r in range(n)], A))[trial]
+        A = linalg.mat_from_rows(A)
+        d = linalg.det(GF3, A)
+        assert d == _reference_det(GF3, A) and (d == 0) == (trial > 0)
+        P = linalg.perm_matrix(rng.sample(range(n), n))
+        assert linalg.det(GF3, P) == _reference_det(GF3, P) != 0
+
+
+def test_gf3_rows_refuse_entries_outside_the_field():
+    for bad in ((0, 3, 1), (0, -1, 1), (2, 2, 255), (0, 0, 256)):
+        with pytest.raises(ValueError, match="GF\\(3\\) entries"):
+            linalg.Echelon(GF3, [bad])
+        with pytest.raises(ValueError):
+            linalg.det(GF3, ((1, 0, 0), (0, 1, 0), bad))
+        E = linalg.Echelon(GF3, [(1, 0, 0)])
+        with pytest.raises(ValueError):
+            E.reduce(bad)
+    # entries 1 and 2 may come in any int type
+    assert linalg.Echelon(GF3, [(True, 0, 2)]).rows == [(1, 0, 2)]
+
+
+def _reference_spin(F, gens, seeds):
+    """meataxe.spin as it ran before rows were packed, one field entry at
+    a time; kept as its oracle."""
+    span = _ReferenceEchelon(F, seeds)
+    frontier = list(span.rows)
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gens:
+                w = linalg.vec_mat(F, v, g)
+                if span.add(w):
+                    new.append(w)
+        frontier = new
+    return list(span.rows)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_spin_matches_the_per_entry_spin(n):
+    rng = random.Random(n)
+    perms = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+    U = meataxe.permutation_module(n, perms)
+    T = meataxe.tensor_module(U, U)
+
+    def tensor(sign):
+        """A random x, x_ij at row i * n + j; with sign 1 or 2 it is a
+        symmetric or an alternating tensor, x_ji = sign * x_ij."""
+        x = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+        if sign:
+            for i in range(n):
+                x[i][i] *= sign == 1
+                for j in range(i):
+                    x[i][j] = sign * x[j][i] % 3
+        return tuple(itertools.chain(*x))
+
+    seeds = [[tensor(0)], [tensor(1)], [tensor(2)], [(1,) * n * n],
+             [tensor(1), tensor(2)], [tensor(1), (1,) * n * n]]
+    dims = set()
+    for s in seeds:
+        rows = meataxe.spin(GF3, T.gens, s)
+        assert rows == _reference_spin(GF3, T.gens, s)
+        dims.add(len(rows))
+    assert len(dims) >= 4, dims

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -221,14 +222,55 @@ def _reference_form(M):
 
 
 @pytest.fixture(scope="module")
-def tensor_factors():
-    """(n, factor) for every composition factor of the S5 .. S9 tensor
-    squares; 20 factors of dims 1 to 27."""
-    out = []
+def tensor_splits():
+    """n -> composition_factors of the S_n tensor square at seed 0, for n
+    from 5 to 9."""
+    out = {}
     for n in range(5, 10):
         M = permutation_module(n, [cycle(n), transposition(n)])
-        out.extend((n, f) for f, _ in composition_factors(tensor_module(M, M)))
+        out[n] = composition_factors(tensor_module(M, M), seed=0)
     return out
+
+
+@pytest.fixture(scope="module")
+def tensor_factors(tensor_splits):
+    """(n, factor) for every composition factor of the S5 .. S9 tensor
+    squares; 20 factors of dims 1 to 27."""
+    return [(n, f) for n, split in tensor_splits.items() for f, _ in split]
+
+
+# sha256 of repr([(dim, multiplicity, gens)]) of the factors at seed 0, as
+# the per-entry linear algebra gave them before GF(3) rows were packed
+TENSOR_SPLITS = {
+    5: ([(4, 4), (1, 1), (6, 1), (1, 2)],
+        "1b8477ad36d01733f96202cc510b0f1be708808f4655fdf86858c19040ae0e82"),
+    6: ([(9, 1), (1, 5), (4, 4), (6, 1)],
+        "5ded63f3606e22de1e449b36e5824ea11c42d444b2e1941e51a505a896a692cf"),
+    7: ([(1, 3), (13, 1), (6, 3), (15, 1)],
+        "a0149e4ef373c243fbf1ed946035be4b05dcc8a2fd3da0f5daa602cbd7c8a2b3"),
+    8: ([(7, 4), (13, 1), (21, 1), (1, 2)],
+        "ad39e42c26b3757db83ec6cead2ca0f9274387ff89e02919f26d058c5f1400bd"),
+    9: ([(27, 1), (1, 5), (7, 4), (21, 1)],
+        "15bfaba8703a5a0cb3b8d12e71d2b588ec285d28482ef1cdb95b2b1b46bce011"),
+}
+
+
+def test_tensor_square_factors_are_pinned(tensor_splits):
+    for n, (dims, digest) in TENSOR_SPLITS.items():
+        split = [(f.dim, mult, f.gens) for f, mult in tensor_splits[n]]
+        assert [(d, mult) for d, mult, _ in split] == dims, n
+        assert hashlib.sha256(repr(split).encode()).hexdigest() == digest, n
+
+
+def test_dual_module_skips_the_det_check(monkeypatch, tensor_factors):
+    f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det",
+                        lambda F, g: calls.append(g) or det(F, g))
+    kind, B = invariant_bilinear_form(f13)
+    assert kind == "symmetric" and _is_invariant(f13, B)
+    assert calls == []
 
 
 def test_form_matches_reference(tensor_factors):
