@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rank3 import linalg, meataxe
-from rank3.fields import GF3
+from rank3.fields import GF3, field_create
 from rank3.meataxe import (GModule, Undecided, composition_factors,
                            invariant_bilinear_form, modules_isomorphic,
                            permutation_module, spin, tensor_module)
@@ -147,6 +148,20 @@ def test_tensor_factors_s8():
     factors = composition_factors(T)
     dims = sorted(f.dim for f, mult in factors for _ in range(mult))
     assert dims == [1, 1, 7, 7, 7, 7, 13, 21]
+
+
+@pytest.mark.parametrize("p, n, dims", [
+    (5, 4, {1: 1, 3: 1}), (5, 5, {1: 2, 3: 1}), (5, 6, {1: 1, 5: 1}),
+    (2, 4, {1: 2, 2: 1})])
+def test_factors_over_other_prime_fields(p, n, dims):
+    # over GF(p), p != 3, the MeatAxe works one field entry at a time
+    F = field_create(p, 1)
+    M = permutation_module(n, [transposition(n), cycle(n)], F)
+    found = Counter()
+    for f, mult in composition_factors(M):
+        assert f.field is F
+        found[f.dim] += mult
+    assert found == dims
 
 
 def test_seed_independence():
