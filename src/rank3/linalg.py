@@ -8,8 +8,12 @@ through one incremental reduced echelon basis, Echelon, and so does the
 one restriction of an action to a subquotient, subquotient.  Inside,
 Echelon holds a GF(3) row as the Python-int masks of its 1s and 2s and
 adds rows by the bitsliced fields.gf3_add, so its work is whole-row
-integer ops, and packing is bytes.translate and int parsing; over other
-fields it works one entry at a time, as the functions outside it do.
+integer ops, and packing is bytes.translate and int parsing.  Echelon.image
+maps a packed row by a matrix of packed rows with one add per nonzero
+entry; subquotient, Echelon.coordinates and the MeatAxe's algebra words,
+spin and standard basis map rows that way, packing each matrix once per
+call.  Over other fields Echelon works one entry at a time, as vec_mat,
+mat_mul and the other functions outside it do.
 """
 
 import bisect
@@ -130,7 +134,7 @@ class Echelon:
     def __init__(self, F, rows=()):
         self.F = F
         self.gf3 = F.q == 3
-        self.n = 0
+        self.n = None       # the row length, fixed by the first pack
         self._rows = {}     # pivot column -> packed row
         self._mask = 0      # over GF(3), the pivot columns' bits
         self.pivots = []
@@ -143,10 +147,15 @@ class Echelon:
         return [self.unpack(self._rows[p]) for p in self.pivots]
 
     def pack(self, v):
-        """The packed form of the vector v."""
+        """The packed form of the vector v; ValueError when its length is
+        not that of the first vector packed."""
+        if self.n is None:
+            self.n = len(v)
+        elif len(v) != self.n:
+            raise ValueError("a row of length %d among rows of length %d"
+                             % (len(v), self.n))
         if not self.gf3:
             return tuple(v)
-        self.n = len(v)
         try:
             b = bytes(v)[::-1] or b"\0"
             return int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2)
@@ -157,6 +166,8 @@ class Echelon:
         """The tuple of the packed row r."""
         if not self.gf3:
             return r
+        if self.n is None:
+            raise ValueError("the row length is unknown before a pack")
         # bit j of a mask becomes hex digit j, so the last n hex digits,
         # reversed, are the entries
         x = int(format(r[0], "b"), 16) + 2 * int(format(r[1], "b"), 16)
@@ -245,19 +256,21 @@ class Echelon:
         any other v to None; basis must be a basis of the span.
 
         The coordinates of v in the reduced rows are v[pivots]; one inverse
-        of the basis's pivot block takes them to the basis.  The function
-        reads the rows as they are when it is called.
+        of the basis's pivot block, packed, takes them to the basis.  The
+        function reads the rows as they are when it is called.
         """
         F = self.F
         if len(basis) != len(self._rows) or any(any(self.reduce(b)) for b in basis):
             raise ValueError("rows are not a basis of the span")
         inv = mat_inv(F, tuple(tuple(b[p] for p in self.pivots) for b in basis))
+        X = Echelon(F)      # packs the coordinate rows
+        inv = [X.pack(row) for row in inv]
 
         def coords(v):
             if len(self.pivots) < len(v) and any(self._reduce(self.pack(v))):
                 return None
             x = tuple(v[p] for p in self.pivots)
-            return vec_mat(F, x, inv) if x else ()
+            return X.unpack(X.image(X.pack(x), inv)) if x else ()
 
         return coords
 
@@ -278,9 +291,14 @@ def subquotient(F, gens, sub_rows, rad_rows):
             raise ValueError("vector is outside the subspace")
         return row[:len(basis)]
 
-    new_gens = tuple(tuple(coords(vec_mat(F, b, g)) for b in basis)
-                     for g in gens)
-    return basis, new_gens, coords
+    # the images b . g are packed, one add per nonzero entry of b
+    packed = [span.pack(b) for b in basis]
+    new_gens = []
+    for g in gens:
+        g = [span.pack(row) for row in g]
+        new_gens.append(tuple(coords(span.unpack(span.image(b, g)))
+                              for b in packed))
+    return basis, tuple(new_gens), coords
 
 
 def rref(F, A):

@@ -4,6 +4,8 @@ irreducibility certificate (spin the kernel of a singular algebra
 element, then the dual), module isomorphism via the standard-basis
 method, and invariant bilinear forms as the isomorphism from an
 absolutely irreducible module to its dual, found by that same method.
+Over GF(3) each call packs its module's generator rows once (see
+linalg.Echelon) and maps packed rows; nothing packed outlives the call.
 """
 
 import random
@@ -56,27 +58,35 @@ def _random_word(rng, k):
     return terms
 
 
-def _eval_word(F, gens, recipe, dim):
-    total = [[0] * dim for _ in range(dim)]
-    for coeff, idxs in recipe:
+def _pack(E, gens):
+    """The generators with every row packed by the Echelon E."""
+    return [[E.pack(row) for row in g] for g in gens]
+
+
+def _eval_word(E, gens, recipe):
+    """The algebra element of recipe, as a matrix of tuples, on generators
+    packed by E: a word's product is one E.image per row, and row r of the
+    sum is the coefficient vector's image on the products' rows r."""
+    products = []
+    for _coeff, idxs in recipe:
         m = gens[idxs[0]]
         for i in idxs[1:]:
-            m = linalg.mat_mul(F, m, gens[i])
-        for r in range(dim):
-            row = m[r]
-            trow = total[r]
-            for c in range(dim):
-                trow[c] = F.add(trow[c], F.mul(coeff, row[c]))
-    return tuple(tuple(r) for r in total)
+            m = [E.image(row, gens[i]) for row in m]
+        products.append(m)
+    C = linalg.Echelon(E.F)
+    coeffs = C.pack([coeff for coeff, _idxs in recipe])
+    return tuple(E.unpack(C.image(coeffs, rows)) for rows in zip(*products))
 
 
-def spin(F, gens, seeds):
+def spin(F, gens, seeds, packed=None):
     """Smallest subspace containing the seeds and closed under the
     right action of the generators; returned as reduced basis rows.
-    The generators' rows are packed once, and the rows are spun packed;
-    each new image is spun on reduced, which zeroes its earlier pivots."""
+    The generators' rows are packed once per call, or come as packed,
+    from a caller that spins many seeds under them; the rows are spun
+    packed, and each new image is spun on reduced, which zeroes its
+    earlier pivots."""
     span = linalg.Echelon(F, seeds)
-    gens = [[span.pack(row) for row in g] for g in gens]
+    gens = packed or _pack(span, gens)
     frontier = [span.pack(v) for v in seeds]
     while frontier:
         new = []
@@ -119,8 +129,10 @@ def find_submodule(M, rng):
     whole space and a dual kernel vector spins the dual."""
     F, dim = M.field, M.dim
     gens_t = [linalg.transpose(g) for g in M.gens]
+    E = linalg.Echelon(F)
+    packed = _pack(E, M.gens)
     for _ in range(_SPLIT_TRIES):
-        theta = _eval_word(F, M.gens, _random_word(rng, len(M.gens)), dim)
+        theta = _eval_word(E, packed, _random_word(rng, len(M.gens)))
         ker = linalg.nullspace_rows(F, theta)
         nullity = len(ker)
         if nullity == 0:
@@ -129,7 +141,7 @@ def find_submodule(M, rng):
         certified = nullity <= 3
         found_full = False
         for v in vectors:
-            w = spin(F, M.gens, [v])
+            w = spin(F, M.gens, [v], packed)
             if len(w) < dim:
                 return w
             found_full = True
@@ -141,7 +153,7 @@ def find_submodule(M, rng):
             sub = linalg.nullspace_rows(F, linalg.transpose(
                 linalg.mat_from_rows(wt)))
             assert 0 < len(sub) < dim
-            return spin(F, M.gens, sub)
+            return spin(F, M.gens, sub, packed)
         return None
     raise Undecided("no singular algebra element found in %d tries"
                     % _SPLIT_TRIES)
@@ -180,26 +192,25 @@ def _intertwiner(A, B, seed=0):
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
+    E = linalg.Echelon(F)
+    packed_a, packed_b = _pack(E, A.gens), _pack(E, B.gens)
     for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens))
-        ta = _eval_word(F, A.gens, recipe, dim)
-        tb = _eval_word(F, B.gens, recipe, dim)
-        ka = linalg.nullspace_rows(F, ta)
-        kb = linalg.nullspace_rows(F, tb)
+        ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe))
+        kb = linalg.nullspace_rows(F, _eval_word(E, packed_b, recipe))
         if len(ka) != len(kb):
             return None
         if len(ka) != 1:
             continue
-        # lockstep standard basis from the two kernel vectors
-        basis_a, basis_b = [ka[0]], [kb[0]]
-        span_a, span_b = linalg.Echelon(F, basis_a), linalg.Echelon(F, basis_b)
+        # lockstep standard basis from the two kernel vectors, packed
+        basis_a, basis_b = [E.pack(ka[0])], [E.pack(kb[0])]
+        span_a, span_b = linalg.Echelon(F, ka), linalg.Echelon(F, kb)
         i = 0
         while i < len(basis_a) and len(basis_a) < dim:
-            for ga, gb in zip(A.gens, B.gens):
-                wa = linalg.vec_mat(F, basis_a[i], ga)
-                wb = linalg.vec_mat(F, basis_b[i], gb)
-                inda = span_a.add(wa)
-                if inda != span_b.add(wb):
+            for ga, gb in zip(packed_a, packed_b):
+                wa, wb = E.image(basis_a[i], ga), E.image(basis_b[i], gb)
+                inda = span_a.add_packed(wa) is not None
+                if inda != (span_b.add_packed(wb) is not None):
                     return None
                 if inda:
                     basis_a.append(wa)
@@ -208,8 +219,8 @@ def _intertwiner(A, B, seed=0):
         if len(basis_a) < dim:
             continue  # A was not irreducible over this vector; resample
         # candidate intertwiner: basis_a[i] -> basis_b[i]
-        s = linalg.mat_mul(F, linalg.mat_inv(F, linalg.mat_from_rows(basis_a)),
-                           linalg.mat_from_rows(basis_b))
+        s = linalg.mat_mul(F, linalg.mat_inv(F, tuple(map(E.unpack, basis_a))),
+                           tuple(map(E.unpack, basis_b)))
         for ga, gb in zip(A.gens, B.gens):
             if linalg.mat_mul(F, ga, s) != linalg.mat_mul(F, s, gb):
                 return None

@@ -305,6 +305,22 @@ def test_gf3_rows_refuse_entries_outside_the_field():
     assert linalg.Echelon(GF3, [(True, 0, 2)]).rows == [(1, 0, 2)]
 
 
+def test_the_row_length_is_fixed_by_the_first_pack():
+    # unpack read the length of the last row packed, so it cut rows short
+    # or, before any pack, returned ()
+    with pytest.raises(ValueError, match="unknown"):
+        linalg.Echelon(GF3).unpack((5, 2))
+    for F in (GF3, field_create(5, 1), GF9):
+        E = linalg.Echelon(F, [(1, 0, 2, 0, 1)])
+        for v in ((1, 2), (1, 0, 2, 0, 1, 1)):
+            with pytest.raises(ValueError, match="length"):
+                E.pack(v)
+            with pytest.raises(ValueError, match="length"):
+                E.add(v)
+        assert E.rows == [(1, 0, 2, 0, 1)]
+        assert E.unpack(E.pack((0, 2, 0, 0, 1))) == (0, 2, 0, 0, 1)
+
+
 def _reference_spin(F, gens, seeds):
     """meataxe.spin as it ran before rows were packed, one field entry at
     a time; kept as its oracle."""

@@ -194,6 +194,63 @@ def _is_invariant(M, B):
         GF3, B, linalg.transpose(g))) == B for g in M.gens)
 
 
+def _reference_eval_word(F, gens, recipe, dim):
+    """meataxe._eval_word as it ran before generator rows were packed, one
+    field entry at a time; kept as its oracle."""
+    total = [[0] * dim for _ in range(dim)]
+    for coeff, idxs in recipe:
+        m = gens[idxs[0]]
+        for i in idxs[1:]:
+            m = linalg.mat_mul(F, m, gens[i])
+        for r in range(dim):
+            row = m[r]
+            trow = total[r]
+            for c in range(dim):
+                trow[c] = F.add(trow[c], F.mul(coeff, row[c]))
+    return tuple(tuple(r) for r in total)
+
+
+def test_eval_word_matches_the_per_entry_one(tensor_factors):
+    rng = random.Random(19)
+    squares = [tensor_module(U, U) for U in (
+        permutation_module(n, [cycle(n), transposition(n)]) for n in (8, 9))]
+    # the dim-13 factor in a random basis, so both generators are dense
+    f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
+    P = ((0,) * 13,) * 13
+    while linalg.det(GF3, P) == 0:
+        P = tuple(tuple(rng.randrange(3) for _ in range(13)) for _ in range(13))
+    Pinv = linalg.mat_inv(GF3, P)
+    dense = GModule(GF3, 13, tuple(linalg.mat_mul(
+        GF3, Pinv, linalg.mat_mul(GF3, g, P)) for g in f13.gens))
+    assert all(sum(map(bool, sum(g, ()))) > 169 // 2 for g in dense.gens)
+    # and the per-entry path, over GF(5)
+    F5 = field_create(5, 1)
+    U5 = permutation_module(5, [transposition(5), cycle(5)], F5)
+    for M, count in ((squares[0], 20), (squares[1], 20), (dense, 20),
+                     (tensor_module(U5, U5), 5)):
+        E = linalg.Echelon(M.field)
+        packed = meataxe._pack(E, M.gens)
+        for _ in range(count):
+            recipe = meataxe._random_word(rng, len(M.gens))
+            assert meataxe._eval_word(E, packed, recipe) == \
+                _reference_eval_word(M.field, M.gens, recipe, M.dim), recipe
+
+
+def test_splitting_stores_nothing_on_the_module():
+    # packed generator rows live only as long as the call that packs them
+    U = permutation_module(7, [cycle(7), transposition(7)])
+    M = tensor_module(U, U)
+    before = dict(vars(M))
+    factors = composition_factors(M)
+    assert vars(M) == before
+    fields = set(before)
+    assert all(set(vars(f)) == fields for f, _mult in factors)
+    f13 = next(f for f, _mult in factors if f.dim == 13)
+    before = dict(vars(f13))
+    invariant_bilinear_form(f13)
+    assert vars(f13) == before
+
+
 def test_invariant_form_on_dim13(tensor_factors):
     f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
     kind, B = invariant_bilinear_form(f13)
