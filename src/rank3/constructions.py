@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, geometry, groups, linalg
+from . import fields, geometry, groups, higman, linalg
 
 GF3 = fields.GF3
 PLUS, MINUS = geometry.PLUS, geometry.MINUS
+_START_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,36 @@ def orbit_partition(space, group, xi):
     Returns a list of OrbitReports, one per orbit, ordered by the
     smallest packed code they contain (deterministic).
     """
-    remaining = geometry.nonsingular_codes(space, xi)
-    reports = []
-    while remaining.size:
+    codes = geometry.nonsingular_codes(space, xi)
+    todo = np.zeros((space.field.q ** space.n + 7) // 8, dtype=np.uint8)
+    groups._mark(todo, codes)
+    reports, i = [], 0
+    while i < codes.size:
+        # the next start is the first code from i on whose bit in the
+        # bitmap of unvisited points is set, looked for a window at a time
+        w = codes[i:i + _START_WINDOW]
+        hit = np.flatnonzero(todo[w >> 3] & groups._BIT[w & 7])
+        if not hit.size:
+            i += _START_WINDOW
+            continue
+        i += int(hit[0])
         start = tuple(int(x) for x in
-                      geometry.decode_codes(remaining[:1], space.n)[0])
+                      geometry.decode_codes(codes[i:i + 1], space.n)[0])
         t0 = time.time()
-        size, d, codes = groups.orbit_codes(space, group, start)
+        size, d, orbit = groups.orbit_codes(space, group, start)
         reports.append(groups.make_report(space, start, size, d,
                                           time.time() - t0))
-        pos = np.searchsorted(remaining, codes)
-        if not (remaining.take(pos, mode="clip") == codes).all():
+        byte, bit = orbit >> 3, groups._BIT[orbit & 7]
+        if not (todo[byte] & bit).all():
             raise AssertionError("orbit of %r leaves the unvisited points"
                                  % (start,))
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[pos] = False
-        remaining = remaining[keep]
+        np.bitwise_and.at(todo, byte, ~bit)
+    if space.n >= 5:
+        total = higman.odd_orthogonal_params((space.n - 1) // 2, xi).total
+        found = sum(r.size for r in reports)
+        if found != total:
+            raise AssertionError("orbit sizes of type %s add up to %d, not "
+                                 "|E_%s| = %d" % (xi, found, xi, total))
     return reports
 
 

@@ -608,10 +608,8 @@ def _canonical_codes(M1, M2, pieces):
 
 
 def _mark(bits, codes):
-    """Set the bits of sorted, unique codes."""
-    byte = codes >> 3
-    first = np.flatnonzero(np.diff(byte, prepend=-1))
-    bits[byte[first]] |= np.bitwise_or.reduceat(_BIT[codes & 7], first)
+    """Set the bits of codes, in any order and with repeats."""
+    np.bitwise_or.at(bits, codes >> 3, _BIT[codes & 7])
 
 
 def _distinct(codes):
@@ -642,8 +640,9 @@ def _scan(gens, start, gram):
     _TABLE_DIGITS, looks up every generator's image of each chunk in
     _image_tables and sums the chunks with the bitsliced gf3_add.  The
     image masks become canonical codes through the _PIECE_BITS-bit tables
-    of _piece_tables.  Images already seen are dropped chunk by chunk, and
-    what is left is merged into the seen-set once per level.
+    of _piece_tables.  Images already seen are dropped chunk by chunk,
+    which leaves each part sorted and distinct; a level's parts are merged
+    and join the seen-set once per level.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
@@ -681,7 +680,7 @@ def _scan(gens, start, gram):
             d += int(np.count_nonzero(f % 3 == 0))
             c = _canonical_codes(M1, M2, pieces)
             parts.append(_drop_seen(seen, c.ravel()))
-        new = _distinct(np.concatenate(parts))
+        new = _distinct(np.concatenate(parts)) if parts[1:] else parts[0]
         if not new.size:
             break
         size += new.size

@@ -49,12 +49,13 @@ def tensor_module(m1, m2):
 # ---------------------------------------------------------------------------
 # algebra elements and spinning
 
-def _random_word(rng, k):
-    """A recipe: list of (coefficient choice, generator index list)."""
+def _random_word(rng, k, p):
+    """A recipe: list of (coefficient 1..p-1, generator index list)."""
     terms = []
     for _ in range(rng.randint(1, 3)):
         length = rng.randint(1, 4)
-        terms.append((rng.randint(1, 2), [rng.randrange(k) for _ in range(length)]))
+        terms.append((rng.randint(1, p - 1),
+                      [rng.randrange(k) for _ in range(length)]))
     return terms
 
 
@@ -132,7 +133,7 @@ def find_submodule(M, rng):
     E = linalg.Echelon(F)
     packed = _pack(E, M.gens)
     for _ in range(_SPLIT_TRIES):
-        theta = _eval_word(E, packed, _random_word(rng, len(M.gens)))
+        theta = _eval_word(E, packed, _random_word(rng, len(M.gens), F.p))
         ker = linalg.nullspace_rows(F, theta)
         nullity = len(ker)
         if nullity == 0:
@@ -195,7 +196,7 @@ def _intertwiner(A, B, seed=0):
     E = linalg.Echelon(F)
     packed_a, packed_b = _pack(E, A.gens), _pack(E, B.gens)
     for _ in range(_ISO_TRIES):
-        recipe = _random_word(rng, len(A.gens))
+        recipe = _random_word(rng, len(A.gens), F.p)
         ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe))
         kb = linalg.nullspace_rows(F, _eval_word(E, packed_b, recipe))
         if len(ka) != len(kb):

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from rank3 import constructions, fields, groups
+from rank3 import constructions, fields, geometry, groups
 from rank3.constructions import (CASE_BUILDERS, build_case,
                                  deleted_module_closed_forms,
                                  deleted_permutation_module,
@@ -252,3 +253,37 @@ def test_orbit_partition_one_scan_per_orbit(label, monkeypatch):
         assert sum(p.size for p in parts) == odd_orthogonal_params(m, xi).total
         assert all(p.size == 1 + p.c + p.d for p in parts)
         assert calls == [p.base_point for p in parts]
+
+
+def test_orbit_partition_checks_the_closed_form_count(monkeypatch):
+    scan = groups.orbit_codes
+
+    def one_point_too_many(*args):
+        size, d, codes = scan(*args)
+        return size + 1, d, codes
+
+    monkeypatch.setattr(groups, "orbit_codes", one_point_too_many)
+    case = build_case("wreath-n7")
+    with pytest.raises(AssertionError,
+                       match=r"type \+ add up to \d+, not \|E_\+\| = 378"):
+        orbit_partition(case.space, case.group, "+")
+
+
+@pytest.mark.parametrize("fault", ["foreign code", "first orbit again"])
+def test_orbit_partition_refuses_an_orbit_off_the_unvisited_points(
+        fault, monkeypatch):
+    case = build_case("wreath-n7")
+    scan = groups.orbit_codes
+    foreign = geometry.nonsingular_codes(case.space, "-")[:1]
+    first = []
+
+    def faulty(*args):
+        size, d, codes = scan(*args)
+        if fault == "foreign code":
+            return size + 1, d, np.union1d(codes, foreign)
+        first.append((size, d, codes))
+        return first[0]
+
+    monkeypatch.setattr(groups, "orbit_codes", faulty)
+    with pytest.raises(AssertionError, match="leaves the unvisited points"):
+        orbit_partition(case.space, case.group, "+")

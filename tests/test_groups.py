@@ -495,6 +495,20 @@ def test_image_tables_match_vector_products(n, sizes):
                 == np.arange(3 ** (b - a))).all()
 
 
+def test_mark_sets_the_bits_of_unsorted_repeated_codes():
+    rng = np.random.default_rng(20)
+    # repeats, several codes to a byte, and no order
+    codes = np.concatenate([rng.integers(0, 200, 60),
+                            [9, 8, 15, 9, 8, 199, 0, 15]])
+    rng.shuffle(codes)
+    bits = np.zeros(25, dtype=np.uint8)
+    bits[3] = 0b10000001  # bits set before stay set
+    groups._mark(bits, codes)
+    found = {8 * i + j for i in range(bits.size) for j in range(8)
+             if bits[i] >> j & 1}
+    assert found == set(codes.tolist()) | {24, 31}
+
+
 def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
     sp, G = _wreath7()
     # a _distinct that keeps duplicates lets one point into a level twice

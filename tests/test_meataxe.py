@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rank3 import linalg, meataxe
+from rank3 import geometry, groups, linalg, meataxe
+from rank3.constructions import orbit_partition
 from rank3.fields import GF3, field_create
 from rank3.meataxe import (GModule, Undecided, composition_factors,
                            invariant_bilinear_form, modules_isomorphic,
@@ -92,11 +93,14 @@ def test_sub_and_quotient_actions_match_the_old_loops(n):
         W = meataxe.find_submodule(M, rng)
         if W is None:
             continue
-        # the spun rows, and a basis of W that is not in echelon form
-        P = linalg.identity(len(W))
-        while linalg.det(GF3, P) == 0:
+        # the spun rows, and another basis of W, not in echelon form: P
+        # starts as zero so that an invertible P other than 1 is drawn
+        P = ((0,) * len(W),) * len(W)
+        while linalg.det(GF3, P) == 0 or P == linalg.identity(len(W)):
             P = tuple(tuple(rng.randrange(3) for _ in W) for _ in W)
-        for basis in (W, list(linalg.mat_mul(GF3, P, W))):
+        other = list(linalg.mat_mul(GF3, P, W))
+        assert other != list(W)
+        for basis in (W, other):
             S = meataxe.submodule_action(M, basis)
             Q = meataxe.quotient_action(M, basis)
             assert (S.dim, S.gens) == _reference_submodule(M, basis)
@@ -152,7 +156,7 @@ def test_tensor_factors_s8():
 
 @pytest.mark.parametrize("p, n, dims", [
     (5, 4, {1: 1, 3: 1}), (5, 5, {1: 2, 3: 1}), (5, 6, {1: 1, 5: 1}),
-    (2, 4, {1: 2, 2: 1})])
+    (2, 4, {1: 2, 2: 1}), (7, 4, {1: 1, 3: 1}), (7, 5, {1: 1, 4: 1})])
 def test_factors_over_other_prime_fields(p, n, dims):
     # over GF(p), p != 3, the MeatAxe works one field entry at a time
     F = field_create(p, 1)
@@ -231,7 +235,7 @@ def test_eval_word_matches_the_per_entry_one(tensor_factors):
         E = linalg.Echelon(M.field)
         packed = meataxe._pack(E, M.gens)
         for _ in range(count):
-            recipe = meataxe._random_word(rng, len(M.gens))
+            recipe = meataxe._random_word(rng, len(M.gens), M.field.p)
             assert meataxe._eval_word(E, packed, recipe) == \
                 _reference_eval_word(M.field, M.gens, recipe, M.dim), recipe
 
@@ -332,6 +336,26 @@ def test_tensor_square_factors_are_pinned(tensor_splits):
         split = [(f.dim, mult, f.gens) for f, mult in tensor_splits[n]]
         assert [(d, mult) for d, mult, _ in split] == dims, n
         assert hashlib.sha256(repr(split).encode()).hexdigest() == digest, n
+
+
+# sha256 of repr([(xi, base point, size, c, d)]) of both orbit partitions
+# of the S8 dim-13 factor under its invariant form, as orbit_partition gave
+# them when it still searched the remaining codes for every orbit
+S8_PARTITION_SHA256 = \
+    "905228e0a394dd545cd20c45d9869925069ccd94226e607928c4680863100db0"
+
+
+def test_s8_dim13_partition_is_pinned(tensor_factors):
+    f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
+    kind, B = invariant_bilinear_form(f13)
+    assert kind == "symmetric"
+    space = geometry.QuadraticSpace(GF3, B)
+    group = groups.MatrixGroup.unchecked(GF3, 13, f13.gens, "s8-dim13", B)
+    reports = [(xi, r.base_point, r.size, r.c, r.d) for xi in ("+", "-")
+               for r in orbit_partition(space, group, xi)]
+    assert len(reports) == 65
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == \
+        S8_PARTITION_SHA256
 
 
 def test_dual_module_skips_the_det_check(monkeypatch, tensor_factors):
