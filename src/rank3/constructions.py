@@ -52,15 +52,16 @@ def orbit_partition(space, group, xi):
     Returns a list of OrbitReports, one per orbit, ordered by the
     smallest packed code they contain (deterministic).
     """
+    if space.field.q != 3:
+        raise ValueError("orbit_partition scans GF(3) only, got %r"
+                         % space.field)
     codes = geometry.nonsingular_codes(space, xi)
-    todo = np.zeros((space.field.q ** space.n + 7) // 8, dtype=np.uint8)
-    groups._mark(todo, codes)
+    todo = groups.CodeSet(space.n, codes)
     reports, i = [], 0
     while i < codes.size:
-        # the next start is the first code from i on whose bit in the
-        # bitmap of unvisited points is set, looked for a window at a time
-        w = codes[i:i + _START_WINDOW]
-        hit = np.flatnonzero(todo[w >> 3] & groups._BIT[w & 7])
+        # the next start is the first code from i on that is still in the
+        # set of unvisited points, looked for a window at a time
+        hit = np.flatnonzero(todo.has(codes[i:i + _START_WINDOW]))
         if not hit.size:
             i += _START_WINDOW
             continue
@@ -71,11 +72,10 @@ def orbit_partition(space, group, xi):
         size, d, orbit = groups.orbit_codes(space, group, start)
         reports.append(groups.make_report(space, start, size, d,
                                           time.time() - t0))
-        byte, bit = orbit >> 3, groups._BIT[orbit & 7]
-        if not (todo[byte] & bit).all():
+        if not todo.has(orbit).all():
             raise AssertionError("orbit of %r leaves the unvisited points"
                                  % (start,))
-        np.bitwise_and.at(todo, byte, ~bit)
+        todo.remove(orbit)
     if space.n >= 5:
         total = higman.odd_orthogonal_params((space.n - 1) // 2, xi).total
         found = sum(r.size for r in reports)

@@ -12,6 +12,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import constructions, fields, genfile, geometry, groups, higman
 from . import meataxe, partitions
 
@@ -261,18 +263,17 @@ def _ingest_case(filename, expected_cd):
             group = groups.MatrixGroup.unchecked(group.field, group.dim,
                                                  group.gens, filename, B)
         space = geometry.QuadraticSpace(group.field, group.gram)
-        powers = geometry.code_powers(group.dim).tolist()
-        seen = []  # sorted packed codes of each orbit scanned so far
+        powers = geometry.code_powers(group.dim)
+        seen = groups.CodeSet(group.dim, np.empty(0, dtype=np.int64))
         observed = []
         for v in groups._small_support_vectors(group.field, group.dim):
             if len(observed) >= INGEST_MAX_STARTS:
                 break
             if space.q_value(v) == 0:
                 continue
-            pt = geometry.canonical_point(group.field, v)
-            code = sum(x * w for x, w in zip(pt, powers))
-            if any(codes.take(codes.searchsorted(code), mode="clip") == code
-                   for codes in seen):
+            code = powers @ geometry.canonical_point(group.field, v)
+            # the set is empty until the first scan, which checks the field
+            if observed and seen.has(code):
                 continue
             t0 = time.time()
             size, d, codes = groups.orbit_codes(space, group, v)
@@ -280,7 +281,8 @@ def _ingest_case(filename, expected_cd):
             observed.append([rep.c, rep.d])
             if [rep.c, rep.d] == list(expected_cd):
                 return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
-            seen.append(codes)
+            # the orbit of a start outside the set is disjoint from it
+            seen.add(codes)
         return {"cd": list(expected_cd)}, {"cd": "not found", "observed": observed}
     return run
 

@@ -9,7 +9,8 @@ points as packed base-3 codes and maps them by table lookups: per chunk of
 at most 7 digits of a code, a table of every generator's image of every
 digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
 are summed by a six-op bitsliced add, and the masks become codes again
-through 13-bit mask->code tables.
+through 13-bit mask->code tables.  A set of codes is a CodeSet: a bitmap
+of 3^n bits up to dim 15, and the sorted codes above it.
 """
 
 import itertools
@@ -505,8 +506,7 @@ class OrbitReport:
 # Packed codes are int64 base-3 numbers (geometry.code_powers); 3^40 - 1
 # no longer fits.
 MAX_CODE_DIM = 39
-# Up to this dim the seen-set is a bitmap of 3^n bits (1.8 MB at dim 15);
-# above it, the sorted array of the codes found so far.
+# CodeSets are bitmaps up to this dim (1.8 MB at dim 15), sorted codes above
 _DENSE_MAX_DIM = 15
 # Image entries per chunk (rows x generators x dim), which bounds the
 # buffers of one BFS level.
@@ -607,11 +607,6 @@ def _canonical_codes(M1, M2, pieces):
     return P + Q + np.minimum(P, Q)
 
 
-def _mark(bits, codes):
-    """Set the bits of codes, in any order and with repeats."""
-    np.bitwise_or.at(bits, codes >> 3, _BIT[codes & 7])
-
-
 def _distinct(codes):
     """Sorted distinct codes; np.unique's hash table is several times slower
     on millions of int64 codes."""
@@ -622,14 +617,57 @@ def _distinct(codes):
     return codes[keep]
 
 
-def _drop_seen(seen, codes):
-    """The distinct codes not in the seen-set (a bitmap or sorted codes),
-    sorted."""
-    if seen.dtype == np.uint8:
-        return _distinct(codes[(seen[codes >> 3] & _BIT[codes & 7]) == 0])
-    codes = _distinct(codes)  # sorted keys keep the binary search in cache
-    pos = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
-    return codes[seen[pos] != codes]
+class CodeSet:
+    """A set of packed codes of GF(3) points of dim n, from sorted distinct
+    codes.  Up to _DENSE_MAX_DIM it is a bitmap of 3^n bits with the runs of
+    codes added to it; above, the sorted array of its codes.  Arrays given
+    to it are kept without a copy."""
+
+    def __init__(self, n, codes):
+        self._bits = None
+        if n <= _DENSE_MAX_DIM:
+            self._bits = np.zeros((3 ** n + 7) // 8, dtype=np.uint8)
+            self._runs = []
+            self.add(codes)
+        else:
+            self._sorted = codes
+
+    def has(self, codes):
+        """A bool mask of which codes, in any order, are in the set."""
+        if self._bits is not None:
+            return (self._bits[codes >> 3] & _BIT[codes & 7]) != 0
+        if not self._sorted.size:
+            return np.zeros(codes.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(self._sorted, codes),
+                         self._sorted.size - 1)
+        return self._sorted[pos] == codes
+
+    def missing(self, codes):
+        """The distinct codes not in the set, sorted."""
+        if self._bits is not None:
+            return _distinct(codes[~self.has(codes)])
+        codes = _distinct(codes)  # sorted keys keep the binary search in cache
+        return codes[~self.has(codes)]
+
+    def add(self, new):
+        """Add sorted, distinct codes that are not in the set."""
+        if self._bits is not None:
+            np.bitwise_or.at(self._bits, new >> 3, _BIT[new & 7])
+            self._runs.append(new)
+        else:
+            self._sorted = np.insert(self._sorted,
+                                     np.searchsorted(self._sorted, new), new)
+
+    def remove(self, codes):
+        """Drop codes, all in the set, from a bitmap; codes() then fails."""
+        np.bitwise_and.at(self._bits, codes >> 3, ~_BIT[codes & 7])
+        self._runs = None
+
+    def codes(self):
+        """The sorted codes in the set."""
+        if self._bits is None:
+            return self._sorted
+        return np.sort(np.concatenate(self._runs))
 
 
 def _scan(gens, start, gram):
@@ -640,9 +678,9 @@ def _scan(gens, start, gram):
     _TABLE_DIGITS, looks up every generator's image of each chunk in
     _image_tables and sums the chunks with the bitsliced gf3_add.  The
     image masks become canonical codes through the _PIECE_BITS-bit tables
-    of _piece_tables.  Images already seen are dropped chunk by chunk,
-    which leaves each part sorted and distinct; a level's parts are merged
-    and join the seen-set once per level.
+    of _piece_tables.  Images in the seen-set (a CodeSet) are dropped chunk
+    by chunk, which leaves each part sorted and distinct; a level's parts
+    are merged and join the seen-set once per level.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
@@ -657,13 +695,7 @@ def _scan(gens, start, gram):
     chunks = _digit_chunks(n)
     tables = _image_tables(np.array(gens, dtype=np.int64) % 3, gx, chunks)
     rows = max(1, _CHUNK_ENTRIES // (len(gens) * n))
-    dense = n <= _DENSE_MAX_DIM
-    if dense:
-        seen = np.zeros((3 ** n + 7) // 8, dtype=np.uint8)
-        _mark(seen, codes)
-        levels = [codes]
-    else:
-        seen = codes
+    seen = CodeSet(n, codes)
     # every orbit point is counted once, as part of a frontier; the start
     # point is taken back out of d
     size, d = 1, -int(x @ gx % 3 == 0)
@@ -679,7 +711,7 @@ def _scan(gens, start, gram):
                 f += ft.take(digit)
             d += int(np.count_nonzero(f % 3 == 0))
             c = _canonical_codes(M1, M2, pieces)
-            parts.append(_drop_seen(seen, c.ravel()))
+            parts.append(seen.missing(c.ravel()))
         new = _distinct(np.concatenate(parts)) if parts[1:] else parts[0]
         if not new.size:
             break
@@ -687,13 +719,9 @@ def _scan(gens, start, gram):
         if size > ORBIT_CAP:
             raise OrbitCapExceeded("orbit exceeds the cap of %d points"
                                    % ORBIT_CAP)
-        if dense:
-            _mark(seen, new)
-            levels.append(new)
-        else:
-            seen = np.insert(seen, np.searchsorted(seen, new), new)
+        seen.add(new)
         frontier = new
-    codes = np.sort(np.concatenate(levels)) if dense else seen
+    codes = seen.codes()
     assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
         "orbit scan codes are not %d strictly increasing codes" % size
     return size, d, codes

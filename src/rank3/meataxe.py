@@ -182,6 +182,8 @@ def composition_factors(M, seed=0):
                 break
         else:
             out.append((leaf, 1))
+    found = sum(rep.dim * mult for rep, mult in out)
+    assert found == M.dim, "factor dims add up to %d, not %d" % (found, M.dim)
     return out
 
 

@@ -269,6 +269,13 @@ def test_orbit_partition_checks_the_closed_form_count(monkeypatch):
         orbit_partition(case.space, case.group, "+")
 
 
+def test_orbit_partition_refuses_other_fields():
+    # the unvisited points are a CodeSet of GF(3) codes
+    sp = standard_space(5, fields.field_create(5, 1))
+    with pytest.raises(ValueError, match=r"GF\(3\) only, got GF\(5\)"):
+        orbit_partition(sp, groups.omega_generators(sp), "+")
+
+
 @pytest.mark.parametrize("fault", ["foreign code", "first orbit again"])
 def test_orbit_partition_refuses_an_orbit_off_the_unvisited_points(
         fault, monkeypatch):

@@ -112,21 +112,47 @@ def export_to_ingest(tmp_path, monkeypatch, case, filename):
     monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
 
 
-@pytest.mark.parametrize("pin,computed", [
-    ((44, 111), {"cd": [44, 111]}),
-    ((1, 1), {"cd": "not found", "observed": [[0, 12], [44, 111]]}),
-])
-def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, pin,
-                                           computed):
+def cycles21():
+    # A_21 on the coordinates and sign changes of pairs: dim 21 takes the
+    # sorted codes, and the orbits of e_1 and e_1 + e_2 have 21 and 420
+    # points
+    from rank3 import constructions, fields, geometry, groups, linalg
+    n = 21
+    sp = geometry.standard_space(n, fields.GF3)
+    flip = [list(r) for r in linalg.identity(n)]
+    flip[0][0] = flip[1][1] = 2
+    gens = (linalg.perm_matrix(tuple(range(1, n)) + (0,)),
+            linalg.perm_matrix((1, 2, 0) + tuple(range(3, n))),
+            tuple(map(tuple, flip)))
+    group = groups.MatrixGroup(fields.GF3, n, gens, gram=sp.gram)
+    return constructions.ConstructedCase("cycles-n21", sp, group, (),
+                                         "signed coordinate permutations")
+
+
+def wreath13():
     from rank3 import constructions
-    export_to_ingest(tmp_path, monkeypatch,
-                     constructions.build_case("wreath-n13"), "l213-dim13.gen")
-    result = expected.run_case("ingest-demo", "ingest", "exported frame "
-                               "stabilizer", expected._ingest_case(
-                                   "l213-dim13.gen", pin))
+    return constructions.build_case("wreath-n13")
+
+
+@pytest.mark.parametrize("make,pin,computed", [
+    pytest.param(wreath13, (44, 111), {"cd": [44, 111]}, id="pin0-computed0"),
+    pytest.param(wreath13, (1, 1), {"cd": "not found",
+                                    "observed": [[0, 12], [44, 111]]},
+                 id="pin1-computed1"),
+    pytest.param(cycles21, (1, 1), {"cd": "not found",
+                                    "observed": [[0, 20], [76, 343]]},
+                 id="dim21-not-found"),
+])
+def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, make, pin,
+                                           computed):
+    # the bitmap at dim 13 and sorted codes at dim 21: each start in an
+    # orbit already scanned is skipped
+    export_to_ingest(tmp_path, monkeypatch, make(), "demo.gen")
+    result = expected.run_case("ingest-demo", "ingest", "exported group",
+                               expected._ingest_case("demo.gen", pin))
     assert result.expected == {"cd": list(pin)}
     assert result.computed == computed
-    assert result.match == (pin == (44, 111))
+    assert result.match == (computed == {"cd": list(pin)})
     assert result.error is None
 
 

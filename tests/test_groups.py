@@ -495,18 +495,42 @@ def test_image_tables_match_vector_products(n, sizes):
                 == np.arange(3 ** (b - a))).all()
 
 
-def test_mark_sets_the_bits_of_unsorted_repeated_codes():
+def _check_code_set(s, ref, queries):
+    for q in queries:
+        assert s.has(q).tolist() == [c in ref for c in q.tolist()]
+        assert s.missing(q).tolist() == sorted(set(q.tolist()) - ref)
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_code_set_matches_python_sets(n):
+    # a bitmap at dim 7, sorted codes at dim 21
     rng = np.random.default_rng(20)
+    last = 3 ** n - 1
     # repeats, several codes to a byte, and no order
-    codes = np.concatenate([rng.integers(0, 200, 60),
+    small = np.concatenate([rng.integers(0, 200, 60),
                             [9, 8, 15, 9, 8, 199, 0, 15]])
-    rng.shuffle(codes)
-    bits = np.zeros(25, dtype=np.uint8)
-    bits[3] = 0b10000001  # bits set before stay set
-    groups._mark(bits, codes)
-    found = {8 * i + j for i in range(bits.size) for j in range(8)
-             if bits[i] >> j & 1}
-    assert found == set(codes.tolist()) | {24, 31}
+    rng.shuffle(small)
+    wide = rng.integers(0, 3 ** n, 300)
+    ends = np.array([last, 0, last])  # the first and last codes of the space
+    queries = [small, wide, ends, rng.integers(0, 3 ** n, 500),
+               np.empty(0, dtype=np.int64)]
+    _check_code_set(groups.CodeSet(n, np.empty(0, dtype=np.int64)), set(),
+                    queries)
+    ref = {24, 31}  # codes added before stay in the set
+    s = groups.CodeSet(n, np.array(sorted(ref)))
+    for batch in (small, wide, ends):
+        new = sorted(set(batch.tolist()) - ref)
+        s.add(np.array(new, dtype=np.int64))
+        ref |= set(new)
+        assert s.codes().tolist() == sorted(ref)
+        _check_code_set(s, ref, queries)
+    if n <= groups._DENSE_MAX_DIM:
+        # half the set, unsorted, the first and last codes among them
+        rest = rng.permutation(sorted(ref - {0, last}))
+        drop = np.concatenate([[last], rest[:len(rest) // 2], [0]])
+        s.remove(drop)
+        ref -= set(drop.tolist())
+        _check_code_set(s, ref, queries)
 
 
 def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):

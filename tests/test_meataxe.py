@@ -145,6 +145,28 @@ def test_s6_factors():
     assert dims == [1, 1, 4]
 
 
+def test_composition_factors_assert_their_dims_add_up(monkeypatch):
+    # a quotient action that drops the last basis vector of every quotient
+    # of dim >= 2 loses dimensions the factors can no longer account for
+    quotient = meataxe.quotient_action
+    drops = []
+
+    def drop_one(M, basis):
+        Q = quotient(M, basis)
+        if Q.dim < 2:
+            return Q
+        drops.append(Q.dim)
+        gens = tuple(tuple(row[:-1] for row in g[:-1]) for g in Q.gens)
+        return GModule.unchecked(Q.field, Q.dim - 1, gens)
+
+    monkeypatch.setattr(meataxe, "quotient_action", drop_one)
+    M = permutation_module(6, [cycle(6), transposition(6)])
+    with pytest.raises(AssertionError,
+                       match=r"factor dims add up to \d+, not 6$"):
+        composition_factors(M)
+    assert drops
+
+
 def test_tensor_factors_s8():
     M = permutation_module(8, [cycle(8), transposition(8)])
     T = tensor_module(M, M)
