@@ -225,12 +225,13 @@ def _case_mullineux():
     computed = {"table": [list(partitions.mullineux_map(l)) for l, _m in _TABLE5]}
     ok = True
     for n in range(1, 21):
-        for lam in partitions.p_regular_partitions(n):
-            # the good-node map, checked forward by the rim-symbol rule
-            m = partitions.mullineux_map(lam)
-            ok &= (sum(m) == n and partitions.mullineux_map(m) == lam
-                   and partitions.mullineux_symbol(m)
-                   == partitions.image_symbol(partitions.mullineux_symbol(lam)))
+        # M is an involution here, and each image obeys the rim-symbol rule
+        img = {lam: partitions.mullineux_map(lam)
+               for lam in partitions.p_regular_partitions(n)}
+        sym = {lam: partitions.mullineux_symbol(lam) for lam in img}
+        ok &= all(img.get(m) == lam
+                  and sym.get(m) == partitions.image_symbol(sym[lam])
+                  for lam, m in img.items())
     computed["involution_n20"] = ok
     computed["hooks"] = [n for n in range(5, 61)
                          if partitions.is_mullineux_fixed((n - 2, 1, 1))]

@@ -315,34 +315,33 @@ def first_nonsingular_point(space, xi):
     return _point_tuples(space, t, idx[:1])[0]
 
 
-def _delta_graph(space, xi):
-    """Adjacency matrix A of the perpendicularity graph on E_xi, and A^2.
+def _common_neighbours(A):
+    """A^2 of a symmetric 0/1 matrix, exactly: entry (i, j) is the popcount
+    of row i AND row j, over the rows packed into 64-bit words."""
+    R = np.packbits(A, axis=1)
+    A2 = np.zeros(A.shape, dtype=np.int64)
+    for w in np.pad(R, ((0, 0), (0, -R.shape[1] % 8))).view(np.uint64).T:
+        A2 += np.bitwise_count(w[:, None] & w[None, :])
+    return A2
 
-    A^2 is a float64 BLAS product: numpy has no BLAS for int64, whose
-    product is about 10x slower at N = 378.  Its entries count common
-    neighbours, at most N, so they are exact while N < 2^53.  The form's
-    product has inner dim n and stays in int64."""
+
+def _delta_graph(space, xi):
+    """The perpendicularity graph on E_xi: its int64 adjacency A and A^2."""
     P = np.array(nonsingular_points(space, xi), dtype=np.int64)
     A = ((P @ space._gram_np @ P.T) % space.field.p == 0).astype(np.int64)
     np.fill_diagonal(A, 0)
-    assert len(A) < 2 ** 53
-    return A, (A.astype(np.float64) @ A).astype(np.int64)
+    return A, _common_neighbours(A)
 
 
 def measured_rank3_parameters(space, xi):
     """(|E|, k, l, lambda, mu) measured on the explicit point set.  Raises
     AssertionError unless the Delta-graph is strongly regular."""
     A, A2 = _delta_graph(space, xi)
-    N = len(A)
-    ks = A.sum(axis=1)
+    N, ks = len(A), A.sum(axis=1)
     if ks.min() != ks.max():
         raise AssertionError("Delta-graph is not regular")
     k = int(ks[0])
-    l = N - 1 - k
-    lam_vals = set(A2[A == 1].tolist())
-    off = (1 - A).astype(bool)
-    np.fill_diagonal(off, False)
-    mu_vals = set(A2[off].tolist())
-    if len(lam_vals) != 1 or len(mu_vals) != 1:
+    lam, mu = A2[A == 1], A2[(A == 0) & ~np.eye(N, dtype=bool)]
+    if any(v.size == 0 or v.min() != v.max() for v in (lam, mu)):
         raise AssertionError("intersection numbers are not constant")
-    return N, k, l, lam_vals.pop(), mu_vals.pop()
+    return N, k, N - 1 - k, int(lam[0]), int(mu[0])

@@ -22,13 +22,16 @@ def check_partition(lam):
 
 def is_p_regular(lam):
     """No part repeated P or more times."""
-    lam = check_partition(lam)
+    return _is_regular(check_partition(lam))
+
+
+def _is_regular(lam):
     return all(lam.count(x) < P for x in set(lam))
 
 
 def _check_regular(lam):
     lam = check_partition(lam)
-    if not is_p_regular(lam):
+    if not _is_regular(lam):
         raise ValueError("partition is not %d-regular" % P)
     return lam
 
@@ -46,7 +49,7 @@ def partitions_of(n):
 
 
 def p_regular_partitions(n):
-    return [lam for lam in partitions_of(n) if is_p_regular(lam)]
+    return [lam for lam in partitions_of(n) if _is_regular(lam)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,3 +195,21 @@ def test_measured_parameters_small():
     sp = standard_space(5, GF3)
     assert geometry.measured_rank3_parameters(sp, "+") == (45, 12, 32, 3, 3)
     assert geometry.measured_rank3_parameters(sp, "-") == (36, 15, 20, 6, 6)
+
+
+@pytest.mark.parametrize("n,xi,size", [(5, "+", 45), (5, "-", 36),
+                                       (7, "+", 378), (7, "-", 351)])
+def test_delta_graph_square_matches_the_integer_product(n, xi, size):
+    A, A2 = geometry._delta_graph(standard_space(n, GF3), xi)
+    assert len(A) == size
+    assert A.dtype == A2.dtype == np.int64
+    assert np.array_equal(A2, A @ A)
+
+
+def test_common_neighbours_matches_the_integer_product_on_random_graphs():
+    # N runs across several multiples of 64, where the packed rows gain a word
+    rng = np.random.default_rng(22)
+    for N in range(1, 201):
+        upper = np.triu(rng.integers(0, 2, (N, N), dtype=np.int64), 1)
+        A = upper + upper.T
+        assert np.array_equal(geometry._common_neighbours(A), A @ A), N

@@ -111,6 +111,10 @@ _MEASURED = {"D = 5 is not a perfect square": (5, 2, 2, 0, 1)}
     (_cycle(6), "intersection numbers are not constant"),
     # the pentagon has constant lambda = 0 and mu = 1, but D = 5
     (_cycle(5), "D = 5 is not a perfect square"),
+    # K3 has no non-edges, so no mu; the edgeless graph has no lambda
+    (np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64),
+     "intersection numbers are not constant"),
+    (np.zeros((3, 3), dtype=np.int64), "intersection numbers are not constant"),
 ])
 def test_non_srg_graph_is_refused(A, reason, monkeypatch):
     monkeypatch.setattr(geometry, "_delta_graph", lambda space, xi: (A, A @ A))

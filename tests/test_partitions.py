@@ -119,6 +119,19 @@ def test_ledger_case_fails_when_the_symbol_rule_is_mutated(monkeypatch):
     assert result.computed["involution_n20"] is False
 
 
+def test_ledger_case_fails_when_the_involution_is_mutated(monkeypatch):
+    # M((7,)) = (4, 3); the mutant sends (7,) to a partition that is not
+    # 3-regular, so the image has no image of its own
+    case = next(c for c in expected.CASES if c[0] == "mullineux-suite")
+    good = partitions.mullineux_map
+    monkeypatch.setattr(partitions, "mullineux_map",
+                        lambda lam: (1,) * 7 if lam == (7,) else good(lam))
+    result = expected.run_case(*case)
+    assert result.error is None
+    assert not result.match
+    assert result.computed["involution_n20"] is False
+
+
 def test_fixed_points_are_involution_fixed():
     for n in range(1, 15):
         for lam in p_regular_partitions(n):
