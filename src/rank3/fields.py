@@ -7,6 +7,8 @@ fields goes through log/antilog tables built once at field creation.
 
 from functools import lru_cache
 
+import numpy as np
+
 SQUARE = "square"
 NONSQUARE = "nonsquare"
 
@@ -294,6 +296,18 @@ def field_create(p, a, modulus=None):
 
 
 GF3 = field_create(3, 1)
+
+
+def tables(F):
+    """The (q, q) add and mul tables of F, in the smallest signed dtype that
+    holds q^2, so flat indices xq + y fit.  xy is linear in y's digits."""
+    basis = F.p ** np.arange(F.a)
+    digits = np.arange(F.q)[:, None] // basis % F.p
+    xt = np.array([[F.mul(v, b) for b in basis.tolist()] for v in range(F.q)])
+    add = (digits[:, None] + digits) % F.p @ basis
+    mul = digits @ (xt[..., None] // basis % F.p) % F.p @ basis
+    dt = np.min_scalar_type(-F.q ** 2)
+    return add.astype(dt), mul.astype(dt)
 
 
 def gf3_add(a1, a2, b1, b2):

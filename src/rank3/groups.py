@@ -28,8 +28,6 @@ from .geometry import PLUS, MINUS
 ORBIT_CAP = 30_000_000
 # group_closure raises once a group has more elements than this
 CLOSURE_CAP = 200_000
-# frontier matrices per group_closure product; small keeps the peak low
-_CLOSURE_CHUNK = 64
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -81,8 +79,7 @@ def reflection(space, u):
         raise ValueError("reflection needs a non-singular vector")
     qinv = F.inv(qu)
     rows = []
-    for i in range(space.n):
-        e = tuple(1 if j == i else 0 for j in range(space.n))
+    for e in linalg.identity(space.n):
         c = F.mul(space.form(e, u), qinv)
         rows.append(linalg.vec_sub(F, e, linalg.vec_scale(F, c, u)))
     return linalg.mat_from_rows(rows)
@@ -99,8 +96,7 @@ def eichler(space, u, v):
         raise ValueError("v must not be a multiple of u")
     qv = space.q_value(v)
     rows = []
-    for i in range(space.n):
-        e = tuple(1 if j == i else 0 for j in range(space.n))
+    for e in linalg.identity(space.n):
         fxv = space.form(e, v)
         fxu = space.form(e, u)
         x = linalg.vec_add(F, e, linalg.vec_scale(F, fxv, u))
@@ -156,13 +152,28 @@ def _small_support_vectors(F, n):
 
 
 def find_vector_with_q(space, gamma):
-    """Deterministic search for v with Q(v) = gamma."""
-    F = space.field
-    for v in _small_support_vectors(F, space.n):
-        if space.q_value(v) == gamma:
-            return v
-    if F.q ** space.n <= 3 ** 12:
-        for v in itertools.product(F.elements(), repeat=space.n):
+    """The first v with Q(v) = gamma in _small_support_vectors order, else in
+    GF(q)^n up to 3^12 vectors.  A support size is scored at once: Q(v) is
+    sum over a <= b of v_a v_b U[S_a, S_b], U the gram but U_ii = Q(e_i)."""
+    F, n = space.field, space.n
+    add, mul = fields.tables(F)
+    U = np.array(space.gram)
+    U[np.diag_indices(n)] = [space.q_value(e) for e in linalg.identity(n)]
+    for k in range(1, min(n, 3) + 1):
+        S = np.array(list(itertools.combinations(range(n), k)))
+        X = [x + 1 for x in np.indices((F.q - 1,) * k, sparse=True)]
+        Q = 0  # indexed by (support, v_S_1 - 1, ..., v_S_k - 1)
+        for b in range(k):
+            for a in range(b + 1):
+                u = U[S[:, a], S[:, b]].reshape((-1,) + (1,) * k)
+                Q = add.take(Q * F.q + mul[mul[X[a], X[b]][None], u])
+        hit = np.unravel_index(np.argmax(Q == gamma), Q.shape)
+        if Q[hit] == gamma:
+            v = np.zeros(n, dtype=np.int64)
+            v[S[hit[0]]] = np.add(hit[1:], 1)
+            return tuple(v.tolist())
+    if F.q ** n <= 3 ** 12:
+        for v in itertools.product(F.elements(), repeat=n):
             if any(v) and space.q_value(v) == gamma:
                 return tuple(v)
     raise ValueError("no vector with Q = %r found" % (gamma,))
@@ -172,56 +183,47 @@ def hyperbolic_pair(space):
     """(e, f) with Q(e) = Q(f) = 0 and f(e,f) = 1."""
     F = space.field
     e = find_vector_with_q(space, 0)
-    w = None
-    for i in range(space.n):
-        b = tuple(1 if j == i else 0 for j in range(space.n))
-        if space.form(e, b) != 0:
-            w = b
-            break
-    assert w is not None, "degenerate form"
+    w = next(b for b in linalg.identity(space.n) if space.form(e, b) != 0)
     w = linalg.vec_scale(F, F.inv(space.form(e, w)), w)
     f = linalg.vec_sub(F, w, linalg.vec_scale(F, space.q_value(w), e))
     assert space.q_value(f) == 0 and space.form(e, f) == 1
     return e, f
 
 
-def group_closure(F, gens):
-    """Every element of the group that the n x n matrices gens generate.
+def _row_tables(F, gens):
+    """R[g, code(v)] = code(v gens[g]) for every v in GF(q)^n, codes base q
+    (code_powers), by T -> [c g_i + T for c in F] from the last row g_i up."""
+    add, mul = fields.tables(F)
+    n = len(gens[0])
+    R = np.empty((len(gens), F.q ** n), np.min_scalar_type(-F.q ** n))
+    for i, g in enumerate(np.array(gens)):  # one at a time: a low peak
+        T = np.zeros((1, n), dtype=add.dtype)
+        for row in g[::-1]:
+            T = add[mul[:, row][:, None], T].reshape(-1, n)
+        R[i] = T @ geometry.code_powers(n, F.q).astype(R.dtype)
+    return R
 
-    A matrix over GF(p^a) is enumerated as its (na x na) image over GF(p):
-    entry x becomes the a x a block whose row i is t^i x on the power basis
-    1, t, ..., t^(a-1), an injective ring map (the identity when a = 1).
-    Each BFS level multiplies frontier chunks by all generators in one int64
-    product mod p.  The set holds each element's row-major bytes in the
-    smallest unsigned dtype holding p - 1; its length is the group order.
-    Raises RuntimeError past CLOSURE_CAP, ValueError near int64 overflow.
-    """
-    p, a = F.p, F.a
-    d = len(gens[0]) * a
-    if d * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError("group_closure: %d x %d products over GF(%d) can "
-                         "pass the int64 limit 2^63" % (d, d, p))
-    G = np.array([[[[fields._decode(F.mul(x, p ** i), p, a) for i in range(a)]
-                    for x in row] for row in g] for g in gens], dtype=np.int64)
-    G = G.transpose(0, 1, 3, 2, 4).reshape(len(gens), d, d)
-    dt = np.min_scalar_type(p - 1)
-    size = d * d * dt.itemsize
-    frontier = [np.eye(d, dtype=dt).tobytes()]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for s in range(0, len(frontier), _CLOSURE_CHUNK):
-            h = np.frombuffer(b"".join(frontier[s:s + _CLOSURE_CHUNK]),
-                              dtype=dt).reshape(-1, 1, d, d)
-            images = ((h.astype(np.int64) @ G) % p).astype(dt).tobytes()
-            for i in range(0, len(images), size):
-                m = images[i:i + size]
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-                    if len(seen) > CLOSURE_CAP:
-                        raise RuntimeError("group closure cap exceeded")
-        frontier = nxt
+
+def group_closure(F, gens):
+    """The sorted int64 keys of the elements of the group that the n x n
+    matrices gens generate; their number is the order.  A key is the n^2
+    entries, row-major, base q: the row codes base q^n.  Each BFS level
+    maps its frontier's rows by all generators in one _row_tables gather.
+    RuntimeError past CLOSURE_CAP, ValueError if q^(n^2) passes 2^63."""
+    q, n = F.q, len(gens[0])
+    if q ** (n * n) > 1 << 63:
+        raise ValueError("%d^%d keys pass the int64 limit 2^63" % (q, n * n))
+    R, W = _row_tables(F, gens), geometry.code_powers(n, q ** n)
+    rows = geometry.code_powers(n, q)[None, :]  # the identity
+    seen = rows @ W
+    while rows.size:
+        images = R[:, rows].reshape(-1, n)
+        keys, first = np.unique(images @ W, return_index=True)
+        new = seen.take(np.searchsorted(seen, keys), mode="clip") != keys
+        seen = np.sort(np.concatenate([seen, keys[new]]))
+        if seen.size > CLOSURE_CAP:
+            raise RuntimeError("group closure cap exceeded")
+        rows = images[first[new]]
     return seen
 
 
@@ -416,7 +418,7 @@ def omega_generators(space):
     The set is then verified to generate all of Omega:
 
     - dim 3: by full enumeration against |Omega_3(q)|, in group_closure's
-      batched numpy products over the prime field;
+      per-generator image tables of the row vectors;
     - dim 5 and 7 over GF(3): certified, by schreier_sims_order on the
       action on the 40 or 364 singular points, against |Omega_n(3)|.  The
       action is faithful (-1 has det -1 in odd dim), so an order of
@@ -450,10 +452,9 @@ def omega_generators(space):
     group = MatrixGroup(F, n, tuple(gens), label="Omega_%d(%d)" % (n, F.q),
                         gram=space.gram)
     if n == 3:
-        size = len(group_closure(F, group.gens))
-        if size != omega_order(3, F.q):
-            raise RuntimeError("Omega_3 enumeration: got %d, want %d"
-                               % (size, omega_order(3, F.q)))
+        size, want = len(group_closure(F, group.gens)), omega_order(3, F.q)
+        if size != want:
+            raise RuntimeError("Omega_3 order: got %d, want %d" % (size, want))
     elif F.q == 3 and n in (5, 7):
         order = omega_order(n, 3)
         perms = point_perms(group.gens, geometry.singular_codes(space))

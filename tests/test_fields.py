@@ -35,6 +35,16 @@ def test_field_laws(F):
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_tables_agree_with_add_and_mul(F):
+    add, mul = fields.tables(F)
+    assert add.shape == mul.shape == (F.q, F.q)
+    assert add.tolist() == [[F.add(x, y) for y in F.elements()]
+                            for x in F.elements()]
+    assert mul.tolist() == [[F.mul(x, y) for y in F.elements()]
+                            for x in F.elements()]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_frobenius_and_pow(F):
     for x in F.elements():
         assert F.frobenius(x) == F.pow(x, F.p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import fields, geometry, groups, linalg, meataxe
+from rank3 import geometry, groups, linalg, meataxe
 from rank3.fields import GF3, NONSQUARE, SQUARE, field_create
 from rank3.geometry import QuadraticSpace, decode_codes, standard_space
 from rank3.groups import (MatrixGroup, cd_parameters, eichler,
@@ -176,18 +176,9 @@ def _reference_closure(F, gens):
     return seen
 
 
-def _prime_field_bytes(F, m):
-    """m over GF(p^a) as the bytes of its (na x na) matrix over GF(p): entry
-    x becomes the block whose row i is the coordinates of t^i x."""
-    p, a = F.p, F.a
-    d = len(m) * a
-    out = np.zeros((d, d), dtype=np.uint8)
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            for i in range(a):
-                out[r * a + i, c * a:(c + 1) * a] = fields._decode(
-                    F.mul(x, p ** i), p, a)
-    return out.tobytes()
+def _closure_key(F, m):
+    """m's key in group_closure: its n^2 entries, row-major, base q."""
+    return int(geometry.code_powers(len(m) ** 2, F.q) @ np.ravel(m))
 
 
 @pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
@@ -197,8 +188,23 @@ def test_group_closure_matches_reference(p, a):
     gens = omega_generators(standard_space(3, F)).gens
     ref = _reference_closure(F, gens)
     assert len(ref) == omega_order(3, F.q)
-    assert groups.group_closure(F, gens) == {_prime_field_bytes(F, m)
-                                             for m in ref}
+    # every element and nothing else, each key once, in order
+    assert groups.group_closure(F, gens).tolist() == sorted(
+        _closure_key(F, m) for m in ref)
+
+
+@pytest.mark.parametrize("F", [GF9, GF27], ids=repr)
+def test_row_tables_agree_with_vec_mat(F):
+    rng = random.Random(F.q)
+    gens = omega_generators(standard_space(3, F)).gens + (
+        tuple(tuple(rng.randrange(F.q) for _ in range(3)) for _ in range(3)),)
+    w = geometry.code_powers(3, F.q)
+    vs = list(itertools.product(F.elements(), repeat=3))
+    R = groups._row_tables(F, gens)
+    assert R.shape == (len(gens), F.q ** 3)
+    for g, table in zip(gens, R):
+        assert table[np.array(vs) @ w].tolist() == [
+            int(w @ linalg.vec_mat(F, v, g)) for v in vs]
 
 
 def test_group_closure_cap(monkeypatch):
@@ -355,6 +361,49 @@ def test_small_support_vectors_keep_their_order(F):
     for n in range(3, 8):
         assert (list(groups._small_support_vectors(F, n))
                 == list(_small_support_reference(F, n)))
+
+
+def _find_vector_reference(space, gamma):
+    """The search find_vector_with_q replaced: Q of one vector at a time, in
+    _small_support_vectors order, then over GF(q)^n up to 3^12 vectors."""
+    F = space.field
+    for v in groups._small_support_vectors(F, space.n):
+        if space.q_value(v) == gamma:
+            return v
+    if F.q ** space.n <= 3 ** 12:
+        for v in itertools.product(F.elements(), repeat=space.n):
+            if any(v) and space.q_value(v) == gamma:
+                return tuple(v)
+    return None
+
+
+def _random_gram(F, n, rng):
+    """A seeded non-degenerate symmetric n x n matrix over F."""
+    while True:
+        A = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = rng.randrange(F.q)
+        if linalg.det(F, A) != 0:
+            return A
+
+
+@pytest.mark.parametrize("F", [GF3, field_create(5, 1), field_create(7, 1),
+                               GF9, GF27], ids=repr)
+def test_find_vector_with_q_matches_the_search_it_replaced(F):
+    # the first vector fixes the hyperbolic pair, so the Omega generators
+    # and the construct digests
+    rng = random.Random(F.q)
+    for n in range(1, {3: 13, 5: 6, 7: 5, 9: 5, 27: 4}[F.q] + 1):
+        for sp in (standard_space(n, F), standard_space(n, F, NONSQUARE),
+                   QuadraticSpace(F, _random_gram(F, n, rng))):
+            for gamma in F.elements():
+                want = _find_vector_reference(sp, gamma)
+                if want is None:
+                    with pytest.raises(ValueError, match="no vector"):
+                        find_vector_with_q(sp, gamma)
+                else:
+                    assert find_vector_with_q(sp, gamma) == want
 
 
 def test_cd_rejects_singular_base():
