@@ -2,12 +2,11 @@
 
 A space carries a symmetric invertible Gram matrix for the bilinear form f;
 the quadratic form is Q(v) = 2^-1 * f(v,v).  Vector values are encoded field
-integers; vectors are tuples.  Over a prime field, exhaustive counting and
-the point enumerators all read one table: Q of every vector, indexed by its
+integers; vectors are tuples.  Exhaustive counting (any field) and the point
+enumerators (prime fields) read one table: Q of every vector, indexed by its
 packed code and built as an outer sum over a split of the coordinates.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +39,7 @@ class QuadraticSpace:
         if self._det == 0:
             raise ValueError("gram matrix is degenerate")
         self._half = field.inv(field.from_int(2))
-        if field.a == 1:
-            self._gram_np = np.array(gram, dtype=np.int64)
-        else:
-            self._gram_np = None
+        self._gram_np = np.array(gram, dtype=np.int64)
         self._qcounts = None
         self._qtable = None
 
@@ -97,44 +93,26 @@ def canonical_point(field, v):
 # ---------------------------------------------------------------------------
 # signs and types
 
-def _sign_by_disc(space):
-    """+ iff disc ~ (-1)^k for dim = 2k (valid for every odd q)."""
-    F = space.field
-    k = space.n // 2
-    target = F.square_class(F.pow(F.neg(1), k))
-    return "+" if space.disc_class() == target else "-"
-
-
 def q_value_counts(space):
-    """dict gamma -> #{v : Q(v) = gamma} over all q^n vectors (cached)."""
-    if space._qcounts is not None:
-        return space._qcounts
-    F = space.field
-    total = F.q ** space.n
-    if total > _EXHAUSTIVE_LIMIT:
-        raise ValueError("space too large for exhaustive counting")
-    if F.a == 1:
-        acc = np.bincount(_q_table(space), minlength=F.p)
-        counts = {g: int(acc[g]) for g in range(F.p)}
-    else:
-        counts = dict.fromkeys(F.elements(), 0)
-        for v in itertools.product(F.elements(), repeat=space.n):
-            counts[space.q_value(v)] += 1
-    space._qcounts = counts
-    return counts
+    """dict gamma -> #{v : Q(v) = gamma} over all q^n vectors, over any
+    field: a bincount of the table of Q (cached)."""
+    if space._qcounts is None:
+        acc = np.bincount(_q_table(space), minlength=space.field.q)
+        space._qcounts = dict(enumerate(acc.tolist()))
+    return space._qcounts
 
 
 def sign_of_space(space):
-    """Sign of an even-dimensional space, with exhaustive cross-check."""
+    """Sign of an even-dimensional space: + iff disc ~ (-1)^k for dim 2k
+    (valid for every odd q), with exhaustive cross-check."""
     if space.n % 2 != 0:
         raise ValueError("sign is defined for even dimensions")
-    sign = _sign_by_disc(space)
-    q, k = space.field.q, space.n // 2
+    F, q, k = space.field, space.field.q, space.n // 2
+    eps = 1 if space.disc_class() == F.square_class(F.pow(F.neg(1), k)) else -1
+    sign = "+" if eps == 1 else "-"
     if q ** space.n <= _EXHAUSTIVE_LIMIT:
         singular = q_value_counts(space)[0]  # includes the zero vector
-        eps = 1 if sign == "+" else -1
-        expected = q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1))
-        if singular != expected:
+        if singular != q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1)):
             raise AssertionError(
                 "sign mismatch: disc rule %s but singular count %d" % (sign, singular))
     return sign
@@ -191,13 +169,10 @@ def _closed_count(space, gamma):
             return q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1))
         return q ** (2 * k - 1) - eps * q ** (k - 1)
     k = (n - 1) // 2
-    if gamma != 0:
-        rho = 1 if type_of_qvalue(space, gamma) == PLUS else -1
-        return q ** (2 * k) + rho * q ** k
-    total = q ** n
-    for g in space.field.nonzero():
-        total -= _closed_count(space, g)
-    return total
+    if gamma == 0:
+        return q ** (2 * k)
+    rho = 1 if type_of_qvalue(space, gamma) == PLUS else -1
+    return q ** (2 * k) + rho * q ** k
 
 
 def count_norm_vectors(space, gamma):
@@ -227,24 +202,51 @@ def decode_codes(codes, n, p=3):
 
 
 def _q_table(space):
-    """Q of every vector of a prime-field space, indexed by its packed code
-    (cached).  Over the split v = x || y of the coordinates,
-    Q(x || y) = Q(x) + Q(y) + x . G_xy . y, an outer sum of two tables of
-    about p^(n/2) entries each."""
+    """Q of every vector, indexed by its packed code base q (cached).  Over
+    GF(p), v is w, its a*n coordinates: the base-p digits of each entry,
+    digit a-1 first, so w's code base p is v's code base q.  Digit k of
+    Q(v) is w D_k w^T / 2 mod p, D_k being digit k of G_jl b_r b_c, where
+    coordinate r is digit i of entry j and b_r the element with code p^i.
+    Its table is the outer sum Q(x) + Q(y) + x D_xy y^T over w = x || y, the
+    cross term added one x-coordinate at a time, in the smallest dtype."""
     if space._qtable is None:
-        G = space._gram_np
-        if G is None:
-            raise ValueError("point enumeration needs a prime field, got %r"
-                             % space.field)
-        p, n, a = space.field.p, space.n, space.n // 2
-        X = decode_codes(np.arange(p ** a), a, p)
-        Y = decode_codes(np.arange(p ** (n - a)), n - a, p)
-        Q = (X @ G[:a, a:]) @ Y.T
-        Q += ((X @ G[:a, :a]) * X).sum(axis=1)[:, None] * space._half
-        Q += ((Y @ G[a:, a:]) * Y).sum(axis=1)[None, :] * space._half
-        Q %= p
-        space._qtable = Q.astype(np.min_scalar_type(p - 1)).ravel()
+        if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
+            raise ValueError("space too large to tabulate Q")
+        F = space.field
+        p, N = F.p, F.a * space.n
+        s, top = N // 2, (N // 2 + 2) * (p - 1)  # Q(x), Q(y), s cross terms
+        b = [p ** i for i in reversed(range(F.a))]
+        bb = [[F.mul(x, y) for y in b] for x in b]
+        D = np.array([[F.mul(g, x) for g in row for x in bb[i]]
+                      for row in space.gram for i in range(F.a)])
+        Y = decode_codes(np.arange(p ** (N - s)), N - s, p)
+        X, dt = Y[:p ** s, N - 2 * s:], np.min_scalar_type(top)
+        Q = np.zeros(p ** N, np.min_scalar_type(F.q - 1))
+        for k in reversed(range(F.a)):
+            Dk = D // p ** k % p
+            H = Dk * space._half % p
+            T = ((X @ H[:s, :s] % p * X).sum(1) % p).astype(dt)[:, None] \
+                + ((Y @ H[s:, s:] % p * Y).sum(1) % p).astype(dt)
+            M = ((Dk[:s, s:] @ Y.T % p)[:, None] * np.arange(p)[:, None]
+                 % p).astype(dt)
+            for c in range(s):
+                V = T.reshape(p ** c, p, -1, p ** (N - s))
+                V += M[c, :, None]
+            # unsigned, x mod p = min(x, x - m) for x < 2m and m = 2^j p
+            for j in reversed(range((top // p).bit_length())):
+                np.minimum(T, T - (p << j), out=T)
+            Q *= p
+            Q += T.ravel()
+        space._qtable = Q
     return space._qtable
+
+
+def _prime_q_table(space):
+    """_q_table for the enumerators, which read codes base p."""
+    if space.field.a > 1:
+        raise ValueError("point enumeration needs a prime field, got %r"
+                         % space.field)
+    return _q_table(space)
 
 
 def _type_masks(space, xi):
@@ -253,11 +255,9 @@ def _type_masks(space, xi):
     by code - p^t, the big-endian index of the tail behind the 1."""
     if space.n % 2 == 0:
         raise ValueError("point types need odd dimension")
-    if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
-        raise ValueError("space too large to materialize")
     want = PLUS if xi in ("+", PLUS, 1) else MINUS
     p, m = space.field.p, (space.n - 1) // 2
-    Q = _q_table(space)
+    Q = _prime_q_table(space)
     of_type = np.zeros(p, dtype=bool)
     of_type[[g for g in range(1, p) if type_of_qvalue(space, g) == want]] = True
     masks = [of_type[Q[p ** t:2 * p ** t]] for t in range(space.n)]
@@ -296,7 +296,7 @@ def nonsingular_codes(space, xi):
 def singular_codes(space):
     """The singular projective points as sorted packed codes (prime
     fields; see code_powers)."""
-    p, Q = space.field.p, _q_table(space)
+    p, Q = space.field.p, _prime_q_table(space)
     return np.concatenate([p ** t + np.flatnonzero(Q[p ** t:2 * p ** t] == 0)
                            for t in range(space.n)])
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -189,6 +190,71 @@ def test_nonsingular_points_needs_prime_field():
                              geometry.first_nonsingular_point):
         with pytest.raises(ValueError, match="prime field"):
             enumerate_points(sp, "+")
+    with pytest.raises(ValueError, match="prime field"):
+        geometry.singular_codes(sp)
+
+
+def _reference_q_value_counts(space):
+    """The per-vector loop that q_value_counts ran over extension fields."""
+    counts = dict.fromkeys(space.field.elements(), 0)
+    for v in itertools.product(space.field.elements(), repeat=space.n):
+        counts[space.q_value(v)] += 1
+    return counts
+
+
+def _random_space(field, n, rng):
+    """A seeded random non-degenerate gram, non-diagonal for n > 1."""
+    while True:
+        upper = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        gram = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(n))
+                     for i in range(n))
+        if (n == 1 or any(gram[0][1:])) and linalg.det(field, gram):
+            return QuadraticSpace(field, gram)
+
+
+@pytest.mark.parametrize("p,a,dims", [(7, 1, 4), (3, 2, 4), (5, 2, 2),
+                                      (3, 3, 3)])
+def test_q_table_matches_q_value_over_every_field(p, a, dims):
+    # the table is indexed by the code base q, first coordinate most
+    # significant: the order of itertools.product
+    F = field_create(p, a)
+    rng = random.Random(24)
+    for n in range(1, dims + 1):
+        spaces = [standard_space(n, F, "square"),
+                  standard_space(n, F, "nonsquare"), _random_space(F, n, rng)]
+        for sp in spaces:
+            vs = itertools.product(F.elements(), repeat=n)
+            assert geometry._q_table(sp).tolist() == [sp.q_value(v) for v in vs]
+            assert q_value_counts(sp) == _reference_q_value_counts(sp)
+
+
+def test_q_value_counts_reads_no_vector(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("q_value called")
+    monkeypatch.setattr(QuadraticSpace, "q_value", refuse)
+    sp = standard_space(4, GF9)
+    assert q_value_counts(sp) == {
+        g: count_norm_vectors(sp, g).closed_form for g in GF9.elements()}
+
+
+def test_q_table_of_a_large_prime_field_does_not_overflow():
+    # Q(v) = v^2 / 2 in GF(p)^1; as integers, v^2 (p + 1) / 2 passes 2^63
+    # once p > 2.64e6, so the table must reduce mod p before it multiplies
+    p = 2650007
+    sp = standard_space(1, field_create(p, 1))
+    vs = [1, 2, p // 2, p - 1]
+    assert geometry._q_table(sp)[vs].tolist() == [sp.q_value((v,)) for v in vs]
+
+
+@pytest.mark.parametrize("p,a,n", [(65521, 1, 1), (3, 10, 1), (3, 7, 2)])
+def test_large_field_counts_are_checked_exhaustively(p, a, n):
+    # a (q, q) table of the field would have 4.3e9 entries at q = 65521
+    sp = standard_space(n, field_create(p, a))
+    counts = q_value_counts(sp)
+    assert sum(counts.values()) == p ** (a * n)
+    for gamma in sp.field.elements():
+        res = count_norm_vectors(sp, gamma)
+        assert res.mode == "both" and res.exhaustive == counts[gamma]
 
 
 def test_measured_parameters_small():

@@ -215,7 +215,7 @@ def test_group_closure_cap(monkeypatch):
 
 
 def test_group_closure_refuses_int64_overflow():
-    F = field_create(2147483647, 1)  # 3 (p - 1)^2 > 2^63
+    F = field_create(2147483647, 1)  # q^(n^2) = p^9 keys pass 2^63
     with pytest.raises(ValueError, match=r"2\^63"):
         groups.group_closure(F, [linalg.identity(3)])
 
