@@ -375,10 +375,6 @@ def _subquotient(F, gram, gens, sub_rows, rad_rows):
     return geometry.QuadraticSpace(F, new_gram), new_gens, coords
 
 
-def _form_val(F, gram, u, v):
-    return linalg.vec_dot(F, linalg.vec_mat(F, u, gram), v)
-
-
 def _omega7_pair():
     """The dim-7 space on the basis (e1,e2,e3,x,f1,f2,f3) with f(ei,fi)=1
     and f(x,x)=1, so the inverse-Gram tensor is sum(ei.fi + fi.ei) + x.x,
@@ -424,9 +420,8 @@ def sym_square_o7_rep():
         w[idx.index((i, 4 + i))] = 1
     w[idx.index((3, 3))] = 1
     w = tuple(w)
-    wq = _form_val(F, big_gram, w, w)
-    assert wq != 0  # w spans a non-degenerate line; its perp has dim 27
     amb = geometry.QuadraticSpace(F, big_gram)
+    assert amb.form(w, w) != 0  # w spans a non-degenerate line: dim w-perp = 27
     sub = amb.perp_basis([w])
     space, gens, coords = _subquotient(F, big_gram, big_gens, sub, [])
     group = groups.MatrixGroup(F, 27, gens, label="sym-n7-d27",
@@ -454,7 +449,7 @@ def _sp6_data():
     gram = tuple(tuple(r) for r in gram)
 
     def f(u, v):
-        return _form_val(F, gram, u, v)
+        return linalg.vec_dot(F, linalg.vec_mat(F, u, gram), v)
 
     seeds = []
     for i in range(3):
@@ -498,8 +493,8 @@ def symplectic_lambda2_module():
     for i in range(3):
         w[idx.index((i, 3 + i))] = 1
     w = tuple(w)
-    assert _form_val(F, big_gram, w, w) == 0  # w is in the radical of w-perp
     amb = geometry.QuadraticSpace(F, big_gram)
+    assert amb.form(w, w) == 0  # w is in the radical of w-perp
     sub = amb.perp_basis([w])
     space, gens, coords = _subquotient(F, big_gram, big_gens, sub, [w])
     assert space.n == 13

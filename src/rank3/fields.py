@@ -15,11 +15,6 @@ NONSQUARE = "nonsquare"
 # extension fields build log tables with q entries at creation
 MAX_EXTENSION_ORDER = 1 << 16
 
-_DEFAULT_MODULI = {
-    (3, 2): (1, 0, 1),      # x^2 + 1
-    (3, 3): (1, 2, 0, 1),   # x^3 - x + 1
-}
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); polys are tuples, constant term first
@@ -130,7 +125,7 @@ class FiniteField:
             self.modulus = (0, 1)  # the polynomial x; unused
         else:
             if modulus is None:
-                modulus = _DEFAULT_MODULI.get((p, a)) or self._first_irreducible(p, a)
+                modulus = self._first_irreducible(p, a)
             modulus = _poly_trim(modulus)
             if len(modulus) - 1 != a:
                 raise ValueError("modulus degree %d, expected %d" % (len(modulus) - 1, a))

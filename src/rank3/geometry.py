@@ -93,13 +93,18 @@ def canonical_point(field, v):
 # ---------------------------------------------------------------------------
 # signs and types
 
-def q_value_counts(space):
-    """dict gamma -> #{v : Q(v) = gamma} over all q^n vectors, over any
-    field: a bincount of the table of Q (cached)."""
+def _q_counts(space):
+    """#{v : Q(v) = gamma} over all q^n vectors, over any field, as the
+    array indexed by gamma: a bincount of the table of Q (cached)."""
     if space._qcounts is None:
-        acc = np.bincount(_q_table(space), minlength=space.field.q)
-        space._qcounts = dict(enumerate(acc.tolist()))
+        space._qcounts = np.bincount(_q_table(space), minlength=space.field.q)
     return space._qcounts
+
+
+def q_value_counts(space):
+    """dict gamma -> #{v : Q(v) = gamma}, built on each call: a dict holds
+    an int object per field element, so counts read _q_counts' array."""
+    return dict(enumerate(_q_counts(space).tolist()))
 
 
 def sign_of_space(space):
@@ -111,7 +116,7 @@ def sign_of_space(space):
     eps = 1 if space.disc_class() == F.square_class(F.pow(F.neg(1), k)) else -1
     sign = "+" if eps == 1 else "-"
     if q ** space.n <= _EXHAUSTIVE_LIMIT:
-        singular = q_value_counts(space)[0]  # includes the zero vector
+        singular = int(_q_counts(space)[0])  # includes the zero vector
         if singular != q ** (2 * k - 1) + eps * (q ** k - q ** (k - 1)):
             raise AssertionError(
                 "sign mismatch: disc rule %s but singular count %d" % (sign, singular))
@@ -183,7 +188,7 @@ def count_norm_vectors(space, gamma):
     closed = _closed_count(space, gamma)
     q = space.field.q
     if q ** space.n <= _EXHAUSTIVE_LIMIT:
-        return CountResult(closed, q_value_counts(space)[gamma], "both")
+        return CountResult(closed, int(_q_counts(space)[gamma]), "both")
     return CountResult(closed, None, "closed-form-only")
 
 

@@ -10,10 +10,10 @@ Echelon holds a GF(3) row as the Python-int masks of its 1s and 2s and
 adds rows by the bitsliced fields.gf3_add, so its work is whole-row
 integer ops, and packing is bytes.translate and int parsing.  Echelon.image
 maps a packed row by a matrix of packed rows with one add per nonzero
-entry; subquotient, Echelon.coordinates and the MeatAxe's algebra words,
-spin and standard basis map rows that way, packing each matrix once per
-call.  Over other fields Echelon works one entry at a time, as vec_mat,
-mat_mul and the other functions outside it do.
+entry; subquotient, Echelon.coordinates, the MeatAxe's algebra words
+and spin map rows that way, packing each matrix once per call.  Over
+other fields Echelon works one entry at a time, as vec_mat, mat_mul
+and the other functions outside it do.
 """
 
 import bisect

@@ -1,16 +1,16 @@
 """Minimal module-splitting engine over prime fields: permutation and
 tensor module builders, randomized composition-factor splitting with an
 irreducibility certificate (spin the kernel of a singular algebra
-element, then the dual), module isomorphism via the standard-basis
-method, and invariant bilinear forms as the isomorphism from an
-absolutely irreducible module to its dual, found by that same method.
+element, then the dual), module isomorphism by one spin in the direct
+sum, and invariant bilinear forms as the isomorphism from an absolutely
+irreducible module to its dual, found by that same spin.
 Over GF(3) each call packs its module's generator rows once (see
 linalg.Echelon) and maps packed rows; nothing packed outlives the call.
 """
 
 import random
 
-from . import fields, geometry, groups, linalg
+from . import constructions, fields, geometry, groups, linalg
 
 GF3 = fields.GF3
 # random algebra elements tried before a search gives up with Undecided
@@ -189,14 +189,21 @@ def composition_factors(M, seed=0):
 
 def _intertwiner(A, B, seed=0):
     """The S with g_A S = S g_B for every generator pair, or None when
-    A and B are not isomorphic; A must be irreducible (standard-basis
-    method).  Raises Undecided when no nullity-1 word turns up."""
+    A and B are not isomorphic; A must be irreducible.  An isomorphism
+    takes the kernel ka of a nullity-1 word on A to a multiple of its
+    kernel kb on B, so (ka, kb) spins in A + B, under diag(g_A, g_B), to
+    rows [I | S] (one spin in the direct sum).  Raises Undecided when no
+    nullity-1 word turns up."""
     F, dim = A.field, A.dim
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
     E = linalg.Echelon(F)
     packed_a, packed_b = _pack(E, A.gens), _pack(E, B.gens)
+    zero = (0,) * dim
+    sums = [tuple(r + zero for r in ga) + tuple(zero + r for r in gb)
+            for ga, gb in zip(A.gens, B.gens)]
+    packed = _pack(linalg.Echelon(F), sums)
     for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens), F.p)
         ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe))
@@ -205,34 +212,17 @@ def _intertwiner(A, B, seed=0):
             return None
         if len(ka) != 1:
             continue
-        # lockstep standard basis from the two kernel vectors, packed
-        basis_a, basis_b = [E.pack(ka[0])], [E.pack(kb[0])]
-        span_a, span_b = linalg.Echelon(F, ka), linalg.Echelon(F, kb)
-        i = 0
-        while i < len(basis_a) and len(basis_a) < dim:
-            for ga, gb in zip(packed_a, packed_b):
-                wa, wb = E.image(basis_a[i], ga), E.image(basis_b[i], gb)
-                inda = span_a.add_packed(wa) is not None
-                if inda != (span_b.add_packed(wb) is not None):
-                    return None
-                if inda:
-                    basis_a.append(wa)
-                    basis_b.append(wb)
-            i += 1
-        if len(basis_a) < dim:
+        rows = spin(F, sums, [ka[0] + kb[0]], packed)
+        if sum(any(r[:dim]) for r in rows) < dim:
             continue  # A was not irreducible over this vector; resample
-        # candidate intertwiner: basis_a[i] -> basis_b[i]
-        s = linalg.mat_mul(F, linalg.mat_inv(F, tuple(map(E.unpack, basis_a))),
-                           tuple(map(E.unpack, basis_b)))
-        for ga, gb in zip(A.gens, B.gens):
-            if linalg.mat_mul(F, ga, s) != linalg.mat_mul(F, s, gb):
-                return None
-        return s
+        if len(rows) > dim:
+            return None
+        return tuple(r[dim:] for r in rows)
     raise Undecided("no nullity-1 word found in %d tries" % _ISO_TRIES)
 
 
 def modules_isomorphic(A, B, seed=0):
-    """Isomorphism test for irreducible modules (standard-basis method).
+    """Isomorphism test for irreducible modules (one spin in the direct sum).
     Raises Undecided when no nullity-1 word turns up in _ISO_TRIES words."""
     if A.field is not B.field or A.dim != B.dim or len(A.gens) != len(B.gens):
         return False
@@ -261,11 +251,12 @@ def invariant_bilinear_form(M):
         return ("none", None)
     last = next(x for row in reversed(B) for x in reversed(row) if x)
     B = tuple(linalg.vec_scale(F, F.inv(last), row) for row in B)
+    assert all(groups.preserves_form(F, g, B) for g in M.gens)
     Bt = linalg.transpose(B)
     if B == Bt:
         return ("symmetric", B)
-    # The standard basis spins M from one kernel vector, so every
-    # intertwiner M -> M* is a multiple of B; B^T is one, hence B^T = -B.
+    # M is absolutely irreducible, so every intertwiner M -> M* is a
+    # multiple of B; B^T is one, hence B^T = -B.
     assert B == tuple(linalg.vec_scale(F, F.neg(1), row) for row in Bt)
     return ("alternating", B)
 
@@ -274,21 +265,19 @@ def invariant_bilinear_form(M):
 # the S_8 pipeline: permutation module, tensor square, dim-13 factor,
 # invariant form, and the two 315-point orbits
 
-def s8_pipeline(seed=0):
-    from . import constructions
-
+def s8_pipeline():
     F = GF3
     n = 8
     perms = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
     U = permutation_module(n, perms, F)
     T = tensor_module(U, U)
-    factors = composition_factors(T, seed=seed)
+    factors = composition_factors(T)
     dim13 = next(mod for mod, _ in factors if mod.dim == 13)
     kind, B = invariant_bilinear_form(dim13)
     if kind != "symmetric":
         raise RuntimeError("dim-13 factor carries no symmetric form")
     space = geometry.QuadraticSpace(F, B)
-    # B is invariant by construction: _intertwiner checked g B = B g^-T
+    # invariant_bilinear_form asserted g B g^T = B
     group = groups.MatrixGroup.unchecked(F, 13, dim13.gens, "s8-dim13", B)
     dims = []
     for mod, mult in factors:

@@ -90,6 +90,8 @@ def test_primitive_element_order():
 
 
 def test_default_moduli():
+    # the first monic irreducible in _all_monic order; the GF(27) normal
+    # basis and the construct digests rest on these two
     assert GF9.modulus == (1, 0, 1)       # x^2 + 1
     assert GF27.modulus == (1, 2, 0, 1)   # x^3 - x + 1
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ def test_large_field_counts_are_checked_exhaustively(p, a, n):
     for gamma in sp.field.elements():
         res = count_norm_vectors(sp, gamma)
         assert res.mode == "both" and res.exhaustive == counts[gamma]
+
+
+def test_counts_index_the_bincount_without_a_dict(monkeypatch):
+    # count_norm_vectors and sign_of_space read the cached count array; a
+    # dict of it would hold one int object per field element
+    def refuse(space):
+        raise AssertionError("q_value_counts called")
+    sp = standard_space(1, field_create(65521, 1))
+    monkeypatch.setattr(geometry, "q_value_counts", refuse)
+    counts = Counter(geometry._q_table(sp).tolist())
+    for gamma in sp.field.elements():
+        res = count_norm_vectors(sp, gamma)
+        assert res.mode == "both" and res.exhaustive == counts[gamma]
+    # -1 is a nonsquare mod 251, so x^2 + y^2 is anisotropic: sign -
+    assert sign_of_space(standard_space(2, field_create(251, 1))) == "-"
 
 
 def test_measured_parameters_small():

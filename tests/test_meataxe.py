@@ -410,6 +410,112 @@ def test_large_forms_are_invariant(tensor_factors):
         assert _is_invariant(f, B)
 
 
+def _reference_intertwiner(A, B, seed=0):
+    """meataxe._intertwiner as it ran before one spin in the direct sum:
+    lockstep standard bases from the two kernel vectors, then S from the
+    inverse of A's basis, checked on every generator; kept as its oracle."""
+    F, dim = A.field, A.dim
+    if dim == 1:
+        return linalg.identity(1) if A.gens == B.gens else None
+    rng = random.Random(seed)
+    E = linalg.Echelon(F)
+    packed_a, packed_b = meataxe._pack(E, A.gens), meataxe._pack(E, B.gens)
+    for _ in range(meataxe._ISO_TRIES):
+        recipe = meataxe._random_word(rng, len(A.gens), F.p)
+        ka = linalg.nullspace_rows(F, meataxe._eval_word(E, packed_a, recipe))
+        kb = linalg.nullspace_rows(F, meataxe._eval_word(E, packed_b, recipe))
+        if len(ka) != len(kb):
+            return None
+        if len(ka) != 1:
+            continue
+        basis_a, basis_b = [E.pack(ka[0])], [E.pack(kb[0])]
+        span_a, span_b = linalg.Echelon(F, ka), linalg.Echelon(F, kb)
+        i = 0
+        while i < len(basis_a) and len(basis_a) < dim:
+            for ga, gb in zip(packed_a, packed_b):
+                wa, wb = E.image(basis_a[i], ga), E.image(basis_b[i], gb)
+                inda = span_a.add_packed(wa) is not None
+                if inda != (span_b.add_packed(wb) is not None):
+                    return None
+                if inda:
+                    basis_a.append(wa)
+                    basis_b.append(wb)
+            i += 1
+        if len(basis_a) < dim:
+            continue
+        s = linalg.mat_mul(F, linalg.mat_inv(F, tuple(map(E.unpack, basis_a))),
+                           tuple(map(E.unpack, basis_b)))
+        for ga, gb in zip(A.gens, B.gens):
+            if linalg.mat_mul(F, ga, s) != linalg.mat_mul(F, s, gb):
+                return None
+        return s
+    raise Undecided("no nullity-1 word found")
+
+
+def _dual(M):
+    return GModule(M.field, M.dim, tuple(
+        linalg.transpose(linalg.mat_inv(M.field, g)) for g in M.gens))
+
+
+def _outcome(intertwiner, A, B, seed):
+    try:
+        return intertwiner(A, B, seed)
+    except Undecided:
+        return Undecided
+
+
+def test_intertwiner_matches_the_lockstep_one(tensor_factors):
+    # every ordered pair of S5 .. S9 factors of equal dim, and each factor
+    # against a seeded conjugate and against its dual, at seeds 0 to 2
+    factors = [f for _n, f in tensor_factors]
+    pairs = [(f, g) for f in factors for g in factors if f.dim == g.dim]
+    duals = [(f, _dual(f)) for f in factors]
+    outcomes = Counter()
+    for seed in range(3):
+        rng = random.Random(seed)
+        conjugates = []
+        for f in factors:
+            P = ((0,) * f.dim,) * f.dim
+            while linalg.det(GF3, P) == 0:
+                P = tuple(tuple(rng.randrange(3) for _ in range(f.dim))
+                          for _ in range(f.dim))
+            Pinv = linalg.mat_inv(GF3, P)
+            conjugates.append((f, GModule(GF3, f.dim, tuple(linalg.mat_mul(
+                GF3, Pinv, linalg.mat_mul(GF3, g, P)) for g in f.gens))))
+        for A, B in pairs + conjugates + duals:
+            got = _outcome(meataxe._intertwiner, A, B, seed)
+            assert got == _outcome(_reference_intertwiner, A, B, seed), \
+                (A.dim, seed)
+            outcomes[got if got in (None, Undecided) else "S"] += 1
+    # no case ends Undecided at these seeds; the tests below cover that
+    assert outcomes == {"S": 240, None: 72}
+
+
+def test_intertwiner_inverts_and_multiplies_no_matrix(monkeypatch,
+                                                      tensor_factors):
+    f13 = next(f for n, f in tensor_factors if n == 8 and f.dim == 13)
+    dual = _dual(f13)
+    expected = _reference_intertwiner(f13, dual)
+
+    def refuse(*args):
+        raise AssertionError("called")
+    monkeypatch.setattr(linalg, "mat_inv", refuse)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    S = meataxe._intertwiner(f13, dual)
+    assert S is not None and S == expected
+
+
+def test_form_is_checked_for_invariance(monkeypatch):
+    # an intertwiner that is no intertwiner: the identity is symmetric but
+    # not invariant under the SL_2(3) generators
+    M = GModule(GF3, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
+    assert not _is_invariant(M, linalg.identity(2))
+    monkeypatch.setattr(meataxe, "_intertwiner",
+                        lambda A, B, seed=0: linalg.identity(2))
+    with pytest.raises(AssertionError):
+        invariant_bilinear_form(M)
+
+
 def test_alternating_form_of_sl2():
     M = GModule(GF3, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
     kind, B = invariant_bilinear_form(M)
