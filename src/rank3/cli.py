@@ -1,6 +1,7 @@
 """Command line interface: `rank3 <subcommand> [...]`.
 
-Exit codes: 0 success, 1 reproduction failure, 2 usage or parse error.
+Exit codes: 0 success, 1 reproduction failure, 2 usage or parse error,
+3 a computation gave up (meataxe.Undecided, groups.OrbitCapExceeded).
 """
 
 import argparse
@@ -261,9 +262,9 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, genfile.ParseError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    except (ValueError, meataxe.Undecided, groups.OrbitCapExceeded) as e:
+        print("error: %s" % e, file=sys.stderr)  # ParseError is a ValueError
+        return 2 if isinstance(e, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ points as packed base-3 codes and maps them by table lookups: per chunk of
 at most 7 digits of a code, a table of every generator's image of every
 digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
 are summed by a six-op bitsliced add, and the masks become codes again
-through 13-bit mask->code tables.  A set of codes is a CodeSet: a bitmap
-of 3^n bits up to dim 15, and the sorted codes above it.
+through 13-bit mask->code tables, all built on a group's first scan.
+A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -61,6 +62,13 @@ class MatrixGroup:
         G = object.__new__(cls)
         vars(G).update(field=field, dim=dim, gens=gens, label=label, gram=gram)
         return G
+
+    @functools.cached_property
+    def _gf3_tables(self):
+        """_scan's digit chunks, image tables and mask->code pieces."""
+        chunks, n = _digit_chunks(self.dim), self.dim
+        G = np.array(self.gens, dtype=np.int64).reshape(-1, n, n) % 3
+        return chunks, _image_tables(G, chunks), _piece_tables(n)
 
 
 def preserves_form(F, g, gram):
@@ -468,7 +476,7 @@ def omega_generators(space):
             gam = next(g for g in F.nonzero()
                        if geometry.type_of_qvalue(space, g) == ptype)
             x = find_vector_with_q(space, gam)
-            size, _d, _c = _scan(group.gens, x, space.gram)
+            size, _d, _c = _scan(group, x, space.gram)
             expected = 3 ** m * (3 ** m + sgn) // 2
             if size != expected:
                 raise RuntimeError(
@@ -507,12 +515,11 @@ class OrbitReport:
 # Packed codes are int64 base-3 numbers (geometry.code_powers); 3^40 - 1
 # no longer fits.
 MAX_CODE_DIM = 39
-# CodeSets are bitmaps up to this dim (1.8 MB at dim 15), sorted codes above
-_DENSE_MAX_DIM = 15
+# CodeSets are byte maps up to this dim (1.1 MB at dim 13), sorted above
+_DENSE_MAX_DIM = 13
 # Image entries per chunk (rows x generators x dim), which bounds the
 # buffers of one BFS level.
 _CHUNK_ENTRIES = 1 << 17
-_BIT = (1 << np.arange(8)).astype(np.uint8)
 # Base-3 digits per image-table chunk of a code (a table holds 3^7 rows of
 # 2k masks), and bits per mask->code table piece of a mask.
 _TABLE_DIGITS = 7
@@ -546,35 +553,40 @@ def _chunk_digits(codes, chunks):
     return [codes] + digits[::-1]
 
 
-def _image_tables(G, gx, chunks):
+def _image_tables(G, chunks):
     """Per chunk [a, b): the images under the k generators of every digit
     pattern of v_a..v_(b-1), as (3^(b-a), k) masks of the 1s and of the
-    2s, and f(v, start) as integers 0..2, all indexed by _chunk_digits.
+    2s, indexed by _chunk_digits.
 
     All chunks are built at once by tripling from their last coordinate
     down, T -> [T, T + row_i, T + 2 row_i], where 2 row_i swaps the two
-    masks.  f rides along as one more generator, the n x 1 matrix gx,
-    whose image is f(v, start) in bit 0.  A chunk shorter than the
-    longest goes on tripling by its first row; its first 3^(b-a) entries,
-    the ones kept, stay as they are.
+    masks.  A chunk shorter than the longest goes on tripling by its first
+    row; its first 3^(b-a) entries, the ones kept, stay as they are.
     """
-    k = len(G)
     steps = max(b - a for a, b in chunks)
     i = [[max(b - 1 - t, a) for a, b in chunks] for t in range(steps)]
     # rows per step, chunk and generator; the tables are built as (chunk,
     # generator, pattern), so that every op runs along the long axis
-    R1, R2 = (np.vstack([R, Rf])[:, i].transpose(1, 2, 0)[..., None]
-              for R, Rf in zip(_masks(G), _masks(gx[:, None])))
-    T1 = T2 = np.zeros((len(chunks), k + 1, 1), dtype=R1.dtype)
+    R1, R2 = (R[:, i].transpose(1, 2, 0)[..., None] for R in _masks(G))
+    T1 = T2 = np.zeros((len(chunks), len(G), 1), dtype=R1.dtype)
     for r1, r2 in zip(R1, R2):
         U1, U2 = gf3_add(T1, T2, r1, r2)
         W1, W2 = gf3_add(T1, T2, r2, r1)
         T1 = np.concatenate([T1, U1, W1], axis=2)
         T2 = np.concatenate([T2, U2, W2], axis=2)
-    return [(T1[c, :k, :3 ** (b - a)].T.copy(),
-             T2[c, :k, :3 ** (b - a)].T.copy(),
-             T1[c, k, :3 ** (b - a)] + 2 * T2[c, k, :3 ** (b - a)])
+    return [tuple(T[c, :, :3 ** (b - a)].T.copy() for T in (T1, T2))
             for c, (a, b) in enumerate(chunks)]
+
+
+def _f_tables(gx, chunks):
+    """Per chunk [a, b): f(v, start) = v . gx of every digit pattern of
+    v_a..v_(b-1), as integers 0..2, tripled as in _image_tables."""
+    steps = max(b - a for a, b in chunks)
+    i = [[max(b - 1 - t, a) for a, b in chunks] for t in range(steps)]
+    T = np.zeros((len(chunks), 1), dtype=np.uint8)
+    for r in gx.astype(np.uint8)[i][..., None]:
+        T = np.concatenate([T, T + r, T + 2 * r], axis=1)
+    return [T[c, :3 ** (b - a)] % 3 for c, (a, b) in enumerate(chunks)]
 
 
 def _piece_tables(n):
@@ -619,15 +631,16 @@ def _distinct(codes):
 
 
 class CodeSet:
-    """A set of packed codes of GF(3) points of dim n, from sorted distinct
-    codes.  Up to _DENSE_MAX_DIM it is a bitmap of 3^n bits with the runs of
-    codes added to it; above, the sorted array of its codes.  Arrays given
-    to it are kept without a copy."""
+    """A set of packed codes of GF(3) points of dim n (below 2 * 3^(n-1),
+    as the first nonzero entry is 1), from sorted distinct codes.  Up to
+    _DENSE_MAX_DIM it is a byte map over those codes with the runs of codes
+    added to it; above, the sorted array of its codes.  Arrays given to it
+    are kept without a copy."""
 
     def __init__(self, n, codes):
-        self._bits = None
+        self._map = None
         if n <= _DENSE_MAX_DIM:
-            self._bits = np.zeros((3 ** n + 7) // 8, dtype=np.uint8)
+            self._map = np.zeros(2 * 3 ** (n - 1), dtype=bool)
             self._runs = []
             self.add(codes)
         else:
@@ -635,8 +648,8 @@ class CodeSet:
 
     def has(self, codes):
         """A bool mask of which codes, in any order, are in the set."""
-        if self._bits is not None:
-            return (self._bits[codes >> 3] & _BIT[codes & 7]) != 0
+        if self._map is not None:
+            return self._map[codes]
         if not self._sorted.size:
             return np.zeros(codes.shape, dtype=bool)
         pos = np.minimum(np.searchsorted(self._sorted, codes),
@@ -645,40 +658,40 @@ class CodeSet:
 
     def missing(self, codes):
         """The distinct codes not in the set, sorted."""
-        if self._bits is not None:
+        if self._map is not None:
             return _distinct(codes[~self.has(codes)])
         codes = _distinct(codes)  # sorted keys keep the binary search in cache
         return codes[~self.has(codes)]
 
     def add(self, new):
         """Add sorted, distinct codes that are not in the set."""
-        if self._bits is not None:
-            np.bitwise_or.at(self._bits, new >> 3, _BIT[new & 7])
+        if self._map is not None:
+            self._map[new] = True
             self._runs.append(new)
         else:
             self._sorted = np.insert(self._sorted,
                                      np.searchsorted(self._sorted, new), new)
 
     def remove(self, codes):
-        """Drop codes, all in the set, from a bitmap; codes() then fails."""
-        np.bitwise_and.at(self._bits, codes >> 3, ~_BIT[codes & 7])
+        """Drop codes, all in the set, from a byte map; codes() then fails."""
+        self._map[codes] = False
         self._runs = None
 
     def codes(self):
         """The sorted codes in the set."""
-        if self._bits is None:
+        if self._map is None:
             return self._sorted
         return np.sort(np.concatenate(self._runs))
 
 
-def _scan(gens, start, gram):
+def _scan(group, start, gram):
     """BFS orbit of a projective point over GF(3): (size, d, sorted codes).
 
     d counts the orbit points w != start with f(w, start) = 0.  Each level
     splits the frontier codes into base-3 digit chunks of at most
-    _TABLE_DIGITS, looks up every generator's image of each chunk in
-    _image_tables and sums the chunks with the bitsliced gf3_add.  The
-    image masks become canonical codes through the _PIECE_BITS-bit tables
+    _TABLE_DIGITS, looks up f(v, start) in _f_tables and every generator's
+    image of each chunk in the group's _image_tables, and sums the chunks
+    with gf3_add.  The image masks become canonical codes through the tables
     of _piece_tables.  Images in the seen-set (a CodeSet) are dropped chunk
     by chunk, which leaves each part sorted and distinct; a level's parts
     are merged and join the seen-set once per level.
@@ -687,15 +700,14 @@ def _scan(gens, start, gram):
     if n > MAX_CODE_DIM:
         raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
                          "codes), got dim %d" % (MAX_CODE_DIM, n))
-    pieces = _piece_tables(n)
+    chunks, tables, pieces = group._gf3_tables
     x = np.array(start, dtype=np.int64) % 3
     gx = (np.array(gram, dtype=np.int64) @ x) % 3
     codes = _canonical_codes(*_masks(x[None, :]), pieces)
-    if not gens:
+    if not group.gens:
         return 1, 0, codes
-    chunks = _digit_chunks(n)
-    tables = _image_tables(np.array(gens, dtype=np.int64) % 3, gx, chunks)
-    rows = max(1, _CHUNK_ENTRIES // (len(gens) * n))
+    tables = [t + (ft,) for t, ft in zip(tables, _f_tables(gx, chunks))]
+    rows = max(1, _CHUNK_ENTRIES // (len(group.gens) * n))
     seen = CodeSet(n, codes)
     # every orbit point is counted once, as part of a frontier; the start
     # point is taken back out of d
@@ -703,6 +715,8 @@ def _scan(gens, start, gram):
     frontier = codes
     while True:
         parts = []
+        if n > _DENSE_MAX_DIM:  # dense chunks keep binary searches in cache
+            rows = max(rows, size // 16)
         for lo in range(0, len(frontier), rows):
             digits = _chunk_digits(frontier[lo:lo + rows], chunks)
             M1, M2, f = (t.take(digits[0], axis=0) for t in tables[0])
@@ -759,7 +773,7 @@ def orbit(group, start, space=None):
     if gram is None:
         gram = linalg.identity(group.dim)  # d-count unused here
     if F.p == 3 and F.a == 1:
-        size, _d, codes = _scan(group.gens, start, gram)
+        size, _d, codes = _scan(group, start, gram)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
         # zip one list per coordinate: a list per point raises the peak
@@ -799,7 +813,7 @@ def cd_parameters(space, group, start):
     _check_start(space, group, start)
     t0 = time.time()
     if F.p == 3 and F.a == 1:
-        size, d, _ = _scan(group.gens, start, space.gram)
+        size, d, _ = _scan(group, start, space.gram)
     else:
         seen, d = _orbit_generic(space, group.gens, start)
         size = len(seen)
@@ -812,4 +826,4 @@ def orbit_codes(space, group, start):
     if not (F.p == 3 and F.a == 1):
         raise ValueError("orbit_codes scans GF(3) only, got %r" % F)
     _check_start(space, group, start)
-    return _scan(group.gens, start, space.gram)
+    return _scan(group, start, space.gram)

@@ -145,7 +145,7 @@ def wreath13():
 ])
 def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, make, pin,
                                            computed):
-    # the bitmap at dim 13 and sorted codes at dim 21: each start in an
+    # the byte map at dim 13 and sorted codes at dim 21: each start in an
     # orbit already scanned is skipped
     export_to_ingest(tmp_path, monkeypatch, make(), "demo.gen")
     result = expected.run_case("ingest-demo", "ingest", "exported group",

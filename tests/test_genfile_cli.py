@@ -244,6 +244,27 @@ def exit_code(*argv):
         return e.code
 
 
+def test_cli_computations_that_give_up_exit_3(tmp_path, capsys, monkeypatch):
+    # a 3-cycle on GF(1009)^3 is reducible (it fixes the all-ones line), but
+    # the MeatAxe finds no singular algebra element in its tries
+    cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    path = tmp_path / "c1009.gen"
+    write_generator_file(str(path), groups.MatrixGroup(
+        field_create(1009, 1), 3, (cycle,)))
+    assert exit_code("split", str(path)) == 3
+    assert capsys.readouterr().err == (
+        "error: no singular algebra element found in 200 tries\n")
+    # an orbit past the point cap
+    gf3 = tmp_path / "w5.gen"
+    assert run_cli("export", "wreath-n5", str(gf3)) == 0
+    monkeypatch.setattr(groups, "ORBIT_CAP", 3)
+    capsys.readouterr()
+    for command in ("orbit", "cd"):
+        assert exit_code(command, str(gf3), "1,1,0,0,0") == 3
+        assert capsys.readouterr().err.startswith(
+            "error: orbit exceeds the cap of 3 points")
+
+
 def test_cli_usage_errors(capsys):
     assert exit_code("mullineux", "2,3") == 2
     assert exit_code("mullineux", "1,1,1") == 2  # not 3-regular

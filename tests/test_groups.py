@@ -493,7 +493,7 @@ def _dense_starts(n):
 def test_scan_matches_generic_oracle(make, starts):
     sp, G = make()
     for v in starts:
-        size, d, codes = groups._scan(G.gens, v, sp.gram)
+        size, d, codes = groups._scan(G, v, sp.gram)
         seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert (size, d) == (len(seen), d_ref)
         assert list(codes) == sorted(set(codes))
@@ -526,15 +526,16 @@ def test_image_tables_match_vector_products(n, sizes):
     G = rng.integers(0, 3, (3, n, n))
     gx = rng.integers(0, 3, n)
     bits = 1 << np.arange(n)
-    tables = groups._image_tables(G, gx, chunks)
+    tables = groups._image_tables(G, chunks)
+    f_tables = groups._f_tables(gx, chunks)
     # the last chunk is the shortest, tripled past its size when shorter
     # than the first; test both on every digit pattern
     for c in {0, len(chunks) - 1}:
         a, b = chunks[c]
-        T1, T2, f = tables[c]
+        T1, T2 = tables[c]
         V = np.zeros((3 ** (b - a), n), dtype=np.int64)
         V[:, a:b] = decode_codes(np.arange(3 ** (b - a)), b - a)
-        assert (f == V @ gx % 3).all()
+        assert (f_tables[c] == V @ gx % 3).all()
         images = np.einsum("pi,kij->pkj", V, G) % 3
         assert (T1 == (images == 1) @ bits).all()
         assert (T2 == (images == 2) @ bits).all()
@@ -550,18 +551,19 @@ def _check_code_set(s, ref, queries):
         assert s.missing(q).tolist() == sorted(set(q.tolist()) - ref)
 
 
-@pytest.mark.parametrize("n", [7, 21])
+@pytest.mark.parametrize("n", [7, 13, 14, 21])
 def test_code_set_matches_python_sets(n):
-    # a bitmap at dim 7, sorted codes at dim 21
+    # a byte map at dims 7 and 13, sorted codes at dims 14 and 21
+    assert groups._DENSE_MAX_DIM == 13
     rng = np.random.default_rng(20)
-    last = 3 ** n - 1
-    # repeats, several codes to a byte, and no order
+    last = 2 * 3 ** (n - 1) - 1  # the code of (1, 2, ..., 2)
+    # repeats and no order
     small = np.concatenate([rng.integers(0, 200, 60),
                             [9, 8, 15, 9, 8, 199, 0, 15]])
     rng.shuffle(small)
-    wide = rng.integers(0, 3 ** n, 300)
-    ends = np.array([last, 0, last])  # the first and last codes of the space
-    queries = [small, wide, ends, rng.integers(0, 3 ** n, 500),
+    wide = rng.integers(0, last + 1, 300)
+    ends = np.array([last, 0, last])  # the first and last point codes
+    queries = [small, wide, ends, rng.integers(0, last + 1, 500),
                np.empty(0, dtype=np.int64)]
     _check_code_set(groups.CodeSet(n, np.empty(0, dtype=np.int64)), set(),
                     queries)
@@ -582,9 +584,47 @@ def test_code_set_matches_python_sets(n):
         _check_code_set(s, ref, queries)
 
 
+def test_image_tables_are_built_once_per_group(monkeypatch):
+    from rank3.constructions import orbit_partition
+    sp, G = _wreath7()
+    calls = []
+    build = groups._image_tables
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return build(*args)
+
+    monkeypatch.setattr(groups, "_image_tables", counted)
+    parts = orbit_partition(sp, G, "+")
+    assert len(parts) > 1 and calls == [3]
+    # a new group with the same generators builds its own tables, once
+    H = MatrixGroup(GF3, 7, G.gens, gram=sp.gram)
+    reports = [cd_parameters(sp, H, v) for v in
+               [(1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0)]]
+    assert [(r.c, r.d) for r in reports] == [(0, 6), (20, 21)]
+    assert calls == [3, 3]
+
+
+def test_cd_parameters_and_orbit_on_a_group_with_no_generators():
+    sp, G = _no_generators5()
+    v = (2, 1, 0, 0, 0)
+    rep = cd_parameters(sp, G, v)
+    assert (rep.size, rep.c, rep.d) == (1, 0, 0)
+    assert orbit(G, v, space=sp) == [(1, 2, 0, 0, 0)]
+
+
+def test_scan_tables_leave_group_equality_and_hash_alone():
+    sp, G = _wreath7()
+    H = MatrixGroup(G.field, G.dim, G.gens, G.label, G.gram)
+    before = hash(G)
+    cd_parameters(sp, G, (1, 1, 0, 0, 0, 0, 0))
+    assert "_gf3_tables" in vars(G) and "_gf3_tables" not in vars(H)
+    assert G == H and hash(G) == hash(H) == before
+
+
 def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
     sp, G = _wreath7()
     # a _distinct that keeps duplicates lets one point into a level twice
     monkeypatch.setattr(groups, "_distinct", np.sort)
     with pytest.raises(AssertionError, match="strictly increasing"):
-        groups._scan(G.gens, (1, 1, 0, 0, 0, 0, 0), sp.gram)
+        groups._scan(G, (1, 1, 0, 0, 0, 0, 0), sp.gram)
