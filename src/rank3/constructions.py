@@ -76,6 +76,8 @@ def orbit_partition(space, group, xi):
             raise AssertionError("orbit of %r leaves the unvisited points"
                                  % (start,))
         todo.remove(orbit)
+        if todo.has(codes[i:i + 1])[0]:
+            raise AssertionError("start %r is still unvisited" % (start,))
     if space.n >= 5:
         total = higman.odd_orthogonal_params((space.n - 1) // 2, xi).total
         found = sum(r.size for r in reports)

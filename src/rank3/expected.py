@@ -223,12 +223,12 @@ def _case_mullineux():
     expected = {"table": [list(m) for _l, m in _TABLE5],
                 "involution_n20": True, "hooks": [5, 6]}
     computed = {"table": [list(partitions.mullineux_map(l)) for l, _m in _TABLE5]}
-    ok = True
+    ok, images, symbols = True, {}, {}
     for n in range(1, 21):
         # M is an involution here, and each image obeys the rim-symbol rule
-        img = {lam: partitions.mullineux_map(lam)
+        img = {lam: partitions.mullineux_map(lam, images)
                for lam in partitions.p_regular_partitions(n)}
-        sym = {lam: partitions.mullineux_symbol(lam) for lam in img}
+        sym = {lam: partitions.mullineux_symbol(lam, symbols) for lam in img}
         ok &= all(img.get(m) == lam
                   and sym.get(m) == partitions.image_symbol(sym[lam])
                   for lam, m in img.items())

@@ -20,6 +20,7 @@ ZERO = "zero"
 
 # exhaustive engines turn off above this many vectors
 _EXHAUSTIVE_LIMIT = 3 ** 14
+_Q_BLOCK = 2 ** 18  # values of y per block of _q_table
 
 
 class QuadraticSpace:
@@ -213,7 +214,9 @@ def _q_table(space):
     Q(v) is w D_k w^T / 2 mod p, D_k being digit k of G_jl b_r b_c, where
     coordinate r is digit i of entry j and b_r the element with code p^i.
     Its table is the outer sum Q(x) + Q(y) + x D_xy y^T over w = x || y, the
-    cross term added one x-coordinate at a time, in the smallest dtype."""
+    cross term added one x-coordinate at a time, in the smallest dtype.
+    The outer sum is built for _Q_BLOCK values of y at a time, so that
+    over a large prime field no int64 array spans all of them."""
     if space._qtable is None:
         if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
             raise ValueError("space too large to tabulate Q")
@@ -224,24 +227,26 @@ def _q_table(space):
         bb = [[F.mul(x, y) for y in b] for x in b]
         D = np.array([[F.mul(g, x) for g in row for x in bb[i]]
                       for row in space.gram for i in range(F.a)])
-        Y = decode_codes(np.arange(p ** (N - s)), N - s, p)
-        X, dt = Y[:p ** s, N - 2 * s:], np.min_scalar_type(top)
+        X, dt = decode_codes(np.arange(p ** s), s, p), np.min_scalar_type(top)
         Q = np.zeros(p ** N, np.min_scalar_type(F.q - 1))
-        for k in reversed(range(F.a)):
-            Dk = D // p ** k % p
-            H = Dk * space._half % p
-            T = ((X @ H[:s, :s] % p * X).sum(1) % p).astype(dt)[:, None] \
-                + ((Y @ H[s:, s:] % p * Y).sum(1) % p).astype(dt)
-            M = ((Dk[:s, s:] @ Y.T % p)[:, None] * np.arange(p)[:, None]
-                 % p).astype(dt)
-            for c in range(s):
-                V = T.reshape(p ** c, p, -1, p ** (N - s))
-                V += M[c, :, None]
-            # unsigned, x mod p = min(x, x - m) for x < 2m and m = 2^j p
-            for j in reversed(range((top // p).bit_length())):
-                np.minimum(T, T - (p << j), out=T)
-            Q *= p
-            Q += T.ravel()
+        Qxy = Q.reshape(p ** s, p ** (N - s))
+        for lo in range(0, p ** (N - s), _Q_BLOCK):
+            Y = decode_codes(np.arange(lo, min(lo + _Q_BLOCK, p ** (N - s))),
+                             N - s, p)
+            for k in reversed(range(F.a)):
+                Dk = D // p ** k % p
+                H = Dk * space._half % p
+                T = ((X @ H[:s, :s] % p * X).sum(1) % p).astype(dt)[:, None] \
+                    + ((Y @ H[s:, s:] % p * Y).sum(1) % p).astype(dt)
+                M = Dk[:s, s:] @ Y.T % p
+                for c in range(s):
+                    V = T.reshape(p ** c, p, -1, len(Y))
+                    V += (np.arange(p)[:, None] * M[c] % p).astype(dt)[:, None]
+                # unsigned, x mod p = min(x, x - m) for x < 2m and m = 2^j p
+                for j in reversed(range((top // p).bit_length())):
+                    np.minimum(T, T - (p << j), out=T)
+                Qxy[:, lo:lo + _Q_BLOCK] *= p
+                Qxy[:, lo:lo + _Q_BLOCK] += T
         space._qtable = Q
     return space._qtable
 

@@ -1,6 +1,8 @@
 """Partition combinatorics at p = 3: p-regularity, the Mullineux map by
 Kleshchev's good nodes, Mullineux's rim symbol and its image rule, and the
-fixed-point predicate.
+fixed-point predicate.  The map and the symbol each take an optional
+dict, which a caller shares across many partitions so that each partition
+is walked once; without one, each call walks from scratch.
 
 Cells are (row, column) from 0, and the residue of a cell is
 column - row mod P.
@@ -36,20 +38,27 @@ def _check_regular(lam):
     return lam
 
 
-def partitions_of(n):
-    """All partitions of n, lexicographically descending."""
+def _partitions(n, cap):
+    """Partitions of n with no part repeated more than cap times,
+    lexicographically descending."""
     def gen(rest, maxpart):
         if rest == 0:
             yield ()
             return
         for first in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
+            for k in range(min(cap, rest // first), 0, -1):
+                for tail in gen(rest - k * first, first - 1):
+                    yield (first,) * k + tail
     return list(gen(n, n))
 
 
+def partitions_of(n):
+    """All partitions of n, lexicographically descending."""
+    return _partitions(n, n)
+
+
 def p_regular_partitions(n):
-    return [lam for lam in partitions_of(n) if _is_regular(lam)]
+    return _partitions(n, P - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +84,7 @@ def _signature(lam, i):
     return removable, addable
 
 
-def mullineux_map(lam):
+def mullineux_map(lam, images=None):
     """The Mullineux image of a 3-regular partition (Kleshchev 1996;
     Ford and Kleshchev 1997).
 
@@ -83,26 +92,26 @@ def mullineux_map(lam):
     until nothing is left.  Walk back: for each recorded i, last first,
     add the cogood (-i)-node.  The good node is the lowest uncancelled
     removable node, the cogood node the highest uncancelled addable one.
+    The walk is deterministic, so with a dict `images` (partition ->
+    image) the walk down stops at the first partition found in it, and
+    the walk back stores each partition it passes with its image.
     """
-    lam = list(_check_regular(lam))
-    residues = []
-    while lam:
+    lam = _check_regular(lam)
+    images = {} if images is None else images
+    path = []
+    while lam and lam not in images:
         for i in range(P):
             removable = _signature(lam, i)[0]
             if removable:
                 break
+        path.append((lam, i))
         r = removable[-1]
-        lam[r] -= 1
-        if not lam[r]:
-            lam.pop()
-        residues.append(i)
-    for i in reversed(residues):
-        r = _signature(lam, -i % P)[1][0]
-        if r == len(lam):
-            lam.append(1)
-        else:
-            lam[r] += 1
-    return tuple(lam)
+        lam = lam[:r] + ((lam[r] - 1,) if lam[r] > 1 else ()) + lam[r + 1:]
+    m = images.get(lam, ())
+    for mu, i in reversed(path):
+        r = _signature(m, -i % P)[1][0]
+        m = images[mu] = m[:r] + (m[r] + 1 if r < len(m) else 1,) + m[r + 1:]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +140,23 @@ def _strip(lam):
     return new, sum(removed)
 
 
-def mullineux_symbol(lam):
+def mullineux_symbol(lam, symbols=None):
     """Iterated P-rim stripping: column i records (cells removed, rows
-    present) at step i.  Returned as [top row, bottom row]."""
+    present) at step i.  Returned as [top row, bottom row].  A dict
+    `symbols` (partition -> symbol) is read and filled as `images` is by
+    mullineux_map: the symbol of lam is its first column in front of the
+    symbol of what the first strip leaves."""
     lam = _check_regular(lam)
-    hs, rs = [], []
-    while lam:
-        rs.append(len(lam))
-        lam, h = _strip(lam)
-        hs.append(h)
-    return [hs, rs]
+    symbols = {} if symbols is None else symbols
+    path = []
+    while lam and lam not in symbols:
+        rest, h = _strip(lam)
+        path.append((lam, h))
+        lam = rest
+    hs, rs = symbols.get(lam, ([], []))
+    for mu, h in reversed(path):
+        hs, rs = symbols[mu] = [[h] + hs, [len(mu)] + rs]
+    return [list(hs), list(rs)]  # copies: a caller's edits leave symbols be
 
 
 def image_symbol(symbol):

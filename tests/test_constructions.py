@@ -294,3 +294,24 @@ def test_orbit_partition_refuses_an_orbit_off_the_unvisited_points(
     monkeypatch.setattr(groups, "orbit_codes", faulty)
     with pytest.raises(AssertionError, match="leaves the unvisited points"):
         orbit_partition(case.space, case.group, "+")
+
+
+def test_orbit_partition_stops_when_no_point_leaves_the_unvisited_set(
+        monkeypatch):
+    # with remove a no-op, the start search finds the same start after
+    # every scan; the guard turns that endless loop into a failure, and the
+    # cap on scans below turns a missing guard into a fast failure too
+    case = build_case("wreath-n7")
+    scan, calls = groups.orbit_codes, []
+
+    def capped(*args):
+        calls.append(args[2])
+        if len(calls) > 3:
+            raise RuntimeError("orbit_partition makes no progress")
+        return scan(*args)
+
+    monkeypatch.setattr(groups, "orbit_codes", capped)
+    monkeypatch.setattr(groups.CodeSet, "remove", lambda self, codes: None)
+    with pytest.raises(AssertionError, match="is still unvisited"):
+        orbit_partition(case.space, case.group, "+")
+    assert len(calls) == 1

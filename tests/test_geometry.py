@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -245,6 +246,37 @@ def test_q_table_of_a_large_prime_field_does_not_overflow():
     sp = standard_space(1, field_create(p, 1))
     vs = [1, 2, p // 2, p - 1]
     assert geometry._q_table(sp)[vs].tolist() == [sp.q_value((v,)) for v in vs]
+
+
+@pytest.mark.parametrize("p,a,n,block", [(10007, 1, 1, 1000), (101, 1, 2, 7),
+                                         (3, 2, 2, 2), (3, 1, 5, 4)])
+def test_q_table_built_in_blocks_matches_the_whole_one(p, a, n, block,
+                                                       monkeypatch):
+    # blocks of y that do not divide the number of y, with and without
+    # cross terms and over an extension field, give the table of one block
+    F = field_create(p, a)
+    spaces = [standard_space(n, F, "nonsquare"),
+              _random_space(F, n, random.Random(27))]
+    whole = [geometry._q_table(sp) for sp in spaces]
+    monkeypatch.setattr(geometry, "_Q_BLOCK", block)
+    for sp, table in zip(spaces, whole):
+        sp._qtable = None
+        assert np.array_equal(geometry._q_table(sp), table)
+        vs = itertools.product(F.elements(), repeat=n)
+        assert table.tolist() == [sp.q_value(v) for v in vs]
+
+
+def test_q_table_peak_memory_over_a_large_prime_field():
+    # one int64 array over all 4782961 values of y would alone take 2 tables
+    sp = standard_space(1, field_create(4782961, 1))
+    tracemalloc.start()
+    try:
+        table = geometry._q_table(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint32
+    assert peak <= 2.5 * table.nbytes
 
 
 @pytest.mark.parametrize("p,a,n", [(65521, 1, 1), (3, 10, 1), (3, 7, 2)])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,30 @@ def test_partition_generators():
     # 3-regular partition numbers of n = 1..8: 1,2,2,4,5,7,9,13
     assert [len(list(p_regular_partitions(n))) for n in range(1, 9)] == \
         [1, 2, 2, 4, 5, 7, 9, 13]
+
+
+def _reference_partitions_of(n):
+    # reference: every partition by its first part, then (below) the
+    # 3-regular ones by filtering all of them
+    def gen(rest, maxpart):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, maxpart), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+    return list(gen(n, n))
+
+
+def _reference_p_regular_partitions(n):
+    return [lam for lam in _reference_partitions_of(n) if is_p_regular(lam)]
+
+
+def test_partition_generators_match_the_filtering_ones_in_order():
+    assert partitions_of(0) == [()]
+    for n in range(1, 31):
+        assert partitions_of(n) == _reference_partitions_of(n)
+        assert p_regular_partitions(n) == _reference_p_regular_partitions(n)
 
 
 def test_published_pairs():
@@ -105,6 +131,37 @@ def test_every_good_node_gives_the_same_image():
     assert checks == 580
 
 
+def _all_regular_shuffled(top, seed):
+    lams = [lam for n in range(1, top + 1) for lam in p_regular_partitions(n)]
+    random.Random(seed).shuffle(lams)
+    return lams
+
+
+def test_shared_images_give_the_walk_from_scratch():
+    # in any order, a partition whose walk down meets a stored one gets
+    # the same image, and every stored entry is the image of its key
+    images = {}
+    for lam in _all_regular_shuffled(22, 27):
+        assert mullineux_map(lam, images) == mullineux_map(lam)
+    assert len(images) == sum(len(p_regular_partitions(n))
+                              for n in range(1, 23))
+    for lam, m in images.items():
+        assert m == mullineux_map(lam)
+
+
+def test_shared_symbols_give_the_strips_from_scratch():
+    symbols = {}
+    for lam in _all_regular_shuffled(22, 28):
+        assert mullineux_symbol(lam, symbols) == mullineux_symbol(lam)
+    assert len(symbols) == sum(len(p_regular_partitions(n))
+                               for n in range(1, 23))
+    for lam, s in symbols.items():
+        assert s == mullineux_symbol(lam)
+    # a symbol handed out is a copy of the stored one
+    mullineux_symbol((8, 1), symbols)[0].append(0)
+    assert symbols[(8, 1)] == mullineux_symbol((8, 1))
+
+
 def test_ledger_case_fails_when_the_symbol_rule_is_mutated(monkeypatch):
     case = next(c for c in expected.CASES if c[0] == "mullineux-suite")
     assert expected.run_case(*case).match
@@ -125,7 +182,8 @@ def test_ledger_case_fails_when_the_involution_is_mutated(monkeypatch):
     case = next(c for c in expected.CASES if c[0] == "mullineux-suite")
     good = partitions.mullineux_map
     monkeypatch.setattr(partitions, "mullineux_map",
-                        lambda lam: (1,) * 7 if lam == (7,) else good(lam))
+                        lambda lam, *a: (1,) * 7 if lam == (7,)
+                        else good(lam, *a))
     result = expected.run_case(*case)
     assert result.error is None
     assert not result.match
