@@ -20,7 +20,8 @@ ZERO = "zero"
 
 # exhaustive engines turn off above this many vectors
 _EXHAUSTIVE_LIMIT = 3 ** 14
-_Q_BLOCK = 2 ** 18  # values of y per block of _q_table
+_Q_BLOCK = 2 ** 18  # entries of the outer sum per block of _q_table
+_FIRST_BLOCK = 2 ** 10  # tails per look of first_nonsingular_point
 
 
 class QuadraticSpace:
@@ -215,8 +216,8 @@ def _q_table(space):
     coordinate r is digit i of entry j and b_r the element with code p^i.
     Its table is the outer sum Q(x) + Q(y) + x D_xy y^T over w = x || y, the
     cross term added one x-coordinate at a time, in the smallest dtype.
-    The outer sum is built for _Q_BLOCK values of y at a time, so that
-    over a large prime field no int64 array spans all of them."""
+    The outer sum is built _Q_BLOCK entries (all x, some y) at a time, so
+    that over a large prime field no array spans the whole table."""
     if space._qtable is None:
         if space.field.q ** space.n > _EXHAUSTIVE_LIMIT:
             raise ValueError("space too large to tabulate Q")
@@ -230,8 +231,9 @@ def _q_table(space):
         X, dt = decode_codes(np.arange(p ** s), s, p), np.min_scalar_type(top)
         Q = np.zeros(p ** N, np.min_scalar_type(F.q - 1))
         Qxy = Q.reshape(p ** s, p ** (N - s))
-        for lo in range(0, p ** (N - s), _Q_BLOCK):
-            Y = decode_codes(np.arange(lo, min(lo + _Q_BLOCK, p ** (N - s))),
+        B = max(1, _Q_BLOCK // p ** s)  # values of y per block
+        for lo in range(0, p ** (N - s), B):
+            Y = decode_codes(np.arange(lo, min(lo + B, p ** (N - s))),
                              N - s, p)
             for k in reversed(range(F.a)):
                 Dk = D // p ** k % p
@@ -245,8 +247,8 @@ def _q_table(space):
                 # unsigned, x mod p = min(x, x - m) for x < 2m and m = 2^j p
                 for j in reversed(range((top // p).bit_length())):
                     np.minimum(T, T - (p << j), out=T)
-                Qxy[:, lo:lo + _Q_BLOCK] *= p
-                Qxy[:, lo:lo + _Q_BLOCK] += T
+                Qxy[:, lo:lo + B] *= p
+                Qxy[:, lo:lo + B] += T
         space._qtable = Q
     return space._qtable
 
@@ -320,9 +322,17 @@ def nonsingular_points(space, xi):
 
 
 def first_nonsingular_point(space, xi):
-    """nonsingular_points(space, xi)[0], without enumerating the rest."""
-    t, idx = next((t, idx) for t, idx in _tail_indices(space, xi) if idx.size)
-    return _point_tuples(space, t, idx[:1])[0]
+    """nonsingular_points(space, xi)[0], without enumerating the rest: each
+    mask is read in blocks of little-endian tail indices, up to a hit."""
+    p = space.field.p
+    for t, mask in reversed(list(enumerate(_type_masks(space, xi)))):
+        for lo in range(0, mask.size, _FIRST_BLOCK):
+            idx = np.arange(lo, min(lo + _FIRST_BLOCK, mask.size))
+            big = decode_codes(idx, t, p)[:, ::-1] @ code_powers(t, p)
+            hit = idx[mask[big]]
+            if hit.size:
+                return _point_tuples(space, t, hit[:1])[0]
+    raise ValueError("no point of type %s" % xi)
 
 
 def _common_neighbours(A):

@@ -11,6 +11,8 @@ digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
 are summed by a six-op bitsliced add, and the masks become codes again
 through 13-bit mask->code tables, all built on a group's first scan.
 A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
+A byte map takes each generator's images in turn, so dense BFS levels need
+no sort; d is counted once per scan, over the orbit's sorted codes.
 """
 
 import functools
@@ -242,6 +244,7 @@ def group_closure(F, gens):
 _CERT_SEED = 0
 # product-replacement elements sifted per certificate before it gives up
 _CERT_SIFTS = 60
+_CERT_IDLE = 20  # ... or sooner, after this many identity sifts in a row
 # seeded pairs of words drawn by certified_words before it raises
 _WORD_DRAWS = 8
 _WORD_LENGTH = 8
@@ -327,15 +330,16 @@ def schreier_sims_order(perms, order, rng):
     is an orbit of a subgroup of the stabiliser of the earlier base
     points, so the product of the basic orbit lengths never exceeds the
     order of the group the sifted elements generate, which lies inside
-    <perms>.  The sifting stops once that product reaches order, or after
-    _CERT_SIFTS elements; the product is returned.
+    <perms>.  The sifting stops once that product reaches order, after
+    _CERT_IDLE identity sifts in a row (the chain has stopped growing), or
+    after _CERT_SIFTS elements; the product is returned.
     """
     k, N = perms.shape
     ident = np.arange(N, dtype=perms.dtype)
     slots = [perms[i % k] for i in range(max(k, _PR_SLOTS))]
     acc = ident
     levels = []
-    bound = 1
+    bound, idle = 1, 0
     for _ in range(_CERT_SIFTS):
         i = rng.randrange(len(slots))
         j = rng.randrange(len(slots) - 1)
@@ -352,7 +356,10 @@ def schreier_sims_order(perms, order, rng):
                 break
             g = level.coset_inverse(x)[g]
             depth += 1
-        if (g == ident).all():
+        idle = idle + 1 if (g == ident).all() else 0
+        if idle == _CERT_IDLE:
+            break
+        if idle:
             continue
         if depth == len(levels):
             levels.append(_Level(int(np.flatnonzero(g != ident)[0]), ident))
@@ -634,8 +641,8 @@ class CodeSet:
     """A set of packed codes of GF(3) points of dim n (below 2 * 3^(n-1),
     as the first nonzero entry is 1), from sorted distinct codes.  Up to
     _DENSE_MAX_DIM it is a byte map over those codes with the runs of codes
-    added to it; above, the sorted array of its codes.  Arrays given to it
-    are kept without a copy."""
+    added to it, which need no order; above, the sorted array of its codes.
+    Arrays given to it are kept without a copy."""
 
     def __init__(self, n, codes):
         self._map = None
@@ -657,11 +664,23 @@ class CodeSet:
         return self._sorted[pos] == codes
 
     def missing(self, codes):
-        """The distinct codes not in the set, sorted."""
-        if self._map is not None:
-            return _distinct(codes[~self.has(codes)])
+        """The distinct codes not in a sorted set, sorted."""
         codes = _distinct(codes)  # sorted keys keep the binary search in cache
         return codes[~self.has(codes)]
+
+    def admit(self, images):
+        """The new codes among images, k generators' images of distinct
+        points as a (rows, k) array.  A byte map takes them in, unsorted, a
+        generator column at a time: a column's codes are distinct, and once
+        marked not new in a later one.  A sorted set only looks them up."""
+        if self._map is None:
+            return self.missing(images.ravel())
+        new = []
+        for col in images.T:
+            new.append(col[~self._map[col]])
+            self._map[new[-1]] = True
+        self._runs.append(np.concatenate(new))
+        return self._runs[-1]
 
     def add(self, new):
         """Add sorted, distinct codes that are not in the set."""
@@ -689,12 +708,13 @@ def _scan(group, start, gram):
 
     d counts the orbit points w != start with f(w, start) = 0.  Each level
     splits the frontier codes into base-3 digit chunks of at most
-    _TABLE_DIGITS, looks up f(v, start) in _f_tables and every generator's
-    image of each chunk in the group's _image_tables, and sums the chunks
-    with gf3_add.  The image masks become canonical codes through the tables
-    of _piece_tables.  Images in the seen-set (a CodeSet) are dropped chunk
-    by chunk, which leaves each part sorted and distinct; a level's parts
-    are merged and join the seen-set once per level.
+    _TABLE_DIGITS, looks up every generator's image of each chunk in the
+    group's _image_tables, and sums the chunks with gf3_add.  The image
+    masks become canonical codes through the tables of _piece_tables, and
+    the seen-set (a CodeSet) admits them chunk by chunk.  A byte map needs
+    no sort: its levels stay unsorted, and the codes are sorted once at the
+    end.  Sorted sets merge a level's sorted parts and add them once per
+    level.  d is counted once, over the sorted codes, through _f_tables.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
@@ -706,39 +726,40 @@ def _scan(group, start, gram):
     codes = _canonical_codes(*_masks(x[None, :]), pieces)
     if not group.gens:
         return 1, 0, codes
-    tables = [t + (ft,) for t, ft in zip(tables, _f_tables(gx, chunks))]
     rows = max(1, _CHUNK_ENTRIES // (len(group.gens) * n))
     seen = CodeSet(n, codes)
-    # every orbit point is counted once, as part of a frontier; the start
-    # point is taken back out of d
-    size, d = 1, -int(x @ gx % 3 == 0)
-    frontier = codes
+    size, frontier = 1, codes
     while True:
         parts = []
         if n > _DENSE_MAX_DIM:  # dense chunks keep binary searches in cache
             rows = max(rows, size // 16)
         for lo in range(0, len(frontier), rows):
             digits = _chunk_digits(frontier[lo:lo + rows], chunks)
-            M1, M2, f = (t.take(digits[0], axis=0) for t in tables[0])
-            for (T1, T2, ft), digit in zip(tables[1:], digits[1:]):
+            M1, M2 = (T.take(digits[0], axis=0) for T in tables[0])
+            for (T1, T2), digit in zip(tables[1:], digits[1:]):
                 M1, M2 = gf3_add(M1, M2, T1.take(digit, axis=0),
                                  T2.take(digit, axis=0))
-                f += ft.take(digit)
-            d += int(np.count_nonzero(f % 3 == 0))
-            c = _canonical_codes(M1, M2, pieces)
-            parts.append(seen.missing(c.ravel()))
-        new = _distinct(np.concatenate(parts)) if parts[1:] else parts[0]
+            parts.append(seen.admit(_canonical_codes(M1, M2, pieces)))
+        new = np.concatenate(parts)
         if not new.size:
             break
+        if n > _DENSE_MAX_DIM:  # a byte map holds the parts already
+            new = _distinct(new) if parts[1:] else new
+            seen.add(new)
         size += new.size
         if size > ORBIT_CAP:
             raise OrbitCapExceeded("orbit exceeds the cap of %d points"
                                    % ORBIT_CAP)
-        seen.add(new)
         frontier = new
     codes = seen.codes()
     assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
         "orbit scan codes are not %d strictly increasing codes" % size
+    # the orbit points w with f(w, start) = 0, the start itself taken out
+    d, f_tables = -int(x @ gx % 3 == 0), _f_tables(gx, chunks)
+    for lo in range(0, size, rows):
+        digits = _chunk_digits(codes[lo:lo + rows], chunks)
+        f = sum(map(np.take, f_tables, digits))
+        d += int(np.count_nonzero(f % 3 == 0))
     return size, d, codes
 
 

@@ -186,6 +186,41 @@ def test_enumerator_non_diagonal_gram(field):
     check_enumerator(sp)
 
 
+def _first_point_spaces():
+    """Standard spaces of both discriminants over GF(3) in odd dims 1-13 and
+    over GF(5) and GF(7) in dims 3 and 5, and the non-diagonal dim-13
+    space of sp6-lambda2."""
+    from rank3.constructions import symplectic_lambda2_module
+    GF7 = field_create(7, 1)
+    fields_dims = [(GF3, n) for n in range(1, 14, 2)] + [
+        (F, n) for F in (GF5, GF7) for n in (3, 5)]
+    return [standard_space(n, F, disc) for F, n in fields_dims
+            for disc in ("square", "nonsquare")] + [
+        symplectic_lambda2_module().space]
+
+
+def test_first_nonsingular_point_is_the_first_of_the_enumeration():
+    for sp in _first_point_spaces():
+        for xi in ("+", "-"):
+            pts = nonsingular_points(sp, xi)
+            if pts:
+                assert geometry.first_nonsingular_point(sp, xi) == pts[0]
+            else:  # dim 1 has points of one type only
+                assert sp.n == 1
+                with pytest.raises(ValueError, match="no point"):
+                    geometry.first_nonsingular_point(sp, xi)
+
+
+def test_first_nonsingular_point_reads_the_masks_in_blocks(monkeypatch):
+    # blocks of 7 tails, which do not divide 3^t, and every tail a block
+    sp = _first_point_spaces()[-1]
+    first = [geometry.first_nonsingular_point(sp, xi) for xi in ("+", "-")]
+    for block in (7, 1):
+        monkeypatch.setattr(geometry, "_FIRST_BLOCK", block)
+        assert [geometry.first_nonsingular_point(sp, xi)
+                for xi in ("+", "-")] == first
+
+
 def test_nonsingular_points_needs_prime_field():
     sp = standard_space(3, GF9)
     for enumerate_points in (nonsingular_points, geometry.nonsingular_codes,
@@ -249,11 +284,14 @@ def test_q_table_of_a_large_prime_field_does_not_overflow():
 
 
 @pytest.mark.parametrize("p,a,n,block", [(10007, 1, 1, 1000), (101, 1, 2, 7),
-                                         (3, 2, 2, 2), (3, 1, 5, 4)])
+                                         (3, 2, 2, 2), (3, 1, 5, 4),
+                                         (101, 1, 2, 7 * 101), (3, 2, 2, 18),
+                                         (3, 1, 5, 4 * 9)])
 def test_q_table_built_in_blocks_matches_the_whole_one(p, a, n, block,
                                                        monkeypatch):
     # blocks of y that do not divide the number of y, with and without
-    # cross terms and over an extension field, give the table of one block
+    # cross terms and over an extension field, give the table of one block;
+    # a block is _Q_BLOCK entries, all p^s values of x times some of y
     F = field_create(p, a)
     spaces = [standard_space(n, F, "nonsquare"),
               _random_space(F, n, random.Random(27))]
@@ -277,6 +315,22 @@ def test_q_table_peak_memory_over_a_large_prime_field():
         tracemalloc.stop()
     assert table.dtype == np.uint32
     assert peak <= 2.5 * table.nbytes
+
+
+def test_q_table_peak_memory_over_a_prime_field_squared():
+    # over GF(2179)^2 the p^s = 2179 values of x times all 2179 of y, as
+    # int64, would alone take 4 tables
+    sp = standard_space(2, field_create(2179, 1), "nonsquare")
+    tracemalloc.start()
+    try:
+        table = geometry._q_table(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint16
+    assert peak <= 2.5 * table.nbytes
+    vs = [0, 1, 2179, 2180, 2179 * 1000 + 17, 2179 ** 2 - 1]
+    assert table[vs].tolist() == [sp.q_value(divmod(v, 2179)) for v in vs]
 
 
 @pytest.mark.parametrize("p,a,n", [(65521, 1, 1), (3, 10, 1), (3, 7, 2)])

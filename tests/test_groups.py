@@ -232,9 +232,10 @@ def test_omega3_check_rejects_a_proper_subgroup(monkeypatch):
         omega_generators(sp)
 
 
-def _draw0_pair(gens):
-    """The words of certified_words' first draw, picked as it picks them."""
-    rng = random.Random(0)
+def _draw0_pair(gens, rng=None):
+    """The words of certified_words' first draw, picked as it picks them,
+    by rng (a random.Random(0) unless given)."""
+    rng = rng or random.Random(0)
     words = []
     for _ in range(2):
         m = linalg.identity(len(gens[0]))
@@ -258,6 +259,39 @@ def test_certificate_rejects_the_proper_subgroup_of_draw0():
     assert pair != draw0 and len(pair) == 2
     assert len(orbit_partition(nat, MatrixGroup(GF3, 7, pair, gram=nat.gram),
                                "+")) == 1
+
+
+class _CountingRandom(random.Random):
+    """random.Random on its own stream that counts its random() calls, one
+    per sift of schreier_sims_order."""
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):  # keeps randrange on Random's own stream
+        return super().getrandbits(k)
+
+
+def test_certificate_stops_early_once_the_chain_stops_growing():
+    from rank3.constructions import _omega7_pair
+    nat, pair = _omega7_pair()
+    gens = omega_generators(nat).gens
+    codes, order = geometry.singular_codes(nat), omega_order(7, 3)
+    # draw 0 as certified_words runs it: the words, then the certificate,
+    # on one rng; its chain stops growing well before the last sift
+    rng = _CountingRandom(0)
+    perms = groups.point_perms(_draw0_pair(gens, rng), codes)
+    assert rng.calls == 0
+    assert groups.schreier_sims_order(perms, order, rng) < order
+    assert rng.calls < groups._CERT_SIFTS
+    # draw 1 still certifies, and is still the pair certified_words picks
+    rng = _CountingRandom(1)
+    perms = groups.point_perms(_draw0_pair(gens, rng), codes)
+    assert groups.schreier_sims_order(perms, order, rng) >= order
+    assert rng.calls < groups._CERT_SIFTS
+    assert pair == _draw0_pair(gens, random.Random(1))
 
 
 def test_certificate_rejects_the_frame_stabilizer():
@@ -622,9 +656,89 @@ def test_scan_tables_leave_group_equality_and_hash_alone():
     assert G == H and hash(G) == hash(H) == before
 
 
+def _admit_chunk_at_once(self, images):
+    """CodeSet.admit for byte maps, but every column is looked up before any
+    is marked, so a point two generators reach joins the level twice."""
+    new = images[~self._map[images]]
+    self._map[new] = True
+    self._runs.append(new)
+    return new
+
+
 def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
+    # sorted layout: a _distinct that keeps duplicates lets one point into
+    # a level twice
+    sp, G = _cycles21()
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_distinct", np.sort)
+        with pytest.raises(AssertionError, match="strictly increasing"):
+            groups._scan(G, (1, 1) + (0,) * 19, sp.gram)
+    # byte map: so does an admission that marks a chunk's columns at once
     sp, G = _wreath7()
-    # a _distinct that keeps duplicates lets one point into a level twice
-    monkeypatch.setattr(groups, "_distinct", np.sort)
+    monkeypatch.setattr(groups.CodeSet, "admit", _admit_chunk_at_once)
     with pytest.raises(AssertionError, match="strictly increasing"):
         groups._scan(G, (1, 1, 0, 0, 0, 0, 0), sp.gram)
+
+
+def _wreath(n):
+    from rank3.constructions import wreath_o1_subgroup
+    case = wreath_o1_subgroup(n)
+    return case.space, case.group
+
+
+@pytest.mark.parametrize("n,starts", [
+    (7, [(1, 1, 0, 0, 0, 0, 0), (1, 2, 1, 1, 0, 0, 0),
+         (0, 1, 1, 1, 1, 2, 0)]),
+    (13, [(1, 1) + (0,) * 11, (0, 1, 2, 0, 1, 1) + (0,) * 7])])
+def test_dense_scan_matches_generic_oracle_over_many_chunks(n, starts,
+                                                           monkeypatch):
+    # three generators, so a level's points are reached by more than one;
+    # a few frontier rows per chunk, so levels and d span several chunks
+    sp, G = _wreath(n)
+    assert len(G.gens) == 3 and n <= groups._DENSE_MAX_DIM
+    monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 3 * n * 8)
+    rows = max(1, groups._CHUNK_ENTRIES // (3 * n))
+    for v in starts:
+        size, d, codes = groups._scan(G, v, sp.gram)
+        seen, d_ref = groups._orbit_generic(sp, G.gens, v)
+        assert size > 4 * rows
+        assert (size, d) == (len(seen), d_ref)
+        assert codes.tolist() == sorted(
+            int(geometry.code_powers(n) @ np.array(w)) for w in seen)
+
+
+@pytest.mark.parametrize("n", [7, 13, 21])
+def test_scan_of_a_singular_start_leaves_the_start_out_of_d(n, monkeypatch):
+    # f(start, start) = 0 for a singular start, which the d count over the
+    # whole orbit has to take back out
+    sp, G = _cycles21() if n == 21 else _wreath(n)
+    monkeypatch.setattr(groups, "_CHUNK_ENTRIES", len(G.gens) * n * 8)
+    v = (1, 1, 1) + (0,) * (n - 3)
+    assert sp.q_value(v) == 0
+    size, d, codes = groups._scan(G, v, sp.gram)
+    seen, d_ref = groups._orbit_generic(sp, G.gens, v)
+    assert (size, d) == (len(seen), d_ref) and d > 0
+    assert codes.tolist() == sorted(
+        int(geometry.code_powers(n) @ np.array(w)) for w in seen)
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_code_set_admits_each_new_code_once(n):
+    rng = np.random.default_rng(n)
+    last = 2 * 3 ** (n - 1) - 1
+    s = groups.CodeSet(n, np.array([5, 40]))
+    # each column distinct, as a generator's images of distinct points
+    # are; the columns overlap each other and the set
+    cols = [rng.permutation(60)[:30] for _ in range(3)] + [
+        np.concatenate([[last, 0], np.arange(2, 30)])]
+    images = np.stack(cols, axis=1)
+    new = s.admit(images)
+    want = sorted(set(images.ravel().tolist()) - {5, 40})
+    assert sorted(new.tolist()) == want and len(new) == len(want)
+    if n <= groups._DENSE_MAX_DIM:
+        # the byte map holds them now, and codes() lists them
+        assert s.has(images).all() and not s.admit(images).size
+        assert s.codes().tolist() == sorted(want + [5, 40])
+    else:
+        # sorted codes come back sorted, for add; the set is unchanged
+        assert new.tolist() == want and s.codes().tolist() == [5, 40]
