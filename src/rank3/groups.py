@@ -551,12 +551,14 @@ def _digit_chunks(n):
 
 
 def _chunk_digits(codes, chunks):
-    """Per chunk [a, b), the base-3 number v_a..v_(b-1) of each code: one
-    divmod per chunk, from the last (least significant) chunk up."""
+    """Per chunk [a, b), the base-3 number v_a..v_(b-1) of each code, from
+    the last (least significant) chunk up: a floor division and a
+    multiply-subtract per chunk, about twice as fast as np.divmod."""
     digits = []
     for a, b in reversed(chunks[1:]):
-        codes, digit = np.divmod(codes, 3 ** (b - a))
-        digits.append(digit)
+        high = codes // 3 ** (b - a)
+        digits.append(codes - high * 3 ** (b - a))
+        codes = high
     return [codes] + digits[::-1]
 
 
@@ -664,7 +666,7 @@ class CodeSet:
         return self._sorted[pos] == codes
 
     def missing(self, codes):
-        """The distinct codes not in a sorted set, sorted."""
+        """The distinct codes not in the set, sorted."""
         codes = _distinct(codes)  # sorted keys keep the binary search in cache
         return codes[~self.has(codes)]
 
