@@ -233,8 +233,8 @@ def test_omega3_check_rejects_a_proper_subgroup(monkeypatch):
 
 
 def _draw0_pair(gens, rng=None):
-    """The words of certified_words' first draw, picked as it picks them,
-    by rng (a random.Random(0) unless given)."""
+    """The words of certified_words' draw t, picked as it picks them from
+    rng = random.Random(t); t = 0 unless rng is given."""
     rng = rng or random.Random(0)
     words = []
     for _ in range(2):
@@ -470,10 +470,14 @@ def _perm_group(n, perms, signs=()):
     return sp, MatrixGroup(GF3, n, tuple(gens), gram=sp.gram)
 
 
-def _wreath7():
+def _wreath(n):
     from rank3.constructions import wreath_o1_subgroup
-    case = wreath_o1_subgroup(7)
+    case = wreath_o1_subgroup(n)
     return case.space, case.group
+
+
+def _wreath7():
+    return _wreath(7)
 
 
 def _cycles21():
@@ -678,12 +682,6 @@ def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
     monkeypatch.setattr(groups.CodeSet, "admit", _admit_chunk_at_once)
     with pytest.raises(AssertionError, match="strictly increasing"):
         groups._scan(G, (1, 1, 0, 0, 0, 0, 0), sp.gram)
-
-
-def _wreath(n):
-    from rank3.constructions import wreath_o1_subgroup
-    case = wreath_o1_subgroup(n)
-    return case.space, case.group
 
 
 @pytest.mark.parametrize("n,starts", [
