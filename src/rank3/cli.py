@@ -38,11 +38,15 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _load_group(path):
+def _parse_file(path):
     try:
-        group = genfile.parse_generator_file(path)
+        return genfile.parse_generator_file(path)
     except (OSError, genfile.ParseError) as e:
         raise SystemExit2(str(e))
+
+
+def _load_group(path):
+    group = _parse_file(path)
     if group.gram is None:
         raise SystemExit2("file %s carries no form block; use `split` or add "
                           "a form" % path)
@@ -152,11 +156,8 @@ def cmd_mullineux(args):
 
 
 def cmd_split(args):
-    try:
-        group = genfile.parse_generator_file(args.file)
-    except (OSError, genfile.ParseError) as e:
-        raise SystemExit2(str(e))
-    factors = meataxe.composition_factors(group, seed=args.seed)
+    factors = meataxe.composition_factors(_parse_file(args.file),
+                                          seed=args.seed)
     payload = {"dims": [[f.dim, mult] for f, mult in factors]}
 
     def text(pl):

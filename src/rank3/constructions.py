@@ -325,46 +325,25 @@ def _pairs(n, strict):
     return [(i, j) for i in range(n) for j in range(i + 1 if strict else i, n)]
 
 
-def wedge_matrix(F, g):
-    n = len(g)
-    idx = _pairs(n, True)
-    out = []
-    for (i, j) in idx:
-        row = []
-        for (k, l) in idx:
-            row.append(F.sub(F.mul(g[i][k], g[j][l]), F.mul(g[i][l], g[j][k])))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def sym_matrix(F, g):
-    """Action on the basis {e_i.e_j (i<j), e_i.e_i} of the symmetric square."""
-    n = len(g)
-    idx = _pairs(n, False)
-    out = []
-    for (i, j) in idx:
-        row = []
-        for (k, l) in idx:
-            if i == j:
-                row.append(F.mul(g[i][k], g[i][l]) if k != l
-                           else F.mul(g[i][k], g[i][k]))
-            else:
-                if k == l:
-                    row.append(F.mul(2, F.mul(g[i][k], g[j][k])))
-                else:
-                    row.append(F.add(F.mul(g[i][k], g[j][l]),
-                                     F.mul(g[i][l], g[j][k])))
-        out.append(tuple(row))
-    return tuple(out)
+def square_matrix(F, g, sign):
+    """The action of g on the wedge square (sign -1, basis e_i^e_j, i < j)
+    or the symmetric square (sign 1, basis e_i.e_j, i <= j): entry (ij, kl)
+    is g_ik g_jl + sign g_il g_jk, halved on the rows e_i.e_i."""
+    idx = _pairs(len(g), sign < 0)
+    pm, half = F.sub if sign < 0 else F.add, F.inv(F.from_int(2))
+    return tuple(tuple(
+        F.mul(half if i == j else 1,
+              pm(F.mul(g[i][k], g[j][l]), F.mul(g[i][l], g[j][k])))
+        for k, l in idx) for i, j in idx)
 
 
 def sym_gram(F, gram):
-    """The Gram matrix of the symmetric square: sym_matrix of the Gram
+    """The Gram matrix of the symmetric square: square_matrix of the Gram
     matrix, with each e_k.e_l column (k != l) doubled."""
     idx = _pairs(len(gram), False)
     return tuple(tuple(x if k == l else F.mul(2, x)
                        for x, (k, l) in zip(row, idx))
-                 for row in sym_matrix(F, gram))
+                 for row in square_matrix(F, gram, 1))
 
 
 def _subquotient(F, gram, gens, sub_rows, rad_rows):
@@ -395,9 +374,9 @@ def wedge_square_rep():
     F = GF3
     nat, pair = _omega7_pair()
     idx = _pairs(7, True)
-    gram = wedge_matrix(F, nat.gram)
+    gram = square_matrix(F, nat.gram, -1)
     space = geometry.QuadraticSpace(F, gram)
-    gens = tuple(wedge_matrix(F, g) for g in pair)
+    gens = tuple(square_matrix(F, g, -1) for g in pair)
     group = groups.MatrixGroup(F, 21, gens, label="wedge-n7", gram=gram)
     base = []
     for xi in (1, 2):  # v = (e1 - xi*f1) ^ x
@@ -416,7 +395,7 @@ def sym_square_o7_rep():
     nat, pair = _omega7_pair()
     idx = _pairs(7, False)
     big_gram = sym_gram(F, nat.gram)
-    big_gens = [sym_matrix(F, g) for g in pair]
+    big_gens = [square_matrix(F, g, 1) for g in pair]
     w = [0] * len(idx)
     for i in range(3):
         w[idx.index((i, 4 + i))] = 1
@@ -489,8 +468,8 @@ def symplectic_lambda2_module():
     F = GF3
     gram6, sp_gens = _sp6_data()
     idx = _pairs(6, True)
-    big_gram = wedge_matrix(F, gram6)
-    big_gens = [wedge_matrix(F, g) for g in sp_gens]
+    big_gram = square_matrix(F, gram6, -1)
+    big_gens = [square_matrix(F, g, -1) for g in sp_gens]
     w = [0] * len(idx)
     for i in range(3):
         w[idx.index((i, 3 + i))] = 1
@@ -516,7 +495,7 @@ def symplectic_sym2_module():
     gram6, sp_gens = _sp6_data()
     idx = _pairs(6, False)
     gram = sym_gram(F, gram6)
-    gens = tuple(sym_matrix(F, g) for g in sp_gens)
+    gens = tuple(square_matrix(F, g, 1) for g in sp_gens)
     space = geometry.QuadraticSpace(F, gram)
     group = groups.MatrixGroup(F, 21, gens, label="sp6-sym2", gram=gram)
     base = []

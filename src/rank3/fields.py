@@ -284,10 +284,7 @@ def _cached_field(p, a, modulus):
 
 def field_create(p, a, modulus=None):
     """Create (or fetch a cached) GF(p^a) with an optional explicit modulus."""
-    key = tuple(modulus) if modulus is not None else None
-    if key is None:
-        return _cached_field(p, a, None)
-    return _cached_field(p, a, key)
+    return _cached_field(p, a, None if modulus is None else tuple(modulus))
 
 
 GF3 = field_create(3, 1)

@@ -81,7 +81,7 @@ def parse_generator_lines(raw_lines):
     except ValueError:
         raise ParseError("non-integer header value", no) from None
     if n < 1 or k < 0:
-        raise ParseError("dim and gens must be positive", no)
+        raise ParseError("dim must be positive and gens at least 0", no)
     try:
         p, a = _factor_prime_power(q)
     except ValueError as e:

@@ -30,6 +30,8 @@ class QuadraticSpace:
             raise ValueError("odd characteristic required")
         gram = linalg.mat_from_rows(gram)
         n = len(gram)
+        if n == 0:
+            raise ValueError("gram matrix is empty: dim must be at least 1")
         if any(len(r) != n for r in gram):
             raise ValueError("gram matrix not square")
         if gram != linalg.transpose(gram):

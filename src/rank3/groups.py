@@ -12,14 +12,15 @@ are summed by a six-op bitsliced add, and the masks become codes again
 through 13-bit mask->code tables, all built on a group's first scan.
 A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
 A byte map takes each generator's images in turn, so dense BFS levels need
-no sort; d is counted once per scan, over the orbit's sorted codes.
+no sort.  The BFS finds the orbit alone; cd_parameters and orbit_codes
+then count d in one pass over the orbit's sorted codes.
 """
 
 import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -483,7 +484,7 @@ def omega_generators(space):
             gam = next(g for g in F.nonzero()
                        if geometry.type_of_qvalue(space, g) == ptype)
             x = find_vector_with_q(space, gam)
-            size, _d, _c = _scan(group, x, space.gram)
+            size, _codes = _scan(group, x)
             expected = 3 ** m * (3 ** m + sgn) // 2
             if size != expected:
                 raise RuntimeError(
@@ -511,12 +512,8 @@ class OrbitReport:
     seconds: float = 0.0
 
     def to_json(self):
-        return {
-            "base_point": list(self.base_point), "xi": self.xi,
-            "size": self.size, "c": self.c, "d": self.d,
-            "eq1": self.eq1, "eq2": self.eq2, "eq3": self.eq3,
-            "eq4": self.eq4, "m": self.m, "seconds": round(self.seconds, 3),
-        }
+        return dict(asdict(self), base_point=list(self.base_point),
+                    seconds=round(self.seconds, 3))
 
 
 # Packed codes are int64 base-3 numbers (geometry.code_powers); 3^40 - 1
@@ -705,29 +702,26 @@ class CodeSet:
         return np.sort(np.concatenate(self._runs))
 
 
-def _scan(group, start, gram):
-    """BFS orbit of a projective point over GF(3): (size, d, sorted codes).
+def _scan(group, start):
+    """BFS orbit of a projective point over GF(3): (size, sorted codes).
 
-    d counts the orbit points w != start with f(w, start) = 0.  Each level
-    splits the frontier codes into base-3 digit chunks of at most
+    Each level splits the frontier codes into base-3 digit chunks of at most
     _TABLE_DIGITS, looks up every generator's image of each chunk in the
     group's _image_tables, and sums the chunks with gf3_add.  The image
     masks become canonical codes through the tables of _piece_tables, and
     the seen-set (a CodeSet) admits them chunk by chunk.  A byte map needs
     no sort: its levels stay unsorted, and the codes are sorted once at the
     end.  Sorted sets merge a level's sorted parts and add them once per
-    level.  d is counted once, over the sorted codes, through _f_tables.
+    level.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
         raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
                          "codes), got dim %d" % (MAX_CODE_DIM, n))
     chunks, tables, pieces = group._gf3_tables
-    x = np.array(start, dtype=np.int64) % 3
-    gx = (np.array(gram, dtype=np.int64) @ x) % 3
-    codes = _canonical_codes(*_masks(x[None, :]), pieces)
+    codes = _canonical_codes(*_masks(np.array([start]) % 3), pieces)
     if not group.gens:
-        return 1, 0, codes
+        return 1, codes
     rows = max(1, _CHUNK_ENTRIES // (len(group.gens) * n))
     seen = CodeSet(n, codes)
     size, frontier = 1, codes
@@ -756,13 +750,22 @@ def _scan(group, start, gram):
     codes = seen.codes()
     assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
         "orbit scan codes are not %d strictly increasing codes" % size
-    # the orbit points w with f(w, start) = 0, the start itself taken out
+    return size, codes
+
+
+def _count_d(group, start, gram, codes):
+    """d: the orbit points w != start with f(w, start) = 0, read off the
+    sorted codes by _f_tables, max(_CHUNK_ENTRIES // n, size // 16) a block."""
+    n, chunks = len(start), group._gf3_tables[0]
+    x = np.array(start, dtype=np.int64) % 3
+    gx = (np.array(gram, dtype=np.int64) @ x) % 3
+    rows = max(_CHUNK_ENTRIES // n, codes.size // 16)
     d, f_tables = -int(x @ gx % 3 == 0), _f_tables(gx, chunks)
-    for lo in range(0, size, rows):
+    for lo in range(0, codes.size, rows):
         digits = _chunk_digits(codes[lo:lo + rows], chunks)
         f = sum(map(np.take, f_tables, digits))
         d += int(np.count_nonzero(f % 3 == 0))
-    return size, d, codes
+    return d
 
 
 def _orbit_generic(space, gens, start):
@@ -790,18 +793,17 @@ def _orbit_generic(space, gens, start):
 
 
 def orbit(group, start, space=None):
-    """The orbit of a projective point, as a sorted list of canonical tuples."""
+    """The orbit of a projective point, as a sorted list of canonical tuples:
+    over GF(3) a _scan, with no form; elsewhere the generic BFS."""
     F = group.field
-    gram = group.gram if group.gram is not None else (space.gram if space else None)
-    if gram is None:
-        gram = linalg.identity(group.dim)  # d-count unused here
     if F.p == 3 and F.a == 1:
-        size, _d, codes = _scan(group, start, gram)
+        size, codes = _scan(group, start)
         if size > 2_000_000:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
         # zip one list per coordinate: a list per point raises the peak
         return list(zip(*geometry.decode_codes(codes, group.dim).T.tolist()))
-    sp = space or geometry.QuadraticSpace(F, gram)
+    sp = space or geometry.QuadraticSpace(
+        F, group.gram or linalg.identity(group.dim))
     seen, _d = _orbit_generic(sp, group.gens, start)
     return sorted(seen)
 
@@ -836,7 +838,8 @@ def cd_parameters(space, group, start):
     _check_start(space, group, start)
     t0 = time.time()
     if F.p == 3 and F.a == 1:
-        size, d, _ = _scan(group, start, space.gram)
+        size, codes = _scan(group, start)
+        d = _count_d(group, start, space.gram, codes)
     else:
         seen, d = _orbit_generic(space, group.gens, start)
         size = len(seen)
@@ -849,4 +852,5 @@ def orbit_codes(space, group, start):
     if not (F.p == 3 and F.a == 1):
         raise ValueError("orbit_codes scans GF(3) only, got %r" % F)
     _check_start(space, group, start)
-    return _scan(group, start, space.gram)
+    size, codes = _scan(group, start)
+    return size, _count_d(group, start, space.gram, codes), codes

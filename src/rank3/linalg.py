@@ -371,13 +371,9 @@ def solve_row(F, A, b):
     m = len(A)
     aug = [list(At[i]) + [b[i]] for i in range(len(At))]
     R, pivots = rref(F, aug)
-    for row in R:
-        if not any(row[:m]) and row[-1]:
-            return None  # inconsistent system
     x = [0] * m
     for rowi, pc in enumerate(pivots):
-        if pc < m:
-            x[pc] = R[rowi][-1]
-        elif R[rowi][-1]:
-            return None
+        if pc == m:
+            return None  # a pivot in b: the system is inconsistent
+        x[pc] = R[rowi][-1]
     return tuple(x)

@@ -129,6 +129,8 @@ def find_submodule(M, rng):
     certificate: every kernel line of some singular element spins to the
     whole space and a dual kernel vector spins the dual."""
     F, dim = M.field, M.dim
+    if not M.gens:  # every line is a submodule
+        return linalg.identity(dim)[:1] if dim > 1 else None
     gens_t = [linalg.transpose(g) for g in M.gens]
     E = linalg.Echelon(F)
     packed = _pack(E, M.gens)
@@ -139,14 +141,11 @@ def find_submodule(M, rng):
         if nullity == 0:
             continue
         vectors = ker if nullity > 3 else _kernel_lines(F, ker)
-        certified = nullity <= 3
-        found_full = False
         for v in vectors:
             w = spin(F, M.gens, [v], packed)
             if len(w) < dim:
                 return w
-            found_full = True
-        if not (certified and found_full):
+        if nullity > 3:
             continue
         ker_t = linalg.nullspace_rows(F, linalg.transpose(theta))
         wt = spin(F, gens_t, [ker_t[0]])
@@ -279,13 +278,9 @@ def s8_pipeline():
     space = geometry.QuadraticSpace(F, B)
     # invariant_bilinear_form asserted g B g^T = B
     group = groups.MatrixGroup.unchecked(F, 13, dim13.gens, "s8-dim13", B)
-    dims = []
-    for mod, mult in factors:
-        dims.extend([mod.dim] * mult)
-    result = {"factor_dims": sorted(dims), "orbits": {}}
+    dims = sorted(mod.dim for mod, mult in factors for _ in range(mult))
+    result = {"factor_dims": dims, "small": {}}
     for xi in ("+", "-"):
         parts = constructions.orbit_partition(space, group, xi)
-        small = [p for p in parts if p.size == 315]
-        result["orbits"][xi] = [(p.size, p.c, p.d) for p in parts]
-        result.setdefault("small", {})[xi] = [(p.c, p.d) for p in small]
+        result["small"][xi] = [(p.c, p.d) for p in parts if p.size == 315]
     return result

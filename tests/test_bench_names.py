@@ -56,3 +56,25 @@ def test_cold_caches_finds_the_caches_it_clears(bench, monkeypatch):
     workloads.cold_caches()
     assert groups._OMEGA_CACHE == {}
     assert fields._cached_field.cache_info().currsize == 0
+
+
+def test_one_traced_pass_of_each_workload_calls_its_predicted_layers(
+        bench, monkeypatch):
+    # A traced layer the library stops calling (or starts calling) on a
+    # workload shows here, not only in the benchmark's traced run.  The
+    # field cache stays: the MeatAxe compares fields with `is`, and a
+    # cleared cache would hand later callers a new GF(3).
+    tracer, workloads = bench
+    for name in tracer.PREDICTED_ORDER:
+        state = workloads.SETUP[name](0)
+        # a fresh Omega cache, so that the Omega_3 closures are enumerated
+        monkeypatch.setattr(groups, "_OMEGA_CACHE", {})
+        t, tally = tracer.Tracer(), workloads.Tally()
+        t.install()
+        try:
+            workloads.PASS[name](state, tally)
+        finally:
+            t.uninstall()
+        assert (tally.failed, tally.errors) == (0, [])
+        assert tally.attempted > 0
+        assert t.coverage_misses(name) == []

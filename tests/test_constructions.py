@@ -8,8 +8,8 @@ from rank3.constructions import (CASE_BUILDERS, build_case,
                                  deleted_module_closed_forms,
                                  deleted_permutation_module,
                                  field_extension_subgroup, orbit_partition,
-                                 parabolic_subgroup, sym_gram, sym_matrix,
-                                 trace_form_disc_class, wedge_matrix,
+                                 parabolic_subgroup, square_matrix,
+                                 sym_gram, trace_form_disc_class,
                                  wreath_o1_subgroup,
                                  wreath_pinned_cd)
 from rank3.fields import GF3
@@ -151,9 +151,9 @@ def test_functor_matrices_are_homomorphisms():
     G = groups.omega_generators(sp)
     a, b = G.gens[0], G.gens[1]
     ab = linalg.mat_mul(GF3, a, b)
-    for functor in (wedge_matrix, sym_matrix):
-        assert functor(GF3, ab) == linalg.mat_mul(
-            GF3, functor(GF3, a), functor(GF3, b))
+    for sign in (-1, 1):  # wedge and symmetric squares
+        assert square_matrix(GF3, ab, sign) == linalg.mat_mul(
+            GF3, square_matrix(GF3, a, sign), square_matrix(GF3, b, sign))
 
 
 def test_functor_grams_invariant():
@@ -161,16 +161,50 @@ def test_functor_grams_invariant():
     G = groups.omega_generators(sp)
     # the Gram matrix of the wedge square is the wedge square of the Gram
     # matrix: both are the 2 x 2 minors
-    for functor_m, functor_g in ((wedge_matrix, wedge_matrix),
-                                 (sym_matrix, sym_gram)):
-        gram = functor_g(GF3, sp.gram)
+    for sign, gram in ((-1, square_matrix(GF3, sp.gram, -1)),
+                       (1, sym_gram(GF3, sp.gram))):
         for g in G.gens:
-            assert groups.preserves_form(GF3, functor_m(GF3, g), gram)
+            assert groups.preserves_form(GF3, square_matrix(GF3, g, sign),
+                                         gram)
+
+
+def _wedge_matrix(F, g):
+    """The former wedge_matrix, a reference for square_matrix(F, g, -1)."""
+    idx = constructions._pairs(len(g), True)
+    return tuple(tuple(F.sub(F.mul(g[i][k], g[j][l]), F.mul(g[i][l], g[j][k]))
+                       for (k, l) in idx) for (i, j) in idx)
+
+
+def _sym_matrix(F, g):
+    """The former sym_matrix, a reference for square_matrix(F, g, 1)."""
+    idx = constructions._pairs(len(g), False)
+
+    def entry(i, j, k, l):
+        if i == j:
+            return F.mul(g[i][k], g[i][l])
+        if k == l:
+            return F.mul(2, F.mul(g[i][k], g[j][k]))
+        return F.add(F.mul(g[i][k], g[j][l]), F.mul(g[i][l], g[j][k]))
+
+    return tuple(tuple(entry(i, j, k, l) for (k, l) in idx)
+                 for (i, j) in idx)
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_square_matrix_matches_the_former_functors(p, a):
+    F = fields.field_create(p, a)
+    rng = random.Random(p * 10 + a)
+    for n in range(1, 7):
+        for _ in range(5):
+            g = tuple(tuple(rng.randrange(F.q) for _ in range(n))
+                      for _ in range(n))
+            assert square_matrix(F, g, -1) == _wedge_matrix(F, g)
+            assert square_matrix(F, g, 1) == _sym_matrix(F, g)
 
 
 def _sym_gram_entrywise(F, gram):
     """The symmetric-square Gram matrix, entry by entry (the former
-    sym_gram), as a reference for sym_matrix with doubled columns."""
+    sym_gram), as a reference for square_matrix with doubled columns."""
     idx = constructions._pairs(len(gram), False)
 
     def entry(p, q):

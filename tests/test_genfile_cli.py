@@ -162,6 +162,14 @@ def test_cli_count_refuses_q_past_the_limit(capsys):
     assert len(counts) == 27 and sum(counts) == 27 ** 3
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_cli_count_refuses_a_dim_below_1(n, capsys):
+    # the empty Gram matrix is refused, with no traceback from the Q table
+    assert exit_code("count", n, "3") == 2
+    assert capsys.readouterr().err == (
+        "error: gram matrix is empty: dim must be at least 1\n")
+
+
 def test_cli_construct_and_cd(tmp_path, capsys):
     path = tmp_path / "case.gen"
     assert run_cli("export", "wreath-n5", str(path)) == 0
@@ -235,6 +243,15 @@ def test_cli_split(tmp_path, capsys):
     assert run_cli("split", "--json", str(path)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(d * m for d, m in payload["dims"]) == 9
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_cli_split_on_a_file_with_no_generators(n, tmp_path, capsys):
+    # with no generators every line is a submodule: n trivial factors
+    path = tmp_path / "g0.gen"
+    path.write_text("rank3gen v1\ndim %d field 3 gens 0\n" % n)
+    assert run_cli("split", str(path)) == 0
+    assert capsys.readouterr().out == "dim 1  multiplicity %d\n" % n
 
 
 def exit_code(*argv):

@@ -531,7 +531,8 @@ def _dense_starts(n):
 def test_scan_matches_generic_oracle(make, starts):
     sp, G = make()
     for v in starts:
-        size, d, codes = groups._scan(G, v, sp.gram)
+        size, codes = groups._scan(G, v)
+        d = groups._count_d(G, v, sp.gram, codes)
         seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert (size, d) == (len(seen), d_ref)
         assert list(codes) == sorted(set(codes))
@@ -651,6 +652,22 @@ def test_cd_parameters_and_orbit_on_a_group_with_no_generators():
     assert orbit(G, v, space=sp) == [(1, 2, 0, 0, 0)]
 
 
+def test_orbit_and_the_omega_self_check_count_no_d(monkeypatch):
+    # only the (c, d) reports read f(w, start); a form-free orbit and the
+    # Omega orbit-size check never build the f tables
+    def no_f_tables(*args):
+        raise AssertionError("_f_tables built")
+
+    monkeypatch.setattr(groups, "_f_tables", no_f_tables)
+    sp, G = _wreath7()
+    H = MatrixGroup(GF3, 7, G.gens)  # no form, and no space given
+    assert len(orbit(H, (1, 1, 0, 0, 0, 0, 0))) == 42
+    monkeypatch.setattr(groups, "_OMEGA_CACHE", {})
+    assert len(omega_generators(standard_space(9, GF3)).gens) == 14
+    with pytest.raises(AssertionError, match="_f_tables built"):
+        cd_parameters(sp, G, (1, 1, 0, 0, 0, 0, 0))
+
+
 def test_scan_tables_leave_group_equality_and_hash_alone():
     sp, G = _wreath7()
     H = MatrixGroup(G.field, G.dim, G.gens, G.label, G.gram)
@@ -676,12 +693,12 @@ def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(groups, "_distinct", np.sort)
         with pytest.raises(AssertionError, match="strictly increasing"):
-            groups._scan(G, (1, 1) + (0,) * 19, sp.gram)
+            groups._scan(G, (1, 1) + (0,) * 19)
     # byte map: so does an admission that marks a chunk's columns at once
     sp, G = _wreath7()
     monkeypatch.setattr(groups.CodeSet, "admit", _admit_chunk_at_once)
     with pytest.raises(AssertionError, match="strictly increasing"):
-        groups._scan(G, (1, 1, 0, 0, 0, 0, 0), sp.gram)
+        groups._scan(G, (1, 1, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("n,starts", [
@@ -697,7 +714,8 @@ def test_dense_scan_matches_generic_oracle_over_many_chunks(n, starts,
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 3 * n * 8)
     rows = max(1, groups._CHUNK_ENTRIES // (3 * n))
     for v in starts:
-        size, d, codes = groups._scan(G, v, sp.gram)
+        size, codes = groups._scan(G, v)
+        d = groups._count_d(G, v, sp.gram, codes)
         seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert size > 4 * rows
         assert (size, d) == (len(seen), d_ref)
@@ -713,7 +731,8 @@ def test_scan_of_a_singular_start_leaves_the_start_out_of_d(n, monkeypatch):
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", len(G.gens) * n * 8)
     v = (1, 1, 1) + (0,) * (n - 3)
     assert sp.q_value(v) == 0
-    size, d, codes = groups._scan(G, v, sp.gram)
+    size, codes = groups._scan(G, v)
+    d = groups._count_d(G, v, sp.gram, codes)
     seen, d_ref = groups._orbit_generic(sp, G.gens, v)
     assert (size, d) == (len(seen), d_ref) and d > 0
     assert codes.tolist() == sorted(
