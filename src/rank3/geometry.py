@@ -272,10 +272,14 @@ def _type_masks(space, xi):
     want = PLUS if xi in ("+", PLUS, 1) else MINUS
     p, m = space.field.p, (space.n - 1) // 2
     Q = _prime_q_table(space)
+    values = [g for g in range(1, p) if type_of_qvalue(space, g) == want]
     of_type = np.zeros(p, dtype=bool)
-    of_type[[g for g in range(1, p) if type_of_qvalue(space, g) == want]] = True
-    masks = [of_type[Q[p ** t:2 * p ** t]] for t in range(space.n)]
-    found = sum(int(mask.sum()) for mask in masks)
+    of_type[values] = True
+    # over GF(3) a type has one Q value, and comparing a block with it is
+    # ten times faster than indexing of_type by the uint8 Q values (a cast)
+    masks = [block == values[0] if len(values) == 1 else of_type[block]
+             for block in (Q[p ** t:2 * p ** t] for t in range(space.n))]
+    found = sum(np.count_nonzero(mask) for mask in masks)
     expected = p ** m * (p ** m + (1 if want == PLUS else -1)) // 2
     assert found == expected, (found, expected)
     return masks

@@ -3,17 +3,18 @@
 Vectors are tuples of encoded field values; matrices are tuples of row
 tuples.  Everything here is pure Python and meant for small dimensions;
 the MeatAxe runs on it too, while the hot GF(3) orbit paths are numpy
-code in groups and geometry.  Every elimination, det included, goes
-through one incremental reduced echelon basis, Echelon, and so does the
-one restriction of an action to a subquotient, subquotient.  Inside,
-Echelon holds a GF(3) row as the Python-int masks of its 1s and 2s and
-adds rows by the bitsliced fields.gf3_add, so its work is whole-row
-integer ops, and packing is bytes.translate and int parsing.  Echelon.image
-maps a packed row by a matrix of packed rows with one add per nonzero
-entry; subquotient, Echelon.coordinates, the MeatAxe's algebra words
-and spin map rows that way, packing each matrix once per call.  Over
-other fields Echelon works one entry at a time, as vec_mat, mat_mul
-and the other functions outside it do.
+code in groups and geometry.  Every elimination, det, the left nullspace
+and coordinates (one pass over the rows (A | I)) included, goes through
+one incremental reduced echelon basis, Echelon, and so does the one
+restriction of an action to a subquotient, subquotient.  Inside, Echelon
+holds a GF(3) row as the Python-int masks of its 1s and 2s and adds rows
+by the bitsliced fields.gf3_add, so its work is whole-row integer ops,
+and packing is bytes.translate and int parsing.  Echelon.image maps a
+packed row by a matrix of packed rows with one add per nonzero entry, and
+coordinates take a packed row with one add per nonzero pivot entry: the
+MeatAxe's algebra words, spin and subquotient work on packed rows,
+packing each matrix once per call.  Over other fields Echelon works one
+entry at a time, as vec_mat, mat_mul and the other functions outside it do.
 """
 
 import bisect
@@ -131,10 +132,10 @@ class Echelon:
     Over any other field a packed row is its tuple.
     """
 
-    def __init__(self, F, rows=()):
+    def __init__(self, F, rows=(), n=None):
         self.F = F
         self.gf3 = F.q == 3
-        self.n = None       # the row length, fixed by the first pack
+        self.n = n          # the row length, else fixed by the first pack
         self._rows = {}     # pivot column -> packed row
         self._mask = 0      # over GF(3), the pivot columns' bits
         self.pivots = []
@@ -244,6 +245,20 @@ class Echelon:
         self.pivots.insert(at, col)
         return F.neg(lead) if (len(self.pivots) - 1 - at) % 2 else lead
 
+    def _augment(self, w, i, m):
+        """The packed row w followed by e_i in F^m, packed at length n + m."""
+        if self.gf3:    # e_i is bit n + i of the 1s
+            return w[0] | 1 << self.n + i, w[1]
+        return w + (0,) * i + (1,) + (0,) * (m - 1 - i)
+
+    def _split(self, w):
+        """The packed first n entries of a longer packed row w, and the rest."""
+        n = self.n
+        if self.gf3:
+            low = (1 << n) - 1
+            return (w[0] & low, w[1] & low), (w[0] >> n, w[1] >> n)
+        return tuple(w[:n]), tuple(w[n:])
+
     def image(self, v, g):
         """The packed v times the matrix whose packed rows are g: one add
         per nonzero entry of v over GF(3)."""
@@ -251,54 +266,61 @@ class Echelon:
             return vec_mat(self.F, v, g)
         return _gf3_sum(0, 0, *v, g)
 
-    def coordinates(self, basis):
+    def coordinates(self, basis, packed=False):
         """A function taking v in the span to the x with x . basis = v, and
-        any other v to None; basis must be a basis of the span.
+        any other v to None; basis must be a basis of the span, and the
+        span must not grow after the call.  With packed, v comes packed.
 
-        The coordinates of v in the reduced rows are v[pivots]; one inverse
-        of the basis's pivot block, packed, takes them to the basis.  The
-        function reads the rows as they are when it is called.
+        One echelon pass over the rows (b_i | e_i) gives the reduced rows
+        as (r_p | t_p) with t_p . basis = r_p, and shows that the basis
+        spans the r_p.  The coordinates of v in the r_p are its entries at
+        the pivots p, so a table of the packed t_p by pivot column takes v
+        to x: over GF(3), one add per nonzero pivot entry.
         """
-        F = self.F
-        if len(basis) != len(self._rows) or any(any(self.reduce(b)) for b in basis):
+        F, k = self.F, len(basis)
+        aug = Echelon(F)
+        for i, b in enumerate(basis):
+            aug.add_packed(self._augment(self.pack(b), i, k))
+        halves = {p: self._split(row) for p, row in aug._rows.items()}
+        if {p: r for p, (r, _t) in halves.items()} != self._rows:
             raise ValueError("rows are not a basis of the span")
-        inv = mat_inv(F, tuple(tuple(b[p] for p in self.pivots) for b in basis))
-        X = Echelon(F)      # packs the coordinate rows
-        inv = [X.pack(row) for row in inv]
+        table = {p: t for p, (_r, t) in halves.items()}
+        X, mask = Echelon(F, n=k), self._mask
 
-        def coords(v):
-            if len(self.pivots) < len(v) and any(self._reduce(self.pack(v))):
+        def coords(w):
+            if len(table) < self.n and any(self._reduce(w)):
                 return None
-            x = tuple(v[p] for p in self.pivots)
-            return X.unpack(X.image(X.pack(x), inv)) if x else ()
+            if self.gf3:
+                return X.unpack(_gf3_sum(0, 0, w[0] & mask, w[1] & mask, table))
+            x = [w[p] for p in table]
+            return vec_mat(F, x, list(table.values())) if x else ()
 
-        return coords
+        return coords if packed else lambda v: coords(self.pack(v))
 
 
 def subquotient(F, gens, sub_rows, rad_rows):
     """The action of the matrices gens on span(sub_rows)/span(rad_rows):
     (basis, new gens, coords).  The basis is the sub_rows independent of
     the radical and the rows before them; coords maps the subspace to
-    coordinates in it mod the radical, and raises ValueError off it."""
+    coordinates in it mod the radical, and raises ValueError off it.
+    Each image b . g stays packed up to its coordinates."""
     span = Echelon(F)
     rad = [r for r in rad_rows if span.add(r)]
     basis = [s for s in sub_rows if span.add(s)]
-    full_coords = span.coordinates(basis + rad)
+    full_coords = span.coordinates(basis + rad, packed=True)
 
-    def coords(vec):
-        row = full_coords(vec)
-        if row is None:
+    def packed_coords(w):
+        x = full_coords(w)
+        if x is None:
             raise ValueError("vector is outside the subspace")
-        return row[:len(basis)]
+        return x[:len(basis)]
 
-    # the images b . g are packed, one add per nonzero entry of b
     packed = [span.pack(b) for b in basis]
     new_gens = []
     for g in gens:
         g = [span.pack(row) for row in g]
-        new_gens.append(tuple(coords(span.unpack(span.image(b, g)))
-                              for b in packed))
-    return basis, tuple(new_gens), coords
+        new_gens.append(tuple(packed_coords(span.image(b, g)) for b in packed))
+    return basis, tuple(new_gens), lambda vec: packed_coords(span.pack(vec))
 
 
 def rref(F, A):
@@ -349,19 +371,25 @@ def mat_inv(F, A):
     return tuple(tuple(row[n:]) for row in R[:n])
 
 
-def nullspace_rows(F, A):
-    """Basis of {v : v · A = 0} (left nullspace), as rows."""
-    At = transpose(A)
-    R, pivots = rref(F, At)
-    m = len(A)  # number of unknowns
-    free = [j for j in range(m) if j not in pivots]
+def nullspace_rows(F, A, packer=None):
+    """Basis of {v : v · A = 0} (left nullspace), as rows; A's rows may
+    come packed by the Echelon packer.  One echelon pass over the rows
+    (A_i | e_i): where the A_i part reduces to zero, the e_i part is the
+    basis vector of the free row i, and only the other rows join, so the
+    basis is that of rref(A^T) and back substitution, in the same order."""
+    m = len(A)
+    if packer is None:
+        packer = Echelon(F, n=len(A[0]) if A else 0)
+        A = [packer.pack(r) for r in A]
+    E, out = Echelon(F), Echelon(F, n=m)
     basis = []
-    for f in free:
-        v = [0] * m
-        v[f] = 1
-        for rowi, pc in enumerate(pivots):
-            v[pc] = F.neg(R[rowi][f])
-        basis.append(tuple(v))
+    for i, r in enumerate(A):
+        w = E._reduce(packer._augment(r, i, m))
+        front, back = packer._split(w)
+        if any(front):
+            E._join(w)
+        else:
+            basis.append(out.unpack(back))
     return tuple(basis)
 
 

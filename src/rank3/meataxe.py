@@ -5,7 +5,8 @@ element, then the dual), module isomorphism by one spin in the direct
 sum, and invariant bilinear forms as the isomorphism from an absolutely
 irreducible module to its dual, found by that same spin.
 Over GF(3) each call packs its module's generator rows once (see
-linalg.Echelon) and maps packed rows; nothing packed outlives the call.
+linalg.Echelon) and maps packed rows; an algebra element stays packed
+into linalg.nullspace_rows, and nothing packed outlives the call.
 """
 
 import random
@@ -65,7 +66,7 @@ def _pack(E, gens):
 
 
 def _eval_word(E, gens, recipe):
-    """The algebra element of recipe, as a matrix of tuples, on generators
+    """The algebra element of recipe on generators packed by E, as rows
     packed by E: a word's product is one E.image per row, and row r of the
     sum is the coefficient vector's image on the products' rows r."""
     products = []
@@ -76,7 +77,7 @@ def _eval_word(E, gens, recipe):
         products.append(m)
     C = linalg.Echelon(E.F)
     coeffs = C.pack([coeff for coeff, _idxs in recipe])
-    return tuple(E.unpack(C.image(coeffs, rows)) for rows in zip(*products))
+    return [C.image(coeffs, rows) for rows in zip(*products)]
 
 
 def spin(F, gens, seeds, packed=None):
@@ -136,7 +137,7 @@ def find_submodule(M, rng):
     packed = _pack(E, M.gens)
     for _ in range(_SPLIT_TRIES):
         theta = _eval_word(E, packed, _random_word(rng, len(M.gens), F.p))
-        ker = linalg.nullspace_rows(F, theta)
+        ker = linalg.nullspace_rows(F, theta, E)
         nullity = len(ker)
         if nullity == 0:
             continue
@@ -147,6 +148,7 @@ def find_submodule(M, rng):
                 return w
         if nullity > 3:
             continue
+        theta = tuple(map(E.unpack, theta))
         ker_t = linalg.nullspace_rows(F, linalg.transpose(theta))
         wt = spin(F, gens_t, [ker_t[0]])
         if len(wt) < dim:
@@ -205,8 +207,8 @@ def _intertwiner(A, B, seed=0):
     packed = _pack(linalg.Echelon(F), sums)
     for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens), F.p)
-        ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe))
-        kb = linalg.nullspace_rows(F, _eval_word(E, packed_b, recipe))
+        ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe), E)
+        kb = linalg.nullspace_rows(F, _eval_word(E, packed_b, recipe), E)
         if len(ka) != len(kb):
             return None
         if len(ka) != 1:

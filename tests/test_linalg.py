@@ -119,6 +119,78 @@ def test_rref_rank_solve_row_and_nullspace_agree_with_the_kernel(F):
     check()
 
 
+def _reference_nullspace(F, A):
+    """linalg.nullspace_rows as it ran before one echelon pass over
+    (A | I): rref of the transpose, then back substitution from each free
+    column; kept as its oracle."""
+    R, pivots = linalg.rref(F, linalg.transpose(A))
+    basis = []
+    for f in (j for j in range(len(A)) if j not in pivots):
+        v = [0] * len(A)
+        v[f] = 1
+        for rowi, pc in enumerate(pivots):
+            v[pc] = F.neg(R[rowi][f])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _nullspace_inputs(F, rng):
+    """Zero-row, zero-column, full-rank and all-dependent matrices, then
+    random ones up to 6 x 6, half of them of low rank."""
+    yield ()
+    yield ((),) * 3
+    yield linalg.identity(4)
+    yield ((1, 2, 0, 1, 1), (0, 1, 2, 2, 0), (0, 0, 0, 1, 2))
+    yield ((0,) * 3,) * 4
+    yield ((1, 2, 0),) * 4
+    for _ in range(60):
+        m, n, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        rows = [tuple(rng.randrange(F.q) for _ in range(n))
+                for _ in range(r if rng.randrange(2) else m)]
+        yield tuple(linalg.vec_mat(F, [rng.randrange(F.q) for _ in rows], rows)
+                    for _ in range(m))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_nullspace_is_the_transposed_rref_basis(F):
+    rng = random.Random(F.q)
+    for A in _nullspace_inputs(F, rng):
+        null = linalg.nullspace_rows(F, A)
+        assert null == _reference_nullspace(F, A), A
+        # the same rows, packed by an Echelon of A's row length
+        E = linalg.Echelon(F, n=len(A[0]) if A else 0)
+        assert linalg.nullspace_rows(F, [E.pack(r) for r in A], E) == null
+
+
+@pytest.mark.parametrize("n", [13, 36, 81])
+def test_nullspace_of_large_gf3_matrices(n):
+    rng = random.Random(n)
+    for rank in (0, 1, n // 3, n - 1, n):
+        rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rank)]
+        A = tuple(linalg.vec_mat(GF3, [rng.randrange(3) for _ in rows], rows)
+                  if rows else (0,) * n for _ in range(n))
+        E = linalg.Echelon(GF3, n=n)
+        null = linalg.nullspace_rows(GF3, [E.pack(r) for r in A], E)
+        assert null == linalg.nullspace_rows(GF3, A) == _reference_nullspace(GF3, A)
+        assert len(null) == n - linalg.rank(GF3, A)
+
+
+@pytest.mark.parametrize("F", [GF3, field_create(5, 1)], ids=repr)
+def test_subquotient_refuses_rows_that_span_no_submodule(F):
+    # the 3-cycle permutes the coordinates: e_0 spans no submodule, nor
+    # does span(e_0, e_1) mod span(e_0), since e_1 maps to e_2
+    g = linalg.perm_matrix((1, 2, 0))
+    for sub, rad in (([(1, 0, 0)], ()), ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0)])):
+        with pytest.raises(ValueError, match="vector is outside the subspace"):
+            linalg.subquotient(F, [g], sub, rad)
+    # span(1, 1, 1) is one, and its coords refuse the vectors off it
+    basis, gens, coords = linalg.subquotient(F, [g], [(1, 1, 1)], ())
+    assert basis == [(1, 1, 1)] and gens == (((1,),),)
+    assert coords((2, 2, 2)) == (2,)
+    with pytest.raises(ValueError, match="vector is outside the subspace"):
+        coords((1, 0, 0))
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_span_vectors_in_product_order(F):
     combos = [c for c in itertools.product(F.elements(), repeat=3) if any(c)]
@@ -319,6 +391,11 @@ def test_the_row_length_is_fixed_by_the_first_pack():
                 E.add(v)
         assert E.rows == [(1, 0, 2, 0, 1)]
         assert E.unpack(E.pack((0, 2, 0, 0, 1))) == (0, 2, 0, 0, 1)
+    # or by the constructor, before any pack
+    E = linalg.Echelon(GF3, n=3)
+    assert E.unpack((5, 2)) == (1, 2, 1)
+    with pytest.raises(ValueError, match="length"):
+        E.pack((1, 2))
 
 
 def _reference_spin(F, gens, seeds):

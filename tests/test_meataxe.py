@@ -258,7 +258,8 @@ def test_eval_word_matches_the_per_entry_one(tensor_factors):
         packed = meataxe._pack(E, M.gens)
         for _ in range(count):
             recipe = meataxe._random_word(rng, len(M.gens), M.field.p)
-            assert meataxe._eval_word(E, packed, recipe) == \
+            theta = meataxe._eval_word(E, packed, recipe)
+            assert tuple(map(E.unpack, theta)) == \
                 _reference_eval_word(M.field, M.gens, recipe, M.dim), recipe
 
 
@@ -422,8 +423,10 @@ def _reference_intertwiner(A, B, seed=0):
     packed_a, packed_b = meataxe._pack(E, A.gens), meataxe._pack(E, B.gens)
     for _ in range(meataxe._ISO_TRIES):
         recipe = meataxe._random_word(rng, len(A.gens), F.p)
-        ka = linalg.nullspace_rows(F, meataxe._eval_word(E, packed_a, recipe))
-        kb = linalg.nullspace_rows(F, meataxe._eval_word(E, packed_b, recipe))
+        ka = linalg.nullspace_rows(F, tuple(map(
+            E.unpack, meataxe._eval_word(E, packed_a, recipe))))
+        kb = linalg.nullspace_rows(F, tuple(map(
+            E.unpack, meataxe._eval_word(E, packed_b, recipe))))
         if len(ka) != len(kb):
             return None
         if len(ka) != 1:
