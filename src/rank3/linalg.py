@@ -3,18 +3,18 @@
 Vectors are tuples of encoded field values; matrices are tuples of row
 tuples.  Everything here is pure Python and meant for small dimensions;
 the MeatAxe runs on it too, while the hot GF(3) orbit paths are numpy
-code in groups and geometry.  Every elimination, det, the left nullspace
-and coordinates (one pass over the rows (A | I)) included, goes through
-one incremental reduced echelon basis, Echelon, and so does the one
-restriction of an action to a subquotient, subquotient.  Inside, Echelon
-holds a GF(3) row as the Python-int masks of its 1s and 2s and adds rows
-by the bitsliced fields.gf3_add, so its work is whole-row integer ops,
-and packing is bytes.translate and int parsing.  Echelon.image maps a
-packed row by a matrix of packed rows with one add per nonzero entry, and
-coordinates take a packed row with one add per nonzero pivot entry: the
-MeatAxe's algebra words, spin and subquotient work on packed rows,
-packing each matrix once per call.  Over other fields Echelon works one
-entry at a time, as vec_mat, mat_mul and the other functions outside it do.
+code in groups and geometry.  Every elimination, det included, goes
+through one incremental reduced echelon basis, Echelon, whose one pass
+over the rows (A | I), solve, gives the left nullspace, coordinates,
+mat_inv and subquotient, the one restriction of an action to a
+subquotient.  Inside, Echelon holds a GF(3) row as the Python-int masks
+of its 1s and 2s and adds rows by the bitsliced fields.gf3_add, so its
+work is whole-row integer ops, and packing is bytes.translate and int
+parsing.  Echelon.image maps a packed row by a matrix of packed rows, and
+solve's coordinates take a packed row, with one add per nonzero (pivot)
+entry: the MeatAxe's algebra words, spin and subquotient work on packed
+rows, packing each matrix once per call.  Over other fields Echelon works
+one entry at a time, as vec_mat, mat_mul and the other functions do.
 """
 
 import bisect
@@ -117,6 +117,15 @@ def _gf3_sum(a1, a2, plus, minus, rows):
     return a1, a2
 
 
+def _unpack(r, n):
+    """The tuple of the first n entries of the packed GF(3) row r."""
+    # bit j of a mask becomes hex digit j, so the last n hex digits,
+    # reversed, are the entries
+    x = int(format(r[0], "b"), 16) + 2 * int(format(r[1], "b"), 16)
+    digits = format(x, "0%dx" % n)[:-n - 1:-1]
+    return tuple(digits.encode().translate(_ENTRIES))
+
+
 class Echelon:
     """An incrementally built reduced echelon basis of a subspace of F^n.
 
@@ -132,10 +141,10 @@ class Echelon:
     Over any other field a packed row is its tuple.
     """
 
-    def __init__(self, F, rows=(), n=None):
+    def __init__(self, F, rows=()):
         self.F = F
         self.gf3 = F.q == 3
-        self.n = n          # the row length, else fixed by the first pack
+        self.n = None       # the row length, fixed by the first pack
         self._rows = {}     # pivot column -> packed row
         self._mask = 0      # over GF(3), the pivot columns' bits
         self.pivots = []
@@ -169,11 +178,7 @@ class Echelon:
             return r
         if self.n is None:
             raise ValueError("the row length is unknown before a pack")
-        # bit j of a mask becomes hex digit j, so the last n hex digits,
-        # reversed, are the entries
-        x = int(format(r[0], "b"), 16) + 2 * int(format(r[1], "b"), 16)
-        digits = format(x, "0%dx" % self.n)[:-self.n - 1:-1]
-        return tuple(digits.encode().translate(_ENTRIES))
+        return _unpack(r, self.n)
 
     def _axpy(self, v, c, row):
         """v - c * row, as a list, over a field other than GF(3)."""
@@ -245,20 +250,6 @@ class Echelon:
         self.pivots.insert(at, col)
         return F.neg(lead) if (len(self.pivots) - 1 - at) % 2 else lead
 
-    def _augment(self, w, i, m):
-        """The packed row w followed by e_i in F^m, packed at length n + m."""
-        if self.gf3:    # e_i is bit n + i of the 1s
-            return w[0] | 1 << self.n + i, w[1]
-        return w + (0,) * i + (1,) + (0,) * (m - 1 - i)
-
-    def _split(self, w):
-        """The packed first n entries of a longer packed row w, and the rest."""
-        n = self.n
-        if self.gf3:
-            low = (1 << n) - 1
-            return (w[0] & low, w[1] & low), (w[0] >> n, w[1] >> n)
-        return tuple(w[:n]), tuple(w[n:])
-
     def image(self, v, g):
         """The packed v times the matrix whose packed rows are g: one add
         per nonzero entry of v over GF(3)."""
@@ -266,61 +257,79 @@ class Echelon:
             return vec_mat(self.F, v, g)
         return _gf3_sum(0, 0, *v, g)
 
-    def coordinates(self, basis, packed=False):
+    def solve(self, rows):
+        """One echelon pass over the rows (r_i | e_i), each r_i packed by
+        this Echelon: (coords, free).  Only rows whose r part does not
+        reduce to zero join, as (r_p | t_p) with t_p . rows = r_p.  free
+        maps each other row's index, in order, to its reduced e part: the
+        left nullspace basis of rref(A^T) and back substitution.  coords
+        takes a packed v in the span to the x with x . rows = v and zeros
+        at the free rows, else to None: (v | 0) reduces to (0 | -x)."""
+        F, m = self.F, len(rows)
+        aug, free = Echelon(F), {}
+        if self.gf3:    # e_i is bit n + i of the 1s; low masks the rest
+            n = self.n or 0
+            low = ~(((1 << m) - 1) << n)
+            for i, (o, t) in enumerate(rows):
+                w = aug._reduce((o | 1 << n + i, t))
+                if (w[0] | w[1]) & low:
+                    aug._join(w)
+                else:
+                    free[i] = _unpack((w[0] >> n, w[1] >> n), m)
+
+            def coords(v):
+                o, t = aug._reduce(v)
+                return None if (o | t) & low else _unpack((t >> n, o >> n), m)
+        else:
+            zero = (0,) * m
+            for i, r in enumerate(rows):
+                w = aug._reduce(r + zero[:i] + (1,) + zero[i + 1:])
+                if any(w[:len(r)]):
+                    aug._join(w)
+                else:
+                    free[i] = tuple(w[len(r):])
+
+            def coords(v):
+                w, k = aug._reduce(v + zero), len(v)
+                return None if any(w[:k]) else tuple(map(F.neg, w[k:]))
+        return coords, free
+
+    def coordinates(self, basis):
         """A function taking v in the span to the x with x . basis = v, and
-        any other v to None; basis must be a basis of the span, and the
-        span must not grow after the call.  With packed, v comes packed.
-
-        One echelon pass over the rows (b_i | e_i) gives the reduced rows
-        as (r_p | t_p) with t_p . basis = r_p, and shows that the basis
-        spans the r_p.  The coordinates of v in the r_p are its entries at
-        the pivots p, so a table of the packed t_p by pivot column takes v
-        to x: over GF(3), one add per nonzero pivot entry.
-        """
-        F, k = self.F, len(basis)
-        aug = Echelon(F)
-        for i, b in enumerate(basis):
-            aug.add_packed(self._augment(self.pack(b), i, k))
-        halves = {p: self._split(row) for p, row in aug._rows.items()}
-        if {p: r for p, (r, _t) in halves.items()} != self._rows:
+        any other v to None; ValueError unless basis is a basis of the
+        span: independent rows, as many as the pivots, each in the span."""
+        rows = [self.pack(b) for b in basis]
+        coords, free = self.solve(rows)
+        if free or len(rows) != len(self.pivots) or \
+                any(any(self._reduce(w)) for w in rows):
             raise ValueError("rows are not a basis of the span")
-        table = {p: t for p, (_r, t) in halves.items()}
-        X, mask = Echelon(F, n=k), self._mask
-
-        def coords(w):
-            if len(table) < self.n and any(self._reduce(w)):
-                return None
-            if self.gf3:
-                return X.unpack(_gf3_sum(0, 0, w[0] & mask, w[1] & mask, table))
-            x = [w[p] for p in table]
-            return vec_mat(F, x, list(table.values())) if x else ()
-
-        return coords if packed else lambda v: coords(self.pack(v))
+        return lambda v: coords(self.pack(v))
 
 
 def subquotient(F, gens, sub_rows, rad_rows):
     """The action of the matrices gens on span(sub_rows)/span(rad_rows):
-    (basis, new gens, coords).  The basis is the sub_rows independent of
-    the radical and the rows before them; coords maps the subspace to
-    coordinates in it mod the radical, and raises ValueError off it.
-    Each image b . g stays packed up to its coordinates."""
-    span = Echelon(F)
-    rad = [r for r in rad_rows if span.add(r)]
-    basis = [s for s in sub_rows if span.add(s)]
-    full_coords = span.coordinates(basis + rad, packed=True)
+    (basis, new gens, coords).  One Echelon.solve over the rad_rows, then
+    the sub_rows: the basis is the sub_rows that join, and coords maps the
+    subspace to coordinates in it mod the radical, read off at their
+    indices, and raises ValueError off it.  Each image b . g stays packed
+    up to its coordinates."""
+    E = Echelon(F)
+    rad = [E.pack(r) for r in rad_rows]
+    rows = rad + [E.pack(s) for s in sub_rows]
+    full_coords, free = E.solve(rows)
+    joined = [i for i in range(len(rad), len(rows)) if i not in free]
 
     def packed_coords(w):
         x = full_coords(w)
         if x is None:
             raise ValueError("vector is outside the subspace")
-        return x[:len(basis)]
+        return tuple([x[i] for i in joined])
 
-    packed = [span.pack(b) for b in basis]
-    new_gens = []
-    for g in gens:
-        g = [span.pack(row) for row in g]
-        new_gens.append(tuple(packed_coords(span.image(b, g)) for b in packed))
-    return basis, tuple(new_gens), lambda vec: packed_coords(span.pack(vec))
+    packed = [[E.pack(row) for row in g] for g in gens]
+    new_gens = tuple(tuple(packed_coords(E.image(rows[i], g)) for i in joined)
+                     for g in packed)
+    basis = [sub_rows[i - len(rad)] for i in joined]
+    return basis, new_gens, lambda vec: packed_coords(E.pack(vec))
 
 
 def rref(F, A):
@@ -363,45 +372,35 @@ def det(F, A):
 
 
 def mat_inv(F, A):
+    """The inverse of the square A, by Echelon.solve: row j is the x with
+    x . A = e_j.  ValueError when A is not square or is singular."""
     n = len(A)
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    R, pivots = rref(F, aug)
-    if pivots[:n] != list(range(n)):
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    E = Echelon(F)
+    coords, free = E.solve([E.pack(row) for row in A])
+    if free:
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in R[:n])
+    return tuple(coords(E.pack(e)) for e in identity(n))
 
 
-def nullspace_rows(F, A, packer=None):
-    """Basis of {v : v · A = 0} (left nullspace), as rows; A's rows may
-    come packed by the Echelon packer.  One echelon pass over the rows
-    (A_i | e_i): where the A_i part reduces to zero, the e_i part is the
-    basis vector of the free row i, and only the other rows join, so the
-    basis is that of rref(A^T) and back substitution, in the same order."""
-    m = len(A)
-    if packer is None:
-        packer = Echelon(F, n=len(A[0]) if A else 0)
-        A = [packer.pack(r) for r in A]
-    E, out = Echelon(F), Echelon(F, n=m)
-    basis = []
-    for i, r in enumerate(A):
-        w = E._reduce(packer._augment(r, i, m))
-        front, back = packer._split(w)
-        if any(front):
-            E._join(w)
-        else:
-            basis.append(out.unpack(back))
-    return tuple(basis)
+def nullspace_rows(F, A):
+    """Basis of {v : v · A = 0} (left nullspace), as rows: the free rows of
+    Echelon.solve over A."""
+    E = Echelon(F)
+    return tuple(E.solve([E.pack(row) for row in A])[1].values())
 
 
 def solve_row(F, A, b):
-    """One solution x of x · A = b, or None."""
-    At = transpose(A)
-    m = len(A)
-    aug = [list(At[i]) + [b[i]] for i in range(len(At))]
+    """One solution x of x · A = b, or None; ValueError when b and a row
+    of A differ in length."""
+    if any(len(row) != len(b) for row in A):
+        raise ValueError("b has length %d, a row of A another" % len(b))
+    aug = [[row[j] for row in A] + [b[j]] for j in range(len(b))]
     R, pivots = rref(F, aug)
-    x = [0] * m
+    x = [0] * len(A)
     for rowi, pc in enumerate(pivots):
-        if pc == m:
+        if pc == len(A):
             return None  # a pivot in b: the system is inconsistent
         x[pc] = R[rowi][-1]
     return tuple(x)

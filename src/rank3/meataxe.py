@@ -6,7 +6,7 @@ sum, and invariant bilinear forms as the isomorphism from an absolutely
 irreducible module to its dual, found by that same spin.
 Over GF(3) each call packs its module's generator rows once (see
 linalg.Echelon) and maps packed rows; an algebra element stays packed
-into linalg.nullspace_rows, and nothing packed outlives the call.
+into Echelon.solve, and nothing packed outlives the call.
 """
 
 import random
@@ -137,7 +137,7 @@ def find_submodule(M, rng):
     packed = _pack(E, M.gens)
     for _ in range(_SPLIT_TRIES):
         theta = _eval_word(E, packed, _random_word(rng, len(M.gens), F.p))
-        ker = linalg.nullspace_rows(F, theta, E)
+        ker = list(E.solve(theta)[1].values())
         nullity = len(ker)
         if nullity == 0:
             continue
@@ -207,8 +207,8 @@ def _intertwiner(A, B, seed=0):
     packed = _pack(linalg.Echelon(F), sums)
     for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens), F.p)
-        ka = linalg.nullspace_rows(F, _eval_word(E, packed_a, recipe), E)
-        kb = linalg.nullspace_rows(F, _eval_word(E, packed_b, recipe), E)
+        ka = list(E.solve(_eval_word(E, packed_a, recipe))[1].values())
+        kb = list(E.solve(_eval_word(E, packed_b, recipe))[1].values())
         if len(ka) != len(kb):
             return None
         if len(ka) != 1:

@@ -157,9 +157,9 @@ def test_nullspace_is_the_transposed_rref_basis(F):
     for A in _nullspace_inputs(F, rng):
         null = linalg.nullspace_rows(F, A)
         assert null == _reference_nullspace(F, A), A
-        # the same rows, packed by an Echelon of A's row length
-        E = linalg.Echelon(F, n=len(A[0]) if A else 0)
-        assert linalg.nullspace_rows(F, [E.pack(r) for r in A], E) == null
+        # the free rows of one solve over the same rows, packed
+        E = linalg.Echelon(F)
+        assert tuple(E.solve([E.pack(r) for r in A])[1].values()) == null
 
 
 @pytest.mark.parametrize("n", [13, 36, 81])
@@ -169,10 +169,97 @@ def test_nullspace_of_large_gf3_matrices(n):
         rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rank)]
         A = tuple(linalg.vec_mat(GF3, [rng.randrange(3) for _ in rows], rows)
                   if rows else (0,) * n for _ in range(n))
-        E = linalg.Echelon(GF3, n=n)
-        null = linalg.nullspace_rows(GF3, [E.pack(r) for r in A], E)
+        E = linalg.Echelon(GF3)
+        null = tuple(E.solve([E.pack(r) for r in A])[1].values())
         assert null == linalg.nullspace_rows(GF3, A) == _reference_nullspace(GF3, A)
         assert len(null) == n - linalg.rank(GF3, A)
+
+
+def _check_solve(F, A, rng):
+    """Echelon.solve over the rows of A against the oracles: free is the
+    reference nullspace, keyed by each row's index, and coords take the
+    vectors of the span to an x with x . A = v and zeros at the free rows,
+    and every other vector to None."""
+    E = linalg.Echelon(F)
+    coords, free = E.solve([E.pack(r) for r in A])
+    assert tuple(free.values()) == _reference_nullspace(F, A), A
+    assert all(y[i] == 1 and not any(y[i + 1:]) for i, y in free.items())
+    n = len(A[0]) if A else 3
+    span = linalg.Echelon(F, A)
+    vs = [(0,) * n] + [tuple(rng.randrange(F.q) for _ in range(n))
+                       for _ in range(10)]
+    vs += [linalg.vec_mat(F, [rng.randrange(F.q) for _ in A], A)
+           for _ in range(10 if A else 0)]
+    for v in vs:
+        x = coords(E.pack(v))
+        if any(span.reduce(v)):
+            assert x is None, (A, v)
+        else:
+            assert len(x) == len(A) and not any(x[i] for i in free)
+            assert (linalg.vec_mat(F, x, A) if A else (0,) * n) == v, (A, v)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_solve_gives_the_nullspace_and_the_coordinates(F):
+    rng = random.Random(F.q)
+    for A in _nullspace_inputs(F, rng):
+        _check_solve(F, A, rng)
+
+
+@pytest.mark.parametrize("n", [13, 36, 81])
+def test_solve_on_large_gf3_matrices(n):
+    rng = random.Random(n)
+    for rank in (0, 1, n // 3, n - 1, n):
+        rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rank)]
+        A = tuple(linalg.vec_mat(GF3, [rng.randrange(3) for _ in rows], rows)
+                  if rows else (0,) * n for _ in range(n))
+        _check_solve(GF3, A, rng)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_coordinates_refuse_rows_that_are_not_a_basis_of_the_span(F):
+    E = linalg.Echelon(F, [(1, 0, 0), (0, 1, 1)])
+    assert E.coordinates([(1, 1, 1), (0, 1, 1)])((1, 2, 2)) == (1, 1)
+    for basis in ([(1, 0, 0)],                          # too few
+                  [(1, 0, 0), (0, 1, 1), (1, 1, 1)],    # dependent
+                  [(1, 0, 0), (0, 0, 1)]):              # one off the span
+        with pytest.raises(ValueError, match="not a basis"):
+            E.coordinates(basis)
+    # a span that never saw a row: only the zero vector has coordinates
+    coords = linalg.Echelon(F).coordinates([])
+    assert coords((0, 0)) == () and coords((0, 1)) is None
+
+
+@pytest.mark.parametrize("F", DET_FIELDS, ids=repr)
+def test_mat_inv_inverts_and_refuses_what_it_cannot(F):
+    rng = random.Random(F.q)
+    for n in range(7):
+        A = ((0,) * n,) * n
+        while n and linalg.det(F, A) == 0:
+            A = tuple(tuple(rng.randrange(F.q) for _ in range(n))
+                      for _ in range(n))
+        inv = linalg.mat_inv(F, A)
+        assert linalg.mat_mul(F, A, inv) == linalg.mat_mul(F, inv, A) == \
+            linalg.identity(n)
+    with pytest.raises(ValueError, match="singular"):
+        linalg.mat_inv(F, ((1, 2), (2, 4 % F.p)))
+    # it returned "inverses" of these
+    for A in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1)), ((1, 2),),
+              ((1, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.mat_inv(F, A)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_solve_row_refuses_a_length_mismatch(F):
+    # it cut b to the row length, and solved any b with an empty A
+    for A, b in ((((1, 0),), (1, 0, 2)), (((1, 0, 2),), (1, 0)),
+                 (((1, 0), (0, 1, 1)), (1, 1))):
+        with pytest.raises(ValueError, match="length"):
+            linalg.solve_row(F, A, b)
+    assert linalg.solve_row(F, (), (1, 2)) is None
+    assert linalg.solve_row(F, (), (0, 0)) == ()
+    assert linalg.solve_row(F, ((1, 0), (0, 2)), (1, 1)) == (1, F.inv(2))
 
 
 @pytest.mark.parametrize("F", [GF3, field_create(5, 1)], ids=repr)
@@ -391,11 +478,6 @@ def test_the_row_length_is_fixed_by_the_first_pack():
                 E.add(v)
         assert E.rows == [(1, 0, 2, 0, 1)]
         assert E.unpack(E.pack((0, 2, 0, 0, 1))) == (0, 2, 0, 0, 1)
-    # or by the constructor, before any pack
-    E = linalg.Echelon(GF3, n=3)
-    assert E.unpack((5, 2)) == (1, 2, 1)
-    with pytest.raises(ValueError, match="length"):
-        E.pack((1, 2))
 
 
 def _reference_spin(F, gens, seeds):
