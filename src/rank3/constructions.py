@@ -350,7 +350,8 @@ def _subquotient(F, gram, gens, sub_rows, rad_rows):
     """linalg.subquotient with the form restricted too: (QuadraticSpace,
     new gens, coords).  The radical rows must lie in the subspace and in
     the radical of the restricted form."""
-    basis, new_gens, coords = linalg.subquotient(F, gens, sub_rows, rad_rows)
+    ambient = groups.MatrixGroup.unchecked(F, len(gram), tuple(gens))
+    basis, new_gens, coords = linalg.subquotient(ambient, sub_rows, rad_rows)
     new_gram = linalg.mat_mul(F, basis, linalg.mat_mul(F, gram,
                                                        linalg.transpose(basis)))
     return geometry.QuadraticSpace(F, new_gram), new_gens, coords

@@ -157,14 +157,17 @@ def _case_deleted(n):
 
 def _case_meataxe_s8():
     res = meataxe.s8_pipeline()
+    dims = res["factor_dims"]
     pairs = {xi: sorted(res["small"][xi]) for xi in ("+", "-")}
     has_230 = [xi for xi in ("+", "-") if (230, 84) in pairs[xi]]
     has_212 = [xi for xi in ("+", "-") if (212, 102) in pairs[xi]]
+    one_each = len(has_230) == 1 and len(has_212) == 1 and has_230 != has_212
     expected = {"has_dim13": True, "pairs_found_one_per_type": True}
-    computed = {"has_dim13": 13 in res["factor_dims"],
-                "pairs_found_one_per_type":
-                    len(has_230) == 1 and len(has_212) == 1
-                    and has_230 != has_212}
+    # a failing value is its witness: the factor dims, or the (c, d) pairs
+    # of the 315-point orbits found per type
+    computed = {"has_dim13": 13 in dims or {"factor_dims": dims},
+                "pairs_found_one_per_type": one_each or {
+                    xi: [list(p) for p in pairs[xi]] for xi in pairs}}
     return expected, computed
 
 

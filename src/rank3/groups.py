@@ -73,6 +73,12 @@ class MatrixGroup:
         G = np.array(self.gens, dtype=np.int64).reshape(-1, n, n) % 3
         return chunks, _image_tables(G, chunks), _piece_tables(n)
 
+    @functools.cached_property
+    def packed_gens(self):
+        """The generators' rows, packed by linalg.Echelon for the MeatAxe."""
+        E = linalg.Echelon(self.field)
+        return tuple(tuple(map(E.pack, g)) for g in self.gens)
+
 
 def preserves_form(F, g, gram):
     lhs = linalg.mat_mul(F, g, linalg.mat_mul(F, gram, linalg.transpose(g)))

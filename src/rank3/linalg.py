@@ -13,12 +13,12 @@ work is whole-row integer ops, and packing is bytes.translate and int
 parsing.  Echelon.image maps a packed row by a matrix of packed rows, and
 solve's coordinates take a packed row, with one add per nonzero (pivot)
 entry: the MeatAxe's algebra words, spin and subquotient work on packed
-rows, packing each matrix once per call.  Over other fields Echelon works
-one entry at a time, as vec_mat, mat_mul and the other functions do.
+rows, and read a group's generators as the rows it packed once, its
+MatrixGroup.packed_gens.  Over other fields Echelon works one entry at a
+time, as vec_mat, mat_mul and the other functions do.
 """
 
 import bisect
-import itertools
 
 from .fields import gf3_add
 
@@ -258,14 +258,17 @@ class Echelon:
         return _gf3_sum(0, 0, *v, g)
 
     def solve(self, rows):
-        """One echelon pass over the rows (r_i | e_i), each r_i packed by
-        this Echelon: (coords, free).  Only rows whose r part does not
+        """One echelon pass over the rows (r_i | e_i), each r_i a packed
+        row of this Echelon's length, which a pack must have fixed (else
+        ValueError): (coords, free).  Only rows whose r part does not
         reduce to zero join, as (r_p | t_p) with t_p . rows = r_p.  free
         maps each other row's index, in order, to its reduced e part: the
         left nullspace basis of rref(A^T) and back substitution.  coords
         takes a packed v in the span to the x with x . rows = v and zeros
         at the free rows, else to None: (v | 0) reduces to (0 | -x)."""
         F, m = self.F, len(rows)
+        if rows and self.n is None:
+            raise ValueError("the row length is unknown before a pack")
         aug, free = Echelon(F), {}
         if self.gf3:    # e_i is bit n + i of the 1s; low masks the rest
             n = self.n or 0
@@ -306,14 +309,14 @@ class Echelon:
         return lambda v: coords(self.pack(v))
 
 
-def subquotient(F, gens, sub_rows, rad_rows):
-    """The action of the matrices gens on span(sub_rows)/span(rad_rows):
+def subquotient(M, sub_rows, rad_rows):
+    """The action of the groups.MatrixGroup M on span(sub_rows)/span(rad_rows):
     (basis, new gens, coords).  One Echelon.solve over the rad_rows, then
     the sub_rows: the basis is the sub_rows that join, and coords maps the
     subspace to coordinates in it mod the radical, read off at their
-    indices, and raises ValueError off it.  Each image b . g stays packed
-    up to its coordinates."""
-    E = Echelon(F)
+    indices, and raises ValueError off it.  Each image b . g, taken on
+    M.packed_gens, stays packed up to its coordinates."""
+    E = Echelon(M.field, [(0,) * M.dim])  # rows of another length raise
     rad = [E.pack(r) for r in rad_rows]
     rows = rad + [E.pack(s) for s in sub_rows]
     full_coords, free = E.solve(rows)
@@ -325,9 +328,8 @@ def subquotient(F, gens, sub_rows, rad_rows):
             raise ValueError("vector is outside the subspace")
         return tuple([x[i] for i in joined])
 
-    packed = [[E.pack(row) for row in g] for g in gens]
     new_gens = tuple(tuple(packed_coords(E.image(rows[i], g)) for i in joined)
-                     for g in packed)
+                     for g in M.packed_gens)
     basis = [sub_rows[i - len(rad)] for i in joined]
     return basis, new_gens, lambda vec: packed_coords(E.pack(vec))
 
@@ -340,21 +342,6 @@ def rref(F, A):
 
 def rank(F, A):
     return len(Echelon(F, A).rows)
-
-
-def span_vectors(F, rows):
-    """Every combination of rows with coefficients not all zero, in
-    itertools.product order of the coefficient tuples."""
-    n = len(rows[0]) if rows else 0
-    for coeffs in itertools.product(range(F.q), repeat=len(rows)):
-        if not any(coeffs):
-            continue
-        v = [0] * n
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j, x in enumerate(row):
-                    v[j] = F.add(v[j], F.mul(c, x))
-        yield tuple(v)
 
 
 def det(F, A):

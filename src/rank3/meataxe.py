@@ -4,11 +4,12 @@ irreducibility certificate (spin the kernel of a singular algebra
 element, then the dual), module isomorphism by one spin in the direct
 sum, and invariant bilinear forms as the isomorphism from an absolutely
 irreducible module to its dual, found by that same spin.
-Over GF(3) each call packs its module's generator rows once (see
-linalg.Echelon) and maps packed rows; an algebra element stays packed
-into Echelon.solve, and nothing packed outlives the call.
+A module packs its generator rows once, into its packed_gens (see
+linalg.Echelon), and the MeatAxe maps packed rows on them; an algebra
+element stays packed into Echelon.solve, and spin returns its Echelon.
 """
 
+import itertools
 import random
 
 from . import constructions, fields, geometry, groups, linalg
@@ -60,11 +61,6 @@ def _random_word(rng, k, p):
     return terms
 
 
-def _pack(E, gens):
-    """The generators with every row packed by the Echelon E."""
-    return [[E.pack(row) for row in g] for g in gens]
-
-
 def _eval_word(E, gens, recipe):
     """The algebra element of recipe on generators packed by E, as rows
     packed by E: a word's product is one E.image per row, and row r of the
@@ -80,49 +76,51 @@ def _eval_word(E, gens, recipe):
     return [C.image(coeffs, rows) for rows in zip(*products)]
 
 
-def spin(F, gens, seeds, packed=None):
-    """Smallest subspace containing the seeds and closed under the
-    right action of the generators; returned as reduced basis rows.
-    The generators' rows are packed once per call, or come as packed,
-    from a caller that spins many seeds under them; the rows are spun
-    packed, and each new image is spun on reduced, which zeroes its
-    earlier pivots."""
-    span = linalg.Echelon(F, seeds)
-    gens = packed or _pack(span, gens)
-    frontier = [span.pack(v) for v in seeds]
+def spin(M, seeds):
+    """The smallest subspace containing the seeds and closed under the
+    right action of the module M, as the Echelon of its reduced basis
+    rows.  The rows are spun packed, on M.packed_gens, and each seed and
+    each new image is spun on reduced, which zeroes its earlier pivots."""
+    span = linalg.Echelon(M.field)
+    frontier = [w for w in map(span.pack, seeds)
+                if span.add_packed(w) is not None]
     while frontier:
         new = []
         for v in frontier:
-            for g in gens:
+            for g in M.packed_gens:
                 w = span.add_packed(span.image(v, g))
                 if w is not None:
                     new.append(w)
         frontier = new
-    return span.rows
+    return span
 
 
 def submodule_action(M, basis):
     """M restricted to the submodule W spanned by the rows basis.  Like the
     quotient's, its generators are invertible by construction, since
     det g = det(g|W) det(g|V/W), so neither runs MatrixGroup's checks."""
-    sub, gens, _coords = linalg.subquotient(M.field, M.gens, basis, ())
+    sub, gens, _coords = linalg.subquotient(M, basis, ())
     return GModule.unchecked(M.field, len(sub), gens)
 
 
 def quotient_action(M, basis):
     """The action of M on V/W, W spanned by the rows basis."""
-    comp, gens, _coords = linalg.subquotient(
-        M.field, M.gens, linalg.identity(M.dim), basis)
+    comp, gens, _coords = linalg.subquotient(M, linalg.identity(M.dim), basis)
     return GModule.unchecked(M.field, len(comp), gens)
 
 
 # ---------------------------------------------------------------------------
 # splitting
 
-def _kernel_lines(F, ker):
-    """All projective representatives in the row span of ker."""
-    return list(dict.fromkeys(geometry.canonical_point(F, v)
-                              for v in linalg.span_vectors(F, ker)))
+def _kernel_lines(E, ker):
+    """A vector on each line of the span of the rows ker, in the order the
+    lines first come in itertools.product order of the coefficients: the
+    combinations whose first nonzero coefficient is 1."""
+    C, m = linalg.Echelon(E.F), len(ker)
+    rows = [E.pack(k) for k in ker]
+    return [E.unpack(C.image(C.pack((0,) * k + (1,) + tail), rows))
+            for k in reversed(range(m))
+            for tail in itertools.product(range(E.F.q), repeat=m - 1 - k)]
 
 
 def find_submodule(M, rng):
@@ -132,30 +130,29 @@ def find_submodule(M, rng):
     F, dim = M.field, M.dim
     if not M.gens:  # every line is a submodule
         return linalg.identity(dim)[:1] if dim > 1 else None
-    gens_t = [linalg.transpose(g) for g in M.gens]
-    E = linalg.Echelon(F)
-    packed = _pack(E, M.gens)
+    E = linalg.Echelon(F, [(0,) * dim])  # its pack fixes solve's row length
     for _ in range(_SPLIT_TRIES):
-        theta = _eval_word(E, packed, _random_word(rng, len(M.gens), F.p))
+        theta = _eval_word(E, M.packed_gens,
+                           _random_word(rng, len(M.gens), F.p))
         ker = list(E.solve(theta)[1].values())
         nullity = len(ker)
         if nullity == 0:
             continue
-        vectors = ker if nullity > 3 else _kernel_lines(F, ker)
+        vectors = ker if nullity > 3 else _kernel_lines(E, ker)
         for v in vectors:
-            w = spin(F, M.gens, [v], packed)
-            if len(w) < dim:
-                return w
+            w = spin(M, [v])
+            if len(w.pivots) < dim:
+                return w.rows
         if nullity > 3:
             continue
-        theta = tuple(map(E.unpack, theta))
-        ker_t = linalg.nullspace_rows(F, linalg.transpose(theta))
-        wt = spin(F, gens_t, [ker_t[0]])
-        if len(wt) < dim:
+        ker_t = linalg.nullspace_rows(F, tuple(zip(*map(E.unpack, theta))))
+        Mt = GModule.unchecked(F, dim, tuple(map(linalg.transpose, M.gens)))
+        wt = spin(Mt, [ker_t[0]])
+        if len(wt.pivots) < dim:
             sub = linalg.nullspace_rows(F, linalg.transpose(
-                linalg.mat_from_rows(wt)))
+                linalg.mat_from_rows(wt.rows)))
             assert 0 < len(sub) < dim
-            return spin(F, M.gens, sub, packed)
+            return spin(M, sub).rows
         return None
     raise Undecided("no singular algebra element found in %d tries"
                     % _SPLIT_TRIES)
@@ -199,26 +196,25 @@ def _intertwiner(A, B, seed=0):
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
-    E = linalg.Echelon(F)
-    packed_a, packed_b = _pack(E, A.gens), _pack(E, B.gens)
     zero = (0,) * dim
-    sums = [tuple(r + zero for r in ga) + tuple(zero + r for r in gb)
-            for ga, gb in zip(A.gens, B.gens)]
-    packed = _pack(linalg.Echelon(F), sums)
+    E = linalg.Echelon(F, [zero])  # its pack fixes solve's row length
+    AB = GModule.unchecked(F, 2 * dim, tuple(
+        tuple(r + zero for r in ga) + tuple(zero + r for r in gb)
+        for ga, gb in zip(A.gens, B.gens)))
     for _ in range(_ISO_TRIES):
         recipe = _random_word(rng, len(A.gens), F.p)
-        ka = list(E.solve(_eval_word(E, packed_a, recipe))[1].values())
-        kb = list(E.solve(_eval_word(E, packed_b, recipe))[1].values())
+        ka = list(E.solve(_eval_word(E, A.packed_gens, recipe))[1].values())
+        kb = list(E.solve(_eval_word(E, B.packed_gens, recipe))[1].values())
         if len(ka) != len(kb):
             return None
         if len(ka) != 1:
             continue
-        rows = spin(F, sums, [ka[0] + kb[0]], packed)
-        if sum(any(r[:dim]) for r in rows) < dim:
+        span = spin(AB, [ka[0] + kb[0]])
+        if sum(p < dim for p in span.pivots) < dim:  # pivots in A's half
             continue  # A was not irreducible over this vector; resample
-        if len(rows) > dim:
+        if len(span.pivots) > dim:
             return None
-        return tuple(r[dim:] for r in rows)
+        return tuple(r[dim:] for r in span.rows)
     raise Undecided("no nullity-1 word found in %d tries" % _ISO_TRIES)
 
 

@@ -183,3 +183,26 @@ def test_ingest_case_names_a_field_other_than_gf3(tmp_path, monkeypatch):
     assert result.match is False
     assert result.error["type"] == "ValueError"
     assert "GF(3^2)" in result.error["message"]
+
+
+def test_s8_case_fails_with_its_witnesses(monkeypatch):
+    # a failing boolean of the S8 case becomes what it was decided on: the
+    # factor dims, or the (c, d) pairs of the 315-point orbits per type
+    from rank3 import meataxe
+    case = next(c for c in expected.CASES if c[0] == "meataxe-s8-dim13")
+    bad = {"factor_dims": [1, 1, 7, 7, 7, 7, 21],
+           "small": {"+": [(230, 84), (212, 102)], "-": []}}
+    monkeypatch.setattr(meataxe, "s8_pipeline", lambda: bad)
+    result = expected.run_case(*case)
+    assert result.error is None and not result.match
+    assert result.computed == {
+        "has_dim13": {"factor_dims": [1, 1, 7, 7, 7, 7, 21]},
+        "pairs_found_one_per_type": {"+": [[212, 102], [230, 84]], "-": []}}
+    json.dumps(result.to_json())
+    # each value stays True where its check passes
+    good = dict(bad, factor_dims=[1, 1, 7, 7, 7, 7, 13, 21])
+    monkeypatch.setattr(meataxe, "s8_pipeline", lambda: good)
+    assert expected.run_case(*case).computed["has_dim13"] is True
+    good["small"] = {"+": [(212, 102)], "-": [(230, 84)]}
+    result = expected.run_case(*case)
+    assert result.match and result.computed == result.expected

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import linalg, meataxe
+from rank3 import groups, linalg, meataxe
 from rank3.fields import GF3, field_create
 
 GF9 = field_create(3, 2)
@@ -266,25 +266,21 @@ def test_solve_row_refuses_a_length_mismatch(F):
 def test_subquotient_refuses_rows_that_span_no_submodule(F):
     # the 3-cycle permutes the coordinates: e_0 spans no submodule, nor
     # does span(e_0, e_1) mod span(e_0), since e_1 maps to e_2
-    g = linalg.perm_matrix((1, 2, 0))
+    G = groups.MatrixGroup(F, 3, (linalg.perm_matrix((1, 2, 0)),))
     for sub, rad in (([(1, 0, 0)], ()), ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0)])):
         with pytest.raises(ValueError, match="vector is outside the subspace"):
-            linalg.subquotient(F, [g], sub, rad)
+            linalg.subquotient(G, sub, rad)
     # span(1, 1, 1) is one, and its coords refuse the vectors off it
-    basis, gens, coords = linalg.subquotient(F, [g], [(1, 1, 1)], ())
+    basis, gens, coords = linalg.subquotient(G, [(1, 1, 1)], ())
     assert basis == [(1, 1, 1)] and gens == (((1,),),)
     assert coords((2, 2, 2)) == (2,)
     with pytest.raises(ValueError, match="vector is outside the subspace"):
         coords((1, 0, 0))
-
-
-@pytest.mark.parametrize("F", FIELDS, ids=repr)
-def test_span_vectors_in_product_order(F):
-    combos = [c for c in itertools.product(F.elements(), repeat=3) if any(c)]
-    assert list(linalg.span_vectors(F, linalg.identity(3))) == combos
-    assert list(linalg.span_vectors(F, ())) == []
-    # dependent rows: every coefficient tuple still yields one vector
-    assert len(list(linalg.span_vectors(F, ((1, 2), (1, 2))))) == F.q ** 2 - 1
+    # rows of another length than the group's dim
+    for sub, rad in (([(1, 1)], ()), ([(1, 1, 1, 1)], ()),
+                     ([(1, 1, 1)], [(0, 0)])):
+        with pytest.raises(ValueError, match="length"):
+            linalg.subquotient(G, sub, rad)
 
 
 def _reference_det(F, A):
@@ -480,6 +476,21 @@ def test_the_row_length_is_fixed_by_the_first_pack():
         assert E.unpack(E.pack((0, 2, 0, 0, 1))) == (0, 2, 0, 0, 1)
 
 
+def test_solve_refuses_rows_before_the_row_length_is_known():
+    # solve read the GF(3) e_i part from bit 0 when no pack had fixed the
+    # row length, so rows packed by another Echelon got wrong answers
+    P = linalg.Echelon(GF3)
+    rows = [P.pack((1, 0)), P.pack((2, 0))]
+    for F in (GF3, field_create(5, 1)):
+        with pytest.raises(ValueError, match="unknown"):
+            linalg.Echelon(F).solve(rows)
+    coords, free = P.solve(rows)
+    assert free == {1: (1, 1)} and coords(P.pack((1, 0))) == (1, 0)
+    # with no rows there is nothing to place, and nothing is refused
+    coords, free = linalg.Echelon(GF3).solve([])
+    assert free == {} and coords((0, 0)) == ()
+
+
 def _reference_spin(F, gens, seeds):
     """meataxe.spin as it ran before rows were packed, one field entry at
     a time; kept as its oracle."""
@@ -518,7 +529,7 @@ def test_spin_matches_the_per_entry_spin(n):
              [tensor(1), tensor(2)], [tensor(1), (1,) * n * n]]
     dims = set()
     for s in seeds:
-        rows = meataxe.spin(GF3, T.gens, s)
+        rows = meataxe.spin(T, s).rows
         assert rows == _reference_spin(GF3, T.gens, s)
         dims.add(len(rows))
     assert len(dims) >= 4, dims

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -35,7 +36,7 @@ def test_singular_generator_rejected():
 
 def test_sub_and_quotient_modules_skip_the_det_check(monkeypatch):
     M = permutation_module(6, [cycle(6), transposition(6)])
-    ones = spin(GF3, M.gens, [(1,) * 6])
+    ones = spin(M, [(1,) * 6]).rows
     calls = []
     det = linalg.det
     monkeypatch.setattr(linalg, "det",
@@ -118,7 +119,7 @@ def test_sub_and_quotient_actions_match_the_old_loops(n):
 
 def test_spin_is_invariant():
     M = permutation_module(5, [cycle(5), transposition(5)])
-    basis = spin(GF3, M.gens, [(1, 2, 0, 0, 0)])
+    basis = spin(M, [(1, 2, 0, 0, 0)]).rows
     # the spun subspace is G-invariant
     for g in M.gens:
         for v in basis:
@@ -128,7 +129,7 @@ def test_spin_is_invariant():
 
 def test_all_ones_submodule():
     M = permutation_module(5, [cycle(5), transposition(5)])
-    basis = spin(GF3, M.gens, [(1, 1, 1, 1, 1)])
+    basis = spin(M, [(1, 1, 1, 1, 1)]).rows
     assert len(basis) == 1
 
 
@@ -254,28 +255,28 @@ def test_eval_word_matches_the_per_entry_one(tensor_factors):
     U5 = permutation_module(5, [transposition(5), cycle(5)], F5)
     for M, count in ((squares[0], 20), (squares[1], 20), (dense, 20),
                      (tensor_module(U5, U5), 5)):
-        E = linalg.Echelon(M.field)
-        packed = meataxe._pack(E, M.gens)
+        E = linalg.Echelon(M.field, [(0,) * M.dim])
         for _ in range(count):
             recipe = meataxe._random_word(rng, len(M.gens), M.field.p)
-            theta = meataxe._eval_word(E, packed, recipe)
+            theta = meataxe._eval_word(E, M.packed_gens, recipe)
             assert tuple(map(E.unpack, theta)) == \
                 _reference_eval_word(M.field, M.gens, recipe, M.dim), recipe
 
 
-def test_splitting_stores_nothing_on_the_module():
-    # packed generator rows live only as long as the call that packs them
+def test_splitting_caches_only_the_packed_rows():
+    # a module packs its generator rows once, into packed_gens, which
+    # stays outside == and hash; nothing else is stored on it
     U = permutation_module(7, [cycle(7), transposition(7)])
     M = tensor_module(U, U)
-    before = dict(vars(M))
     factors = composition_factors(M)
-    assert vars(M) == before
-    fields = set(before)
-    assert all(set(vars(f)) == fields for f, _mult in factors)
     f13 = next(f for f, _mult in factors if f.dim == 13)
-    before = dict(vars(f13))
     invariant_bilinear_form(f13)
-    assert vars(f13) == before
+    for mod in [M] + [f for f, _mult in factors]:
+        fresh = GModule.unchecked(mod.field, mod.dim, mod.gens)
+        cached = dict(vars(mod))
+        assert cached.pop("packed_gens") == fresh.packed_gens
+        assert cached == vars(GModule.unchecked(mod.field, mod.dim, mod.gens))
+        assert mod == fresh and hash(mod) == hash(fresh)
 
 
 def test_invariant_form_on_dim13(tensor_factors):
@@ -284,6 +285,43 @@ def test_invariant_form_on_dim13(tensor_factors):
     assert kind == "symmetric"
     assert linalg.det(GF3, B) != 0
     assert _is_invariant(f13, B)
+
+
+def _span_vectors(F, rows):
+    """Every combination of rows with coefficients not all zero, in
+    itertools.product order of the coefficient tuples: linalg.span_vectors
+    as it was, kept as an oracle."""
+    for coeffs in itertools.product(range(F.q), repeat=len(rows)):
+        if any(coeffs):
+            yield linalg.vec_mat(F, coeffs, rows)
+
+
+def _reference_kernel_lines(F, ker):
+    """meataxe._kernel_lines as it ran before it took the leading-1
+    combinations alone: every vector of the span, made canonical, with the
+    repeats dropped; kept as its oracle."""
+    return list(dict.fromkeys(geometry.canonical_point(F, v)
+                              for v in _span_vectors(F, ker)))
+
+
+@pytest.mark.parametrize("F", [GF3, field_create(5, 1), field_create(3, 2)],
+                         ids=repr)
+def test_kernel_lines_match_the_enumerated_span(F):
+    combos = [c for c in itertools.product(F.elements(), repeat=3) if any(c)]
+    assert list(_span_vectors(F, linalg.identity(3))) == combos
+    rng = random.Random(F.q)
+    for trial in range(60):
+        nullity, n = 1 + trial % 3, rng.randrange(3, 8)
+        M = tuple(tuple(rng.randrange(F.q) for _ in range(n))
+                  for _ in range(n + nullity))
+        ker = linalg.nullspace_rows(F, M)
+        assert len(ker) >= nullity
+        ker = ker[:nullity]
+        E = linalg.Echelon(F)
+        lines = meataxe._kernel_lines(E, ker)
+        assert [geometry.canonical_point(F, v) for v in lines] == \
+            _reference_kernel_lines(F, ker)
+        assert len(lines) == (F.q ** nullity - 1) // (F.q - 1)
 
 
 def _reference_form(M):
@@ -307,7 +345,7 @@ def _reference_form(M):
     if len(sols) > 4:
         raise ValueError("solution space too large; module not irreducible?")
     best_alt = None
-    for v in linalg.span_vectors(F, sols):
+    for v in _span_vectors(F, sols):
         B = tuple(tuple(v[a * d + b] for b in range(d)) for a in range(d))
         Bt = linalg.transpose(B)
         if B == Bt:
@@ -419,8 +457,8 @@ def _reference_intertwiner(A, B, seed=0):
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
-    E = linalg.Echelon(F)
-    packed_a, packed_b = meataxe._pack(E, A.gens), meataxe._pack(E, B.gens)
+    E = linalg.Echelon(F, [(0,) * dim])
+    packed_a, packed_b = A.packed_gens, B.packed_gens
     for _ in range(meataxe._ISO_TRIES):
         recipe = meataxe._random_word(rng, len(A.gens), F.p)
         ka = linalg.nullspace_rows(F, tuple(map(
