@@ -208,7 +208,7 @@ def _normal_basis(F27):
         for _ in range(3):
             rows.append(tuple(fields._decode(z, 3, 3)))
             z = F27.frobenius(z)
-        if linalg.rank(GF3, rows) == 3:
+        if linalg.det(GF3, rows) != 0:
             return rows
     raise RuntimeError("no normal element found")
 
@@ -220,12 +220,10 @@ def field_extension_subgroup():
     F = GF3
     basis27 = _normal_basis(F27)  # power-basis rows of zeta^(3^j)
     zs = [fields._encode(r, 3) for r in basis27]
-    normal_coords = linalg.Echelon(F, basis27).coordinates(basis27)
+    to_normal = linalg.mat_inv(F, basis27)
 
     def to_normal_coords(u):
-        row = normal_coords(tuple(fields._decode(u, 3, 3)))
-        assert row is not None
-        return row
+        return linalg.vec_mat(F, fields._decode(u, 3, 3), to_normal)
 
     space27 = geometry.standard_space(3, F27)
     om27 = groups.omega_generators(space27)

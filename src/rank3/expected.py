@@ -91,7 +91,8 @@ def _case_srg_spectrum():
             key = "m%d%s" % (m, xi)
             expected[key] = {"ok": True, "f_s": p.f_s, "f_t": p.f_t,
                              "sum": p.total}
-            computed[key] = {"ok": rep.ok, "f_s": rep.f_s, "f_t": rep.f_t,
+            computed[key] = {"ok": rep.ok or {"failure": rep.failure},
+                             "f_s": rep.f_s, "f_t": rep.f_t,
                              "sum": 1 + rep.f_s + rep.f_t}
     return expected, computed
 
@@ -228,13 +229,16 @@ def _case_mullineux():
     computed = {"table": [list(partitions.mullineux_map(l)) for l, _m in _TABLE5]}
     ok, images, symbols = True, {}, {}
     for n in range(1, 21):
-        # M is an involution here, and each image obeys the rim-symbol rule
+        # M is an involution here, and each image obeys the rim-symbol rule;
+        # a failure reads the first partition that breaks either
         img = {lam: partitions.mullineux_map(lam, images)
                for lam in partitions.p_regular_partitions(n)}
         sym = {lam: partitions.mullineux_symbol(lam, symbols) for lam in img}
-        ok &= all(img.get(m) == lam
-                  and sym.get(m) == partitions.image_symbol(sym[lam])
-                  for lam, m in img.items())
+        for lam, m in img.items():
+            if ok is True and img.get(m) != lam:
+                ok = {"partition": list(lam), "failed": "involution"}
+            elif ok is True and sym.get(m) != partitions.image_symbol(sym[lam]):
+                ok = {"partition": list(lam), "failed": "symbol rule"}
     computed["involution_n20"] = ok
     computed["hooks"] = [n for n in range(5, 61)
                          if partitions.is_mullineux_fixed((n - 2, 1, 1))]

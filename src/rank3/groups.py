@@ -76,7 +76,7 @@ class MatrixGroup:
     @functools.cached_property
     def packed_gens(self):
         """The generators' rows, packed by linalg.Echelon for the MeatAxe."""
-        E = linalg.Echelon(self.field)
+        E = linalg.Echelon(self.field, self.dim)
         return tuple(tuple(map(E.pack, g)) for g in self.gens)
 
 
@@ -142,11 +142,11 @@ def spinor_norm(space, g):
         raise ValueError("not an isometry")
     if linalg.det(F, g) != 1:
         raise ValueError("spinor norm defined here for det-1 isometries")
-    basis = linalg.Echelon(F)
+    basis = linalg.Echelon(F, space.n)
     ys, ws = [], []
     for i, e in enumerate(linalg.identity(space.n)):
         y = linalg.vec_sub(F, e, g[i])
-        if basis.add(y):
+        if basis.add_packed(basis.pack(y)) is not None:
             ys.append(y)
             ws.append(e)
     chi = [[space.form(y, w) for w in ws] for y in ys]

@@ -137,19 +137,18 @@ class Echelon:
     masks of its 1s and of its 2s, bit j for column j: the pivot is the
     lowest set bit, scaling by 2 swaps the masks and rows add by the
     bitsliced fields.gf3_add.  The masks have no width limit, so no dim
-    guard is needed; pack refuses an entry outside 0, 1, 2 with ValueError.
-    Over any other field a packed row is its tuple.
+    guard is needed.  Over any other field a packed row is its tuple.  On
+    every field pack refuses, with ValueError, a row whose length is not
+    the n given at construction and an entry outside range(F.q).
     """
 
-    def __init__(self, F, rows=()):
+    def __init__(self, F, n):
         self.F = F
         self.gf3 = F.q == 3
-        self.n = None       # the row length, fixed by the first pack
+        self.n = n
         self._rows = {}     # pivot column -> packed row
         self._mask = 0      # over GF(3), the pivot columns' bits
         self.pivots = []
-        for r in rows:
-            self.add(r)
 
     @property
     def rows(self):
@@ -158,13 +157,14 @@ class Echelon:
 
     def pack(self, v):
         """The packed form of the vector v; ValueError when its length is
-        not that of the first vector packed."""
-        if self.n is None:
-            self.n = len(v)
-        elif len(v) != self.n:
+        not n or an entry lies outside range(F.q)."""
+        if len(v) != self.n:
             raise ValueError("a row of length %d among rows of length %d"
                              % (len(v), self.n))
         if not self.gf3:
+            if self.n and not (0 <= min(v) and max(v) < self.F.q):
+                raise ValueError("GF(%d) entries are 0 to %d: %r"
+                                 % (self.F.q, self.F.q - 1, v))
             return tuple(v)
         try:
             b = bytes(v)[::-1] or b"\0"
@@ -174,11 +174,7 @@ class Echelon:
 
     def unpack(self, r):
         """The tuple of the packed row r."""
-        if not self.gf3:
-            return r
-        if self.n is None:
-            raise ValueError("the row length is unknown before a pack")
-        return _unpack(r, self.n)
+        return _unpack(r, self.n) if self.gf3 else r
 
     def _axpy(self, v, c, row):
         """v - c * row, as a list, over a field other than GF(3)."""
@@ -200,14 +196,6 @@ class Echelon:
             return v
         o, t = v
         return _gf3_sum(o, t, t & self._mask, o & self._mask, self._rows)
-
-    def reduce(self, v):
-        """v minus its component in the span, as a list."""
-        return list(self.unpack(self._reduce(self.pack(v))))
-
-    def add(self, v):
-        """Add v to the span; False when it was already in it."""
-        return self.add_packed(self.pack(v)) is not None
 
     def add_packed(self, w):
         """Add the packed w to the span: w reduced, or None when it was
@@ -259,19 +247,15 @@ class Echelon:
 
     def solve(self, rows):
         """One echelon pass over the rows (r_i | e_i), each r_i a packed
-        row of this Echelon's length, which a pack must have fixed (else
-        ValueError): (coords, free).  Only rows whose r part does not
+        row of length n: (coords, free).  Only rows whose r part does not
         reduce to zero join, as (r_p | t_p) with t_p . rows = r_p.  free
         maps each other row's index, in order, to its reduced e part: the
         left nullspace basis of rref(A^T) and back substitution.  coords
         takes a packed v in the span to the x with x . rows = v and zeros
         at the free rows, else to None: (v | 0) reduces to (0 | -x)."""
-        F, m = self.F, len(rows)
-        if rows and self.n is None:
-            raise ValueError("the row length is unknown before a pack")
-        aug, free = Echelon(F), {}
+        F, n, m = self.F, self.n, len(rows)
+        aug, free = Echelon(F, n + m), {}
         if self.gf3:    # e_i is bit n + i of the 1s; low masks the rest
-            n = self.n or 0
             low = ~(((1 << m) - 1) << n)
             for i, (o, t) in enumerate(rows):
                 w = aug._reduce((o | 1 << n + i, t))
@@ -287,26 +271,15 @@ class Echelon:
             zero = (0,) * m
             for i, r in enumerate(rows):
                 w = aug._reduce(r + zero[:i] + (1,) + zero[i + 1:])
-                if any(w[:len(r)]):
+                if any(w[:n]):
                     aug._join(w)
                 else:
-                    free[i] = tuple(w[len(r):])
+                    free[i] = tuple(w[n:])
 
             def coords(v):
-                w, k = aug._reduce(v + zero), len(v)
-                return None if any(w[:k]) else tuple(map(F.neg, w[k:]))
+                w = aug._reduce(v + zero)
+                return None if any(w[:n]) else tuple(map(F.neg, w[n:]))
         return coords, free
-
-    def coordinates(self, basis):
-        """A function taking v in the span to the x with x . basis = v, and
-        any other v to None; ValueError unless basis is a basis of the
-        span: independent rows, as many as the pivots, each in the span."""
-        rows = [self.pack(b) for b in basis]
-        coords, free = self.solve(rows)
-        if free or len(rows) != len(self.pivots) or \
-                any(any(self._reduce(w)) for w in rows):
-            raise ValueError("rows are not a basis of the span")
-        return lambda v: coords(self.pack(v))
 
 
 def subquotient(M, sub_rows, rad_rows):
@@ -316,7 +289,7 @@ def subquotient(M, sub_rows, rad_rows):
     subspace to coordinates in it mod the radical, read off at their
     indices, and raises ValueError off it.  Each image b . g, taken on
     M.packed_gens, stays packed up to its coordinates."""
-    E = Echelon(M.field, [(0,) * M.dim])  # rows of another length raise
+    E = Echelon(M.field, M.dim)
     rad = [E.pack(r) for r in rad_rows]
     rows = rad + [E.pack(s) for s in sub_rows]
     full_coords, free = E.solve(rows)
@@ -336,22 +309,21 @@ def subquotient(M, sub_rows, rad_rows):
 
 def rref(F, A):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    E = Echelon(F, A)
+    E = Echelon(F, len(A[0]) if A else 0)
+    for row in A:
+        E.add_packed(E.pack(row))
     return tuple(E.rows), E.pivots
 
 
-def rank(F, A):
-    return len(Echelon(F, A).rows)
-
-
 def det(F, A):
-    """Determinant of a square A: its rows, each reduced by the ones before
-    it, are triangular at their pivot columns, so det A is the product of
-    their leading entries with the sign of the pivot order (see _join)."""
-    E = Echelon(F)
+    """Determinant of a square A, else ValueError: its rows, each reduced
+    by the ones before it, are triangular at their pivot columns, so det A
+    is the product of their leading entries with the sign of the pivot
+    order (see _join)."""
+    E = Echelon(F, len(A))
     d = 1
-    for row in A:
-        lead = E._join(E._reduce(E.pack(row)))
+    for w in [E.pack(row) for row in A]:  # each row length is checked
+        lead = E._join(E._reduce(w))
         if lead is None:
             return 0
         d = F.mul(d, lead)
@@ -364,7 +336,7 @@ def mat_inv(F, A):
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
-    E = Echelon(F)
+    E = Echelon(F, n)
     coords, free = E.solve([E.pack(row) for row in A])
     if free:
         raise ValueError("matrix is singular")
@@ -374,7 +346,7 @@ def mat_inv(F, A):
 def nullspace_rows(F, A):
     """Basis of {v : v · A = 0} (left nullspace), as rows: the free rows of
     Echelon.solve over A."""
-    E = Echelon(F)
+    E = Echelon(F, len(A[0]) if A else 0)
     return tuple(E.solve([E.pack(row) for row in A])[1].values())
 
 

@@ -71,7 +71,7 @@ def _eval_word(E, gens, recipe):
         for i in idxs[1:]:
             m = [E.image(row, gens[i]) for row in m]
         products.append(m)
-    C = linalg.Echelon(E.F)
+    C = linalg.Echelon(E.F, len(recipe))
     coeffs = C.pack([coeff for coeff, _idxs in recipe])
     return [C.image(coeffs, rows) for rows in zip(*products)]
 
@@ -81,7 +81,7 @@ def spin(M, seeds):
     right action of the module M, as the Echelon of its reduced basis
     rows.  The rows are spun packed, on M.packed_gens, and each seed and
     each new image is spun on reduced, which zeroes its earlier pivots."""
-    span = linalg.Echelon(M.field)
+    span = linalg.Echelon(M.field, M.dim)
     frontier = [w for w in map(span.pack, seeds)
                 if span.add_packed(w) is not None]
     while frontier:
@@ -116,7 +116,7 @@ def _kernel_lines(E, ker):
     """A vector on each line of the span of the rows ker, in the order the
     lines first come in itertools.product order of the coefficients: the
     combinations whose first nonzero coefficient is 1."""
-    C, m = linalg.Echelon(E.F), len(ker)
+    C, m = linalg.Echelon(E.F, len(ker)), len(ker)
     rows = [E.pack(k) for k in ker]
     return [E.unpack(C.image(C.pack((0,) * k + (1,) + tail), rows))
             for k in reversed(range(m))
@@ -130,7 +130,7 @@ def find_submodule(M, rng):
     F, dim = M.field, M.dim
     if not M.gens:  # every line is a submodule
         return linalg.identity(dim)[:1] if dim > 1 else None
-    E = linalg.Echelon(F, [(0,) * dim])  # its pack fixes solve's row length
+    E = linalg.Echelon(F, dim)
     for _ in range(_SPLIT_TRIES):
         theta = _eval_word(E, M.packed_gens,
                            _random_word(rng, len(M.gens), F.p))
@@ -197,7 +197,7 @@ def _intertwiner(A, B, seed=0):
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
     zero = (0,) * dim
-    E = linalg.Echelon(F, [zero])  # its pack fixes solve's row length
+    E = linalg.Echelon(F, dim)
     AB = GModule.unchecked(F, 2 * dim, tuple(
         tuple(r + zero for r in ga) + tuple(zero + r for r in gb)
         for ga, gb in zip(A.gens, B.gens)))

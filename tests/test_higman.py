@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import geometry
+from rank3 import expected, geometry
 from rank3.fields import GF3
 from rank3.geometry import standard_space
 from rank3.higman import (CdPair, NotRankThree, check_eq1, eq2_holds, eq3_holds, eq4_holds, generic_params,
@@ -127,6 +127,19 @@ def test_non_srg_graph_is_refused(A, reason, monkeypatch):
     rep = srg_verify(sp, "+")
     assert not rep.ok
     assert reason in rep.failure
+
+
+def test_ledger_case_shows_the_srg_failure(monkeypatch):
+    # the pentagon passes the measurement but has no integral spectrum;
+    # the case's "ok" then reads the report's failure in place of False
+    case = next(c for c in expected.CASES if c[0] == "srg-spectrum")
+    assert all(v["ok"] is True for v in expected.run_case(*case).computed.values())
+    A = _cycle(5)
+    monkeypatch.setattr(geometry, "_delta_graph", lambda space, xi: (A, A @ A))
+    result = expected.run_case(*case)
+    assert result.error is None and not result.match
+    for v in result.computed.values():
+        assert "D = 5 is not a perfect square" in v["ok"]["failure"]
 
 
 def test_multiplicity_trace_identity():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import groups, linalg, meataxe
+from rank3 import geometry, groups, linalg, meataxe
 from rank3.fields import GF3, field_create
 
 GF9 = field_create(3, 2)
@@ -40,6 +40,24 @@ def prefix_spans(F, rows):
     return out
 
 
+def echelon(F, n, rows=()):
+    """The Echelon of row length n spanned by rows, added one at a time."""
+    E = linalg.Echelon(F, n)
+    for r in rows:
+        E.add_packed(E.pack(r))
+    return E
+
+
+def added(E, v):
+    """Add v to the span of E: whether it was outside it."""
+    return E.add_packed(E.pack(v)) is not None
+
+
+def reduced(E, v):
+    """v minus its component in the span of E, as a tuple."""
+    return E.unpack(E._reduce(E.pack(v)))
+
+
 def is_reduced_echelon(rows, pivots):
     if list(pivots) != sorted(set(pivots)) or len(rows) != len(pivots):
         return False
@@ -57,18 +75,18 @@ def test_echelon_add_against_the_brute_force_span(F):
     @given(matrices(F), st.data())
     def check(A, data):
         spans = prefix_spans(F, A)
-        E = linalg.Echelon(F)
+        E = linalg.Echelon(F, len(A[0]))
         for r, before, after in zip(A, spans, spans[1:]):
-            assert E.add(r) == (r not in before)
+            assert added(E, r) == (r not in before)
             assert is_reduced_echelon(E.rows, E.pivots)
             assert len(after) == F.q ** len(E.rows)
         span = spans[-1]
         v = data.draw(vectors(F, len(A[0])))
-        w = tuple(E.reduce(v))
+        w = reduced(E, v)
         assert linalg.vec_sub(F, v, w) in span
         assert not any(w[p] for p in E.pivots)
         assert (not any(w)) == (v in span)
-        assert E.add(v) == (v not in span)
+        assert added(E, v) == (v not in span)
     check()
 
 
@@ -77,20 +95,20 @@ def test_coordinates_rebuild_vectors_in_the_callers_basis(F):
     @settings(max_examples=60, deadline=None)
     @given(matrices(F), st.data())
     def check(A, data):
-        E = linalg.Echelon(F)
-        basis = [r for r in A if E.add(r)]
+        E = linalg.Echelon(F, len(A[0]))
+        basis = [r for r in A if added(E, r)]
         if not basis:
             return
-        coords = E.coordinates(basis)
+        coords, free = E.solve([E.pack(b) for b in basis])
+        assert free == {}
         span = prefix_spans(F, A)[-1]
         for v in span:
-            assert linalg.vec_mat(F, coords(v), basis) == v
+            assert linalg.vec_mat(F, coords(E.pack(v)), basis) == v
         v = data.draw(vectors(F, len(A[0])))
         if v not in span:
-            assert coords(v) is None
-        if len(A) > len(basis):
-            with pytest.raises(ValueError):
-                E.coordinates(A)
+            assert coords(E.pack(v)) is None
+        # the rows of A beyond the basis are the free ones
+        assert len(E.solve([E.pack(r) for r in A])[1]) == len(A) - len(basis)
     check()
 
 
@@ -100,10 +118,9 @@ def test_rref_rank_solve_row_and_nullspace_agree_with_the_kernel(F):
     @given(matrices(F), st.data())
     def check(A, data):
         R, pivots = linalg.rref(F, A)
-        E = linalg.Echelon(F, A)
+        E = echelon(F, len(A[0]), A)
         assert R == tuple(E.rows) and pivots == E.pivots
         assert is_reduced_echelon(R, pivots)
-        assert linalg.rank(F, A) == len(R)
         span = prefix_spans(F, A)[-1]
         for b in (A[-1], data.draw(vectors(F, len(A[0])))):
             x = linalg.solve_row(F, A, b)
@@ -115,7 +132,7 @@ def test_rref_rank_solve_row_and_nullspace_agree_with_the_kernel(F):
         assert len(null) == len(A) - len(R)
         for y in null:
             assert not any(linalg.vec_mat(F, y, A))
-        assert linalg.rank(F, null) == len(null)
+        assert len(linalg.rref(F, null)[0]) == len(null)
     check()
 
 
@@ -158,7 +175,7 @@ def test_nullspace_is_the_transposed_rref_basis(F):
         null = linalg.nullspace_rows(F, A)
         assert null == _reference_nullspace(F, A), A
         # the free rows of one solve over the same rows, packed
-        E = linalg.Echelon(F)
+        E = linalg.Echelon(F, len(A[0]) if A else 0)
         assert tuple(E.solve([E.pack(r) for r in A])[1].values()) == null
 
 
@@ -169,10 +186,10 @@ def test_nullspace_of_large_gf3_matrices(n):
         rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rank)]
         A = tuple(linalg.vec_mat(GF3, [rng.randrange(3) for _ in rows], rows)
                   if rows else (0,) * n for _ in range(n))
-        E = linalg.Echelon(GF3)
+        E = linalg.Echelon(GF3, n)
         null = tuple(E.solve([E.pack(r) for r in A])[1].values())
         assert null == linalg.nullspace_rows(GF3, A) == _reference_nullspace(GF3, A)
-        assert len(null) == n - linalg.rank(GF3, A)
+        assert len(null) == n - len(linalg.rref(GF3, A)[0])
 
 
 def _check_solve(F, A, rng):
@@ -180,19 +197,19 @@ def _check_solve(F, A, rng):
     reference nullspace, keyed by each row's index, and coords take the
     vectors of the span to an x with x . A = v and zeros at the free rows,
     and every other vector to None."""
-    E = linalg.Echelon(F)
+    n = len(A[0]) if A else 3
+    E = linalg.Echelon(F, n)
     coords, free = E.solve([E.pack(r) for r in A])
     assert tuple(free.values()) == _reference_nullspace(F, A), A
     assert all(y[i] == 1 and not any(y[i + 1:]) for i, y in free.items())
-    n = len(A[0]) if A else 3
-    span = linalg.Echelon(F, A)
+    span = echelon(F, n, A)
     vs = [(0,) * n] + [tuple(rng.randrange(F.q) for _ in range(n))
                        for _ in range(10)]
     vs += [linalg.vec_mat(F, [rng.randrange(F.q) for _ in A], A)
            for _ in range(10 if A else 0)]
     for v in vs:
         x = coords(E.pack(v))
-        if any(span.reduce(v)):
+        if any(reduced(span, v)):
             assert x is None, (A, v)
         else:
             assert len(x) == len(A) and not any(x[i] for i in free)
@@ -214,20 +231,6 @@ def test_solve_on_large_gf3_matrices(n):
         A = tuple(linalg.vec_mat(GF3, [rng.randrange(3) for _ in rows], rows)
                   if rows else (0,) * n for _ in range(n))
         _check_solve(GF3, A, rng)
-
-
-@pytest.mark.parametrize("F", FIELDS, ids=repr)
-def test_coordinates_refuse_rows_that_are_not_a_basis_of_the_span(F):
-    E = linalg.Echelon(F, [(1, 0, 0), (0, 1, 1)])
-    assert E.coordinates([(1, 1, 1), (0, 1, 1)])((1, 2, 2)) == (1, 1)
-    for basis in ([(1, 0, 0)],                          # too few
-                  [(1, 0, 0), (0, 1, 1), (1, 1, 1)],    # dependent
-                  [(1, 0, 0), (0, 0, 1)]):              # one off the span
-        with pytest.raises(ValueError, match="not a basis"):
-            E.coordinates(basis)
-    # a span that never saw a row: only the zero vector has coordinates
-    coords = linalg.Echelon(F).coordinates([])
-    assert coords((0, 0)) == () and coords((0, 1)) is None
 
 
 @pytest.mark.parametrize("F", DET_FIELDS, ids=repr)
@@ -406,7 +409,7 @@ def _gf3_inputs(rng, n, rank):
 def test_packed_echelon_matches_the_per_entry_one(n):
     rng = random.Random(n)
     for rank in (1, n // 3 + 1, n) * 2:
-        E, R = linalg.Echelon(GF3), _ReferenceEchelon(GF3)
+        E, R = linalg.Echelon(GF3, n), _ReferenceEchelon(GF3)
         basis = []
         for v in _gf3_inputs(rng, n, rank):
             # the signed lead that det multiplies, then the rows
@@ -416,15 +419,28 @@ def test_packed_echelon_matches_the_per_entry_one(n):
             if lead is not None:
                 basis.append(v)
         assert len(basis) == len(E.rows) <= rank
-        coords, ref = E.coordinates(basis), R.coordinates(basis)
+        coords, free = E.solve([E.pack(b) for b in basis])
+        ref = R.coordinates(basis)
+        assert free == {}
         for _ in range(20):
             x = tuple(rng.randrange(3) for _ in basis)
             inside = linalg.vec_mat(GF3, x, basis) if basis else (0,) * n
             u = tuple(rng.randrange(3) for _ in range(n))
-            assert coords(inside) == ref(inside) == x
-            assert coords(u) == ref(u)
-            assert E.reduce(u) == R.reduce(u)
+            assert coords(E.pack(inside)) == ref(inside) == x
+            assert coords(E.pack(u)) == ref(u)
+            assert list(reduced(E, u)) == R.reduce(u)
         assert linalg.rref(GF3, basis) == (tuple(R.rows), R.pivots)
+
+
+@pytest.mark.parametrize("F", DET_FIELDS, ids=repr)
+def test_det_refuses_a_matrix_that_is_not_square(F):
+    # det((1, 2, 0), (0, 1, 1)) was 1: the rows were read as a basis of
+    # their span, whatever its length; a zero row came back 0 before the
+    # rows after it were looked at
+    for A in (((1, 2, 0), (0, 1, 1)), ((1, 0), (0, 1), (1, 1)),
+              ((0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="length"):
+            linalg.det(F, A)
 
 
 @pytest.mark.parametrize("n", [13, 27, 81])
@@ -450,45 +466,64 @@ def test_det_of_large_gf3_matrices(n):
 def test_gf3_rows_refuse_entries_outside_the_field():
     for bad in ((0, 3, 1), (0, -1, 1), (2, 2, 255), (0, 0, 256)):
         with pytest.raises(ValueError, match="GF\\(3\\) entries"):
-            linalg.Echelon(GF3, [bad])
+            linalg.Echelon(GF3, 3).pack(bad)
         with pytest.raises(ValueError):
             linalg.det(GF3, ((1, 0, 0), (0, 1, 0), bad))
-        E = linalg.Echelon(GF3, [(1, 0, 0)])
+        E = echelon(GF3, 3, [(1, 0, 0)])
         with pytest.raises(ValueError):
-            E.reduce(bad)
+            added(E, bad)
+        assert E.rows == [(1, 0, 0)]
     # entries 1 and 2 may come in any int type
-    assert linalg.Echelon(GF3, [(True, 0, 2)]).rows == [(1, 0, 2)]
+    assert echelon(GF3, 3, [(True, 0, 2)]).rows == [(1, 0, 2)]
 
 
-def test_the_row_length_is_fixed_by_the_first_pack():
+def test_rows_over_other_fields_refuse_entries_outside_the_field():
+    # over GF(5) they were taken as they came, and over GF(9) an entry
+    # past 8 raised IndexError in the arithmetic
+    GF5 = field_create(5, 1)
+    for F, bad in ((GF5, (0, 5, 1)), (GF5, (0, -1, 1)), (GF9, (0, 9, 1)),
+                   (GF9, (12, 0, 0))):
+        with pytest.raises(ValueError, match="entries"):
+            linalg.Echelon(F, 3).pack(bad)
+        with pytest.raises(ValueError, match="entries"):
+            linalg.det(F, ((1, 0, 0), (0, 1, 0), bad))
+    for F, g in ((GF5, ((6,),)), (GF5, ((-1,),)), (GF9, ((12,),))):
+        with pytest.raises(ValueError, match="entries"):
+            groups.MatrixGroup(F, 1, (g,))
+    with pytest.raises(ValueError, match="entries"):
+        geometry.QuadraticSpace(GF5, ((7,),))
+    assert linalg.Echelon(GF9, 3).pack((8, 0, 1)) == (8, 0, 1)
+
+
+def test_the_row_length_is_fixed_at_construction():
     # unpack read the length of the last row packed, so it cut rows short
-    # or, before any pack, returned ()
-    with pytest.raises(ValueError, match="unknown"):
-        linalg.Echelon(GF3).unpack((5, 2))
     for F in (GF3, field_create(5, 1), GF9):
-        E = linalg.Echelon(F, [(1, 0, 2, 0, 1)])
+        E = echelon(F, 5, [(1, 0, 2, 0, 1)])
         for v in ((1, 2), (1, 0, 2, 0, 1, 1)):
             with pytest.raises(ValueError, match="length"):
                 E.pack(v)
-            with pytest.raises(ValueError, match="length"):
-                E.add(v)
         assert E.rows == [(1, 0, 2, 0, 1)]
         assert E.unpack(E.pack((0, 2, 0, 0, 1))) == (0, 2, 0, 0, 1)
+        assert linalg.Echelon(F, 3).rows == []
 
 
-def test_solve_refuses_rows_before_the_row_length_is_known():
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_solve_reads_rows_packed_by_another_echelon(F):
     # solve read the GF(3) e_i part from bit 0 when no pack had fixed the
     # row length, so rows packed by another Echelon got wrong answers
-    P = linalg.Echelon(GF3)
+    P = linalg.Echelon(F, 2)
     rows = [P.pack((1, 0)), P.pack((2, 0))]
-    for F in (GF3, field_create(5, 1)):
-        with pytest.raises(ValueError, match="unknown"):
-            linalg.Echelon(F).solve(rows)
-    coords, free = P.solve(rows)
+    coords, free = linalg.Echelon(F, 2).solve(rows)
     assert free == {1: (1, 1)} and coords(P.pack((1, 0))) == (1, 0)
-    # with no rows there is nothing to place, and nothing is refused
-    coords, free = linalg.Echelon(GF3).solve([])
-    assert free == {} and coords((0, 0)) == ()
+    # coordinates in rows that are not in echelon form
+    E = linalg.Echelon(F, 3)
+    coords, free = E.solve([E.pack((1, 1, 1)), E.pack((0, 1, 1))])
+    assert free == {} and coords(E.pack((1, 2, 2))) == (1, 1)
+    assert coords(E.pack((0, 0, 1))) is None
+    # with no rows only the zero vector has coordinates
+    coords, free = linalg.Echelon(F, 2).solve([])
+    assert free == {} and coords(P.pack((0, 0))) == ()
+    assert coords(P.pack((0, 1))) is None
 
 
 def _reference_spin(F, gens, seeds):

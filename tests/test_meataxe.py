@@ -55,12 +55,13 @@ def _reference_submodule(M, basis):
     """The loop submodule_action ran before linalg.subquotient; kept as its
     oracle, with the quotient's below.  Returns (dim, gens)."""
     F = M.field
-    coords = linalg.Echelon(F, basis).coordinates(basis)
+    E = linalg.Echelon(F, M.dim)
+    coords, _free = E.solve([E.pack(b) for b in basis])
     gens = []
     for g in M.gens:
         rows = []
         for b in basis:
-            c = coords(linalg.vec_mat(F, b, g))
+            c = coords(E.pack(linalg.vec_mat(F, b, g)))
             if c is None:
                 raise ValueError("basis does not span a submodule")
             rows.append(c)
@@ -70,14 +71,13 @@ def _reference_submodule(M, basis):
 
 def _reference_quotient(M, basis):
     F = M.field
-    span = linalg.Echelon(F, basis)
-    comp = []
-    for i in range(M.dim):
-        e = tuple(1 if j == i else 0 for j in range(M.dim))
-        if span.add(e):
-            comp.append(e)
-    coords = span.coordinates(comp + list(basis))
-    gens = tuple(tuple(coords(linalg.vec_mat(F, b, g))[:len(comp)]
+    span = linalg.Echelon(F, M.dim)
+    for b in basis:
+        span.add_packed(span.pack(b))
+    comp = [e for e in linalg.identity(M.dim)
+            if span.add_packed(span.pack(e)) is not None]
+    coords, _free = span.solve([span.pack(r) for r in comp + list(basis)])
+    gens = tuple(tuple(coords(span.pack(linalg.vec_mat(F, b, g)))[:len(comp)]
                        for b in comp) for g in M.gens)
     return len(comp), gens
 
@@ -119,12 +119,12 @@ def test_sub_and_quotient_actions_match_the_old_loops(n):
 
 def test_spin_is_invariant():
     M = permutation_module(5, [cycle(5), transposition(5)])
-    basis = spin(M, [(1, 2, 0, 0, 0)]).rows
+    span = spin(M, [(1, 2, 0, 0, 0)])
     # the spun subspace is G-invariant
     for g in M.gens:
-        for v in basis:
+        for v in span.rows:
             img = linalg.vec_mat(GF3, v, g)
-            assert not any(linalg.Echelon(GF3, basis).reduce(img))
+            assert span.add_packed(span.pack(img)) is None
 
 
 def test_all_ones_submodule():
@@ -255,7 +255,7 @@ def test_eval_word_matches_the_per_entry_one(tensor_factors):
     U5 = permutation_module(5, [transposition(5), cycle(5)], F5)
     for M, count in ((squares[0], 20), (squares[1], 20), (dense, 20),
                      (tensor_module(U5, U5), 5)):
-        E = linalg.Echelon(M.field, [(0,) * M.dim])
+        E = linalg.Echelon(M.field, M.dim)
         for _ in range(count):
             recipe = meataxe._random_word(rng, len(M.gens), M.field.p)
             theta = meataxe._eval_word(E, M.packed_gens, recipe)
@@ -317,7 +317,7 @@ def test_kernel_lines_match_the_enumerated_span(F):
         ker = linalg.nullspace_rows(F, M)
         assert len(ker) >= nullity
         ker = ker[:nullity]
-        E = linalg.Echelon(F)
+        E = linalg.Echelon(F, len(M))
         lines = meataxe._kernel_lines(E, ker)
         assert [geometry.canonical_point(F, v) for v in lines] == \
             _reference_kernel_lines(F, ker)
@@ -457,7 +457,7 @@ def _reference_intertwiner(A, B, seed=0):
     if dim == 1:
         return linalg.identity(1) if A.gens == B.gens else None
     rng = random.Random(seed)
-    E = linalg.Echelon(F, [(0,) * dim])
+    E = linalg.Echelon(F, dim)
     packed_a, packed_b = A.packed_gens, B.packed_gens
     for _ in range(meataxe._ISO_TRIES):
         recipe = meataxe._random_word(rng, len(A.gens), F.p)
@@ -470,7 +470,9 @@ def _reference_intertwiner(A, B, seed=0):
         if len(ka) != 1:
             continue
         basis_a, basis_b = [E.pack(ka[0])], [E.pack(kb[0])]
-        span_a, span_b = linalg.Echelon(F, ka), linalg.Echelon(F, kb)
+        span_a, span_b = linalg.Echelon(F, dim), linalg.Echelon(F, dim)
+        span_a.add_packed(basis_a[0])
+        span_b.add_packed(basis_b[0])
         i = 0
         while i < len(basis_a) and len(basis_a) < dim:
             for ga, gb in zip(packed_a, packed_b):

@@ -173,7 +173,9 @@ def test_ledger_case_fails_when_the_symbol_rule_is_mutated(monkeypatch):
     monkeypatch.setattr(partitions, "image_symbol", eps_always_one)
     result = expected.run_case(*case)
     assert not result.match
-    assert result.computed["involution_n20"] is False
+    # the first partition whose image breaks the rule: M((3,)) = (2, 1)
+    assert result.computed["involution_n20"] == {"partition": [3],
+                                                 "failed": "symbol rule"}
 
 
 def test_ledger_case_fails_when_the_involution_is_mutated(monkeypatch):
@@ -187,7 +189,8 @@ def test_ledger_case_fails_when_the_involution_is_mutated(monkeypatch):
     result = expected.run_case(*case)
     assert result.error is None
     assert not result.match
-    assert result.computed["involution_n20"] is False
+    assert result.computed["involution_n20"] == {"partition": [7],
+                                                 "failed": "involution"}
 
 
 def test_fixed_points_are_involution_fixed():
