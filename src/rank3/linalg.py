@@ -252,12 +252,17 @@ class Echelon:
         maps each other row's index, in order, to its reduced e part: the
         left nullspace basis of rref(A^T) and back substitution.  coords
         takes a packed v in the span to the x with x . rows = v and zeros
-        at the free rows, else to None: (v | 0) reduces to (0 | -x)."""
+        at the free rows, else to None: (v | 0) reduces to (0 | -x).  A row
+        packed at another length raises ValueError: over GF(3) its masks
+        would spill into the e_i bits."""
         F, n, m = self.F, self.n, len(rows)
         aug, free = Echelon(F, n + m), {}
         if self.gf3:    # e_i is bit n + i of the 1s; low masks the rest
             low = ~(((1 << m) - 1) << n)
             for i, (o, t) in enumerate(rows):
+                if (o | t) >> n:
+                    raise ValueError("row %d is wider than %d columns"
+                                     % (i, n))
                 w = aug._reduce((o | 1 << n + i, t))
                 if (w[0] | w[1]) & low:
                     aug._join(w)
@@ -270,6 +275,9 @@ class Echelon:
         else:
             zero = (0,) * m
             for i, r in enumerate(rows):
+                if len(r) != n:
+                    raise ValueError("row %d has length %d, not %d"
+                                     % (i, len(r), n))
                 w = aug._reduce(r + zero[:i] + (1,) + zero[i + 1:])
                 if any(w[:n]):
                     aug._join(w)

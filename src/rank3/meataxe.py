@@ -12,7 +12,7 @@ element stays packed into Echelon.solve, and spin returns its Echelon.
 import itertools
 import random
 
-from . import constructions, fields, geometry, groups, linalg
+from . import fields, geometry, groups, linalg
 
 GF3 = fields.GF3
 # random algebra elements tried before a search gives up with Undecided
@@ -260,9 +260,43 @@ def invariant_bilinear_form(M):
 
 # ---------------------------------------------------------------------------
 # the S_8 pipeline: permutation module, tensor square, dim-13 factor,
-# invariant form, and the two 315-point orbits
+# invariant form, and its 315-point orbits.  Each has a stabiliser of order
+# 40320/315 = 128, a Sylow 2-subgroup, so by Sylow's theorem it holds a line
+# fixed by P below, and only one, as P is self-normalising in S8.
+
+# P's generators (0 1), (0 2)(1 3) and (0 4)(1 5)(2 6)(3 7), as words in
+# the pipeline's generators s = (0 1) and c = (0 1 ... 7), with their
+# permutations
+_S8_SYLOW2 = (
+    ((0,), (1, 0, 2, 3, 4, 5, 6, 7)),
+    ((1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1),
+     (2, 3, 0, 1, 4, 5, 6, 7)),
+    ((1, 1, 1, 1), (4, 5, 6, 7, 0, 1, 2, 3)),
+)
+
+
+def _word_matrix(M, word):
+    """The product of M's generators along word (generator indices)."""
+    E = linalg.Echelon(M.field, M.dim)
+    return tuple(map(E.unpack, _eval_word(E, M.packed_gens, [(1, word)])))
+
+
+def _eigenspace(F, mats, signs):
+    """Basis rows of the v with v g = e v for every g, e of mats, signs:
+    the left nullspace of [g1 - e1 I | g2 - e2 I | ...]."""
+    ident = linalg.identity(len(mats[0]))
+    return linalg.nullspace_rows(F, tuple(
+        sum((linalg.vec_sub(F, g[r], linalg.vec_scale(F, e, ident[r]))
+             for g, e in zip(mats, signs)), ())
+        for r in range(len(ident))))
+
 
 def s8_pipeline():
+    """The factor dims of the S8 tensor square and, per point type of its
+    dim-13 factor, the (c, d) of the 315-point orbits in orbit_partition's
+    order (by least code).  A 315-point orbit's stabiliser is a Sylow
+    2-subgroup, so the orbit holds exactly one line fixed by P (which is
+    self-normalising): only the lines P fixes up to sign are scanned."""
     F = GF3
     n = 8
     perms = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
@@ -277,8 +311,24 @@ def s8_pipeline():
     # invariant_bilinear_form asserted g B g^T = B
     group = groups.MatrixGroup.unchecked(F, 13, dim13.gens, "s8-dim13", B)
     dims = sorted(mod.dim for mod, mult in factors for _ in range(mult))
-    result = {"factor_dims": dims, "small": {}}
-    for xi in ("+", "-"):
-        parts = constructions.orbit_partition(space, group, xi)
-        result["small"][xi] = [(p.c, p.d) for p in parts if p.size == 315]
+    for word, perm in _S8_SYLOW2:
+        assert _word_matrix(U, word) == linalg.perm_matrix(perm), word
+    mats = [_word_matrix(dim13, word) for word, _perm in _S8_SYLOW2]
+    E = linalg.Echelon(F, 13)
+    hits = {}  # an orbit's least code -> (type, (c, d))
+    for signs in itertools.product((1, F.neg(1)), repeat=len(mats)):
+        for v in _kernel_lines(E, _eigenspace(F, mats, signs)):
+            ptype = geometry.point_type(space, v)
+            if ptype == geometry.ZERO:
+                continue
+            size, d, codes = groups.orbit_codes(space, group, v)
+            if size == 315:
+                assert int(codes[0]) not in hits, \
+                    "two P-fixed lines in one 315-point orbit"
+                hits[int(codes[0])] = ("+" if ptype == geometry.PLUS
+                                       else "-", (size - 1 - d, d))
+    result = {"factor_dims": dims, "small": {"+": [], "-": []}}
+    for code in sorted(hits):
+        xi, cd = hits[code]
+        result["small"][xi].append(cd)
     return result

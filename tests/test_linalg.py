@@ -526,6 +526,26 @@ def test_solve_reads_rows_packed_by_another_echelon(F):
     assert coords(P.pack((0, 1))) is None
 
 
+@pytest.mark.parametrize("F", DET_FIELDS, ids=repr)
+def test_solve_refuses_rows_packed_at_another_length(F):
+    # over GF(3) the masks of a longer row spilled into the e_i bits, so
+    # the independent (1, 0, 1) and (0, 0, 1) came out dependent
+    P = linalg.Echelon(F, 3)
+    with pytest.raises(ValueError, match="row 0"):
+        linalg.Echelon(F, 2).solve([P.pack((1, 0, 1)), P.pack((0, 0, 1))])
+    # a packed GF(3) row is its masks, so only a nonzero entry past the
+    # last column shows, in the 2s as in the 1s; elsewhere the length does
+    rows = [P.pack((1, 0, 0)), P.pack((0, 0, 2))]
+    with pytest.raises(ValueError, match="row 1" if F.q == 3 else "row 0"):
+        linalg.Echelon(F, 2).solve(rows)
+    short = [linalg.Echelon(F, 1).pack((1,))]
+    if F.q == 3:
+        assert linalg.Echelon(F, 2).solve(rows[:1] + short)[1] == {1: (2, 1)}
+    else:
+        with pytest.raises(ValueError, match="length 1, not 2"):
+            linalg.Echelon(F, 2).solve(short)
+
+
 def _reference_spin(F, gens, seeds):
     """meataxe.spin as it ran before rows were packed, one field entry at
     a time; kept as its oracle."""

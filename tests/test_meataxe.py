@@ -600,3 +600,68 @@ def test_s8_pipeline_end_to_end():
     # the two published pairs land in distinct point types
     assert not ({(230, 84), (212, 102)} <= found["+"])
     assert not ({(230, 84), (212, 102)} <= found["-"])
+
+
+@pytest.fixture(scope="module")
+def s8_dim13():
+    """The dim-13 factor of the S8 tensor square as s8_pipeline builds it,
+    on s = (0 1) and c = (0 1 ... 7), with its quadratic space and group."""
+    U = permutation_module(8, [transposition(8), cycle(8)])
+    f13 = next(f for f, _ in composition_factors(tensor_module(U, U))
+               if f.dim == 13)
+    kind, B = invariant_bilinear_form(f13)
+    assert kind == "symmetric"
+    return (f13, geometry.QuadraticSpace(GF3, B),
+            groups.MatrixGroup.unchecked(GF3, 13, f13.gens, "s8-dim13", B))
+
+
+def test_s8_sylow_words_generate_a_group_of_order_128():
+    U = permutation_module(8, [transposition(8), cycle(8)])
+    gens = [meataxe._word_matrix(U, word) for word, _ in meataxe._S8_SYLOW2]
+    assert gens == [linalg.perm_matrix(p) for _, p in meataxe._S8_SYLOW2]
+    # groups.group_closure keys 8 x 8 matrices over GF(3) past int64, so
+    # the closure is a set of matrices here
+    seen, frontier = {linalg.identity(8)}, [linalg.identity(8)]
+    while frontier:
+        new = {linalg.mat_mul(GF3, a, g) for a in frontier for g in gens}
+        frontier = list(new - seen)
+        seen |= new
+    assert len(seen) == 128  # 2^7, the 2-part of 8! = 40320 = 128 * 315
+
+
+def test_s8_pipeline_pairs_are_the_315_point_orbits(s8_dim13):
+    _f13, space, group = s8_dim13
+    oracle = {xi: [(r.c, r.d) for r in orbit_partition(space, group, xi)
+                   if r.size == 315] for xi in ("+", "-")}
+    assert oracle == {"+": [(212, 102)], "-": [(194, 120), (230, 84)]}
+    assert meataxe.s8_pipeline()["small"] == oracle
+
+
+def test_the_trivial_sign_choice_alone_misses_194_120(s8_dim13):
+    # the lines P fixes pointwise, with no sign: (194, 120) needs the
+    # eigenspace of a non-trivial character of P
+    f13, space, group = s8_dim13
+    mats = [meataxe._word_matrix(f13, word) for word, _ in meataxe._S8_SYLOW2]
+    fixed = meataxe._eigenspace(GF3, mats, (1, 1, 1))
+    lines = meataxe._kernel_lines(linalg.Echelon(GF3, 13), fixed)
+    reports = [groups.cd_parameters(space, group, v) for v in lines
+               if space.q_value(v)]
+    assert {(r.c, r.d) for r in reports if r.size == 315} == \
+        {(212, 102), (230, 84)}
+
+
+def test_s8_pipeline_asserts_one_fixed_line_per_orbit(monkeypatch):
+    lines = meataxe._kernel_lines
+    monkeypatch.setattr(meataxe, "_kernel_lines",
+                        lambda E, ker: 2 * lines(E, ker))
+    with pytest.raises(AssertionError, match="two P-fixed lines"):
+        meataxe.s8_pipeline()
+
+
+def test_s8_pipeline_checks_the_sylow_words_on_the_permutation_module(
+        monkeypatch):
+    # c^3 in place of c^4 = (0 4)(1 5)(2 6)(3 7)
+    s, w, (c4, c4_perm) = meataxe._S8_SYLOW2
+    monkeypatch.setattr(meataxe, "_S8_SYLOW2", (s, w, (c4[1:], c4_perm)))
+    with pytest.raises(AssertionError, match=r"\(1, 1, 1\)"):
+        meataxe.s8_pipeline()
