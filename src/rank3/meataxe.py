@@ -327,8 +327,7 @@ def s8_pipeline():
                     "two P-fixed lines in one 315-point orbit"
                 hits[int(codes[0])] = ("+" if ptype == geometry.PLUS
                                        else "-", (size - 1 - d, d))
-    result = {"factor_dims": dims, "small": {"+": [], "-": []}}
-    for code in sorted(hits):
-        xi, cd = hits[code]
-        result["small"][xi].append(cd)
-    return result
+    small = {"+": [], "-": []}
+    for _code, (xi, cd) in sorted(hits.items()):
+        small[xi].append(cd)
+    return {"factor_dims": dims, "small": small}
