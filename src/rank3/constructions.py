@@ -97,11 +97,10 @@ def wreath_o1_subgroup(n):
         raise ValueError("n must be odd with 5 <= n <= 13")
     F = GF3
     space = geometry.standard_space(n, F)
-    signs = [list(r) for r in linalg.identity(n)]
-    signs[0][0] = signs[1][1] = 2
+    signs = _embed_block(((2, 0), (0, 2)), n, 0)
     three_cycle = linalg.perm_matrix((1, 2, 0) + tuple(range(3, n)))
     n_cycle = linalg.perm_matrix(tuple(range(1, n)) + (0,))  # even since n is odd
-    gens = (tuple(tuple(r) for r in signs), three_cycle, n_cycle)
+    gens = (signs, three_cycle, n_cycle)
     group = groups.MatrixGroup(F, n, gens, label="frame-stab-%d" % n,
                                gram=space.gram)
     x1 = (1,) + (0,) * (n - 1)
@@ -225,20 +224,17 @@ def field_extension_subgroup():
     def to_normal_coords(u):
         return linalg.vec_mat(F, fields._decode(u, 3, 3), to_normal)
 
+    def embed(v27):
+        return sum((to_normal_coords(u) for u in v27), ())
+
     space27 = geometry.standard_space(3, F27)
     om27 = groups.omega_generators(space27)
 
-    # basis of GF(3)^9: block i holds zeta^(3^j) * w_i for j = 0,1,2
+    # basis of GF(3)^9: block i holds zeta^(3^j) * w_i for j = 0,1,2, so
+    # block (i, k) of the image of g27 is multiplication by g27[i][k]
     def blow_down(g27):
-        big = [[0] * 9 for _ in range(9)]
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    coeff = F27.mul(g27[i][k], zs[j])
-                    row = to_normal_coords(coeff)
-                    for l in range(3):
-                        big[3 * i + j][3 * k + l] = row[l]
-        return tuple(tuple(r) for r in big)
+        return tuple(embed(F27.mul(a, z) for a in row)
+                     for row in g27 for z in zs)
 
     tr_gram = tuple(tuple(F27.trace(F27.mul(za, zb)) for zb in zs)
                     for za in zs)
@@ -251,12 +247,6 @@ def field_extension_subgroup():
     gens = [blow_down(g) for g in om27.gens] + [frob]
     group = groups.MatrixGroup(F, 9, tuple(gens), label="fieldext-n9",
                                gram=space.gram)
-
-    def embed(v27):
-        out = []
-        for u in v27:
-            out.extend(to_normal_coords(u))
-        return tuple(out)
 
     w = 3  # a primitive element omega
     base = (
@@ -323,6 +313,11 @@ def _pairs(n, strict):
     return [(i, j) for i in range(n) for j in range(i + 1 if strict else i, n)]
 
 
+def _square_vector(n, strict, entries):
+    """The vector with the entries {(i, j): x} on the _pairs basis."""
+    return tuple(entries.get(pair, 0) for pair in _pairs(n, strict))
+
+
 def square_matrix(F, g, sign):
     """The action of g on the wedge square (sign -1, basis e_i^e_j, i < j)
     or the symmetric square (sign 1, basis e_i.e_j, i <= j): entry (ij, kl)
@@ -372,18 +367,13 @@ def wedge_square_rep():
     """Omega_7(3) acting on the wedge square of its natural module (dim 21)."""
     F = GF3
     nat, pair = _omega7_pair()
-    idx = _pairs(7, True)
     gram = square_matrix(F, nat.gram, -1)
     space = geometry.QuadraticSpace(F, gram)
     gens = tuple(square_matrix(F, g, -1) for g in pair)
     group = groups.MatrixGroup(F, 21, gens, label="wedge-n7", gram=gram)
-    base = []
-    for xi in (1, 2):  # v = (e1 - xi*f1) ^ x
-        v = [0] * 21
-        v[idx.index((0, 3))] = 1
-        v[idx.index((3, 4))] = xi
-        base.append((tuple(v), None))
-    return ConstructedCase("wedge-n7", space, group, tuple(base),
+    base = tuple((_square_vector(7, True, {(0, 3): 1, (3, 4): xi}), None)
+                 for xi in (1, 2))  # v = (e1 - xi*f1) ^ x
+    return ConstructedCase("wedge-n7", space, group, base,
                            "wedge square of the natural module")
 
 
@@ -392,27 +382,18 @@ def sym_square_o7_rep():
     the symmetric square of its natural module."""
     F = GF3
     nat, pair = _omega7_pair()
-    idx = _pairs(7, False)
     big_gram = sym_gram(F, nat.gram)
     big_gens = [square_matrix(F, g, 1) for g in pair]
-    w = [0] * len(idx)
-    for i in range(3):
-        w[idx.index((i, 4 + i))] = 1
-    w[idx.index((3, 3))] = 1
-    w = tuple(w)
+    w = _square_vector(7, False, {(0, 4): 1, (1, 5): 1, (2, 6): 1, (3, 3): 1})
     amb = geometry.QuadraticSpace(F, big_gram)
     assert amb.form(w, w) != 0  # w spans a non-degenerate line: dim w-perp = 27
     sub = amb.perp_basis([w])
     space, gens, coords = _subquotient(F, big_gram, big_gens, sub, [])
     group = groups.MatrixGroup(F, 27, gens, label="sym-n7-d27",
                                gram=space.gram)
-    base = []
-    for xi in (1, 2):  # image of (e1 + xi*f1).x
-        v = [0] * len(idx)
-        v[idx.index((0, 3))] = 1
-        v[idx.index((3, 4))] = xi
-        base.append((coords(tuple(v)), None))
-    return ConstructedCase("sym-n7-d27", space, group, tuple(base),
+    base = tuple((coords(_square_vector(7, False, {(0, 3): 1, (3, 4): xi})),
+                  None) for xi in (1, 2))  # image of (e1 + xi*f1).x
+    return ConstructedCase("sym-n7-d27", space, group, base,
                            "symmetric square, invariant line removed")
 
 
@@ -422,33 +403,19 @@ def sym_square_o7_rep():
 def _sp6_data():
     F = GF3
     n = 6
-    gram = [[0] * n for _ in range(n)]
-    for i in range(3):
-        gram[i][3 + i] = 1
-        gram[3 + i][i] = 2  # -1
-    gram = tuple(tuple(r) for r in gram)
-
-    def f(u, v):
-        return linalg.vec_dot(F, linalg.vec_mat(F, u, gram), v)
-
-    seeds = []
-    for i in range(3):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        fv = tuple(1 if k == 3 + i else 0 for k in range(n))
-        seeds.extend([e, fv])
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                seeds.append(tuple((1 if k == i else 0) + (1 if k == 3 + j else 0)
-                                   for k in range(n)))
+    e = linalg.identity(n)  # e_1, e_2, e_3, f_1, f_2, f_3
+    # f(e_i, f_i) = 1 and f(f_i, e_i) = 2 = -1
+    gram = e[3:] + tuple(linalg.vec_scale(F, 2, x) for x in e[:3])
+    seeds = [x for i in range(3) for x in (e[i], e[3 + i])]
+    seeds += [linalg.vec_add(F, e[i], e[3 + j])
+              for i in range(3) for j in range(3) if i != j]
     # the transvections t(v): x -> x + f(x, v) v; t(v)^-1 = t(v)^2 is the
     # one with 2 in place of 1, so it adds nothing to the group
     gens = []
     for v in seeds:
-        t = tuple(tuple(F.add(1 if r == c else 0,
-                              F.mul(f(tuple(1 if k == r else 0
-                                            for k in range(n)), v), v[c]))
-                        for c in range(n)) for r in range(n))
+        fv = linalg.vec_mat(F, v, linalg.transpose(gram))  # f(e_r, v) by r
+        t = tuple(linalg.vec_add(F, x, linalg.vec_scale(F, c, v))
+                  for x, c in zip(e, fv))
         assert groups.preserves_form(F, t, gram)
         gens.append(t)
     # Two words in the transvections, certified by |PSp_6(3)| = |Omega_7(3)|
@@ -466,13 +433,9 @@ def symplectic_lambda2_module():
     its natural symplectic module."""
     F = GF3
     gram6, sp_gens = _sp6_data()
-    idx = _pairs(6, True)
     big_gram = square_matrix(F, gram6, -1)
     big_gens = [square_matrix(F, g, -1) for g in sp_gens]
-    w = [0] * len(idx)
-    for i in range(3):
-        w[idx.index((i, 3 + i))] = 1
-    w = tuple(w)
+    w = _square_vector(6, True, {(i, 3 + i): 1 for i in range(3)})
     amb = geometry.QuadraticSpace(F, big_gram)
     assert amb.form(w, w) == 0  # w is in the radical of w-perp
     sub = amb.perp_basis([w])
@@ -492,23 +455,16 @@ def symplectic_sym2_module():
     """Sp_6(3) on the symmetric square of its natural module (dim 21)."""
     F = GF3
     gram6, sp_gens = _sp6_data()
-    idx = _pairs(6, False)
     gram = sym_gram(F, gram6)
     gens = tuple(square_matrix(F, g, 1) for g in sp_gens)
     space = geometry.QuadraticSpace(F, gram)
     group = groups.MatrixGroup(F, 21, gens, label="sp6-sym2", gram=gram)
-    base = []
-    for xi in (1, 2):  # e1.e1 + xi * f1.f1
-        v = [0] * len(idx)
-        v[idx.index((0, 0))] = 1
-        v[idx.index((3, 3))] = xi
-        base.append((tuple(v), None))
+    base = [(_square_vector(6, False, {(0, 0): 1, (3, 3): xi}), None)
+            for xi in (1, 2)]  # e1.e1 + xi * f1.f1
     # -(e1.e1 + f1.f1 + f2.f2) + f3.f3: its orbit is the large one of
     # 10,614,240 points (stabilizer of order 864 in Sp_6(3)).
-    v = [0] * len(idx)
-    for (pos, val) in (((0, 0), 2), ((3, 3), 2), ((4, 4), 2), ((5, 5), 1)):
-        v[idx.index(pos)] = val
-    base.append((tuple(v), None))
+    base.append((_square_vector(6, False, {(0, 0): 2, (3, 3): 2, (4, 4): 2,
+                                           (5, 5): 1}), None))
     return ConstructedCase("sp6-sym2", space, group, tuple(base),
                            "symplectic symmetric square (heavy orbit)")
 

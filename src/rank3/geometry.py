@@ -285,24 +285,6 @@ def _type_masks(space, xi):
     return masks
 
 
-def _tail_indices(space, xi):
-    """Per position of the leading 1, left to right: (t, idx), with t the
-    number of coordinates behind the 1 and idx the ascending little-endian
-    indices of the tails that make points of type xi."""
-    p = space.field.p
-    for t, mask in reversed(list(enumerate(_type_masks(space, xi)))):
-        # with its axes reversed, the mask is indexed little-endian
-        yield t, np.flatnonzero(mask.reshape((p,) * t).T)
-
-
-def _point_tuples(space, t, idx):
-    """The points with t coordinates behind the leading 1 and the given
-    little-endian tail indices."""
-    head = (0,) * (space.n - 1 - t) + (1,)
-    tails = decode_codes(idx, t, space.field.p)[:, ::-1]
-    return [head + tuple(tail) for tail in tails.tolist()]
-
-
 def nonsingular_codes(space, xi):
     """The points of nonsingular_points as sorted packed codes (prime
     fields; see code_powers)."""
@@ -322,22 +304,27 @@ def singular_codes(space):
 def nonsingular_points(space, xi):
     """All non-singular projective points of type xi (odd dim, prime field),
     as tuples with first nonzero coordinate 1.  The leading 1 moves right,
-    and behind it the first coordinate varies fastest."""
-    return [v for t, idx in _tail_indices(space, xi)
-            for v in _point_tuples(space, t, idx)]
+    and behind it the first coordinate varies fastest: the decoded codes
+    sorted by the place of the leading 1, then by the little-endian code."""
+    p, n = space.field.p, space.n
+    P = decode_codes(nonsingular_codes(space, xi), n, p)
+    order = np.lexsort((P @ p ** np.arange(n), (P != 0).argmax(axis=1)))
+    return [tuple(v) for v in P[order].tolist()]
 
 
 def first_nonsingular_point(space, xi):
     """nonsingular_points(space, xi)[0], without enumerating the rest: each
-    mask is read in blocks of little-endian tail indices, up to a hit."""
+    mask is read in blocks of little-endian tail indices, up to a hit, and
+    the code of the hit decoded."""
     p = space.field.p
     for t, mask in reversed(list(enumerate(_type_masks(space, xi)))):
         for lo in range(0, mask.size, _FIRST_BLOCK):
             idx = np.arange(lo, min(lo + _FIRST_BLOCK, mask.size))
             big = decode_codes(idx, t, p)[:, ::-1] @ code_powers(t, p)
-            hit = idx[mask[big]]
+            hit = big[mask[big]]
             if hit.size:
-                return _point_tuples(space, t, hit[:1])[0]
+                return tuple(decode_codes(p ** t + hit[:1], space.n,
+                                          p)[0].tolist())
     raise ValueError("no point of type %s" % xi)
 
 

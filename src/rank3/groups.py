@@ -169,9 +169,12 @@ def _small_support_vectors(F, n):
 
 
 def find_vector_with_q(space, gamma):
-    """The first v with Q(v) = gamma in _small_support_vectors order, else in
-    GF(q)^n up to 3^12 vectors.  A support size is scored at once: Q(v) is
-    sum over a <= b of v_a v_b U[S_a, S_b], U the gram but U_ii = Q(e_i)."""
+    """The first v with Q(v) = gamma in _small_support_vectors order.  A
+    support size is scored at once: Q(v) is sum over a <= b of v_a v_b
+    U[S_a, S_b], U the gram but U_ii = Q(e_i).  Support <= 3 finds every
+    gamma there is: at n <= 2 it is the whole space, and at n >= 3 an
+    invertible principal 2x2 or 3x3 block of the gram represents every
+    gamma != 0, and a ternary form of rank >= 2 holding it is isotropic."""
     F, n = space.field, space.n
     add, mul = fields.tables(F)
     U = np.array(space.gram)
@@ -189,10 +192,6 @@ def find_vector_with_q(space, gamma):
             v = np.zeros(n, dtype=np.int64)
             v[S[hit[0]]] = np.add(hit[1:], 1)
             return tuple(v.tolist())
-    if F.q ** n <= 3 ** 12:
-        for v in itertools.product(F.elements(), repeat=n):
-            if any(v) and space.q_value(v) == gamma:
-                return tuple(v)
     raise ValueError("no vector with Q = %r found" % (gamma,))
 
 

@@ -252,9 +252,9 @@ class Echelon:
         maps each other row's index, in order, to its reduced e part: the
         left nullspace basis of rref(A^T) and back substitution.  coords
         takes a packed v in the span to the x with x . rows = v and zeros
-        at the free rows, else to None: (v | 0) reduces to (0 | -x).  A row
-        packed at another length raises ValueError: over GF(3) its masks
-        would spill into the e_i bits."""
+        at the free rows, else to None: (v | 0) reduces to (0 | -x).  A row,
+        or a v of coords, packed at another length raises ValueError: over
+        GF(3) its masks would spill into the e_i bits."""
         F, n, m = self.F, self.n, len(rows)
         aug, free = Echelon(F, n + m), {}
         if self.gf3:    # e_i is bit n + i of the 1s; low masks the rest
@@ -270,6 +270,8 @@ class Echelon:
                     free[i] = _unpack((w[0] >> n, w[1] >> n), m)
 
             def coords(v):
+                if (v[0] | v[1]) >> n:
+                    raise ValueError("vector is wider than %d columns" % n)
                 o, t = aug._reduce(v)
                 return None if (o | t) & low else _unpack((t >> n, o >> n), m)
         else:
@@ -285,6 +287,9 @@ class Echelon:
                     free[i] = tuple(w[n:])
 
             def coords(v):
+                if len(v) != n:
+                    raise ValueError("vector has length %d, not %d"
+                                     % (len(v), n))
                 w = aug._reduce(v + zero)
                 return None if any(w[:n]) else tuple(map(F.neg, w[n:]))
         return coords, free

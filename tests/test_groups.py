@@ -433,6 +433,8 @@ def test_find_vector_with_q_matches_the_search_it_replaced(F):
                    QuadraticSpace(F, _random_gram(F, n, rng))):
             for gamma in F.elements():
                 want = _find_vector_reference(sp, gamma)
+                # support <= 3 reaches every gamma at n >= 3
+                assert want is not None or n < 3
                 if want is None:
                     with pytest.raises(ValueError, match="no vector"):
                         find_vector_with_q(sp, gamma)

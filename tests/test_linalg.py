@@ -544,6 +544,13 @@ def test_solve_refuses_rows_packed_at_another_length(F):
     else:
         with pytest.raises(ValueError, match="length 1, not 2"):
             linalg.Echelon(F, 2).solve(short)
+    # coords(v) makes the same test: unchecked, over GF(3) the wider
+    # (1, 0, 1) and (0, 0, 1) would read (0,) and (2,)
+    E = linalg.Echelon(F, 2)
+    coords, _ = E.solve([E.pack((1, 0))])
+    for v in ((1, 0, 1), (0, 0, 1)):
+        with pytest.raises(ValueError, match="wider than 2|length 3, not 2"):
+            coords(P.pack(v))
 
 
 def _reference_spin(F, gens, seeds):
