@@ -68,10 +68,10 @@ def orbit_partition(space, group, xi):
         i += int(hit[0])
         start = tuple(int(x) for x in
                       geometry.decode_codes(codes[i:i + 1], space.n)[0])
-        t0 = time.time()
+        t0 = time.perf_counter()
         size, d, orbit = groups.orbit_codes(space, group, start)
         reports.append(groups.make_report(space, start, size, d,
-                                          time.time() - t0))
+                                          time.perf_counter() - t0))
         if not todo.has(orbit).all():
             raise AssertionError("orbit of %r leaves the unvisited points"
                                  % (start,))

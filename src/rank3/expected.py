@@ -283,9 +283,10 @@ def _ingest_case(filename, expected_cd):
             # the set is empty until the first scan, which checks the field
             if observed and seen.has(code):
                 continue
-            t0 = time.time()
+            t0 = time.perf_counter()
             size, d, codes = groups.orbit_codes(space, group, v)
-            rep = groups.make_report(space, v, size, d, time.time() - t0)
+            rep = groups.make_report(space, v, size, d,
+                                     time.perf_counter() - t0)
             observed.append([rep.c, rep.d])
             if [rep.c, rep.d] == list(expected_cd):
                 return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
@@ -335,18 +336,19 @@ def run_case(label, tier, citation, fn):
     """Run one case.  A case that raises SkipCase is skipped with its
     message as the reason; any other exception becomes a failed result
     carrying its type and message, so the rest of the suite still runs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         expected, computed = fn()
     except SkipCase as e:
         return CaseResult(label, citation, None, None, True,
-                          time.time() - t0, skipped=True, reason=str(e))
+                          time.perf_counter() - t0, skipped=True,
+                          reason=str(e))
     except Exception as e:
         return CaseResult(label, citation, None, None, False,
-                          time.time() - t0,
+                          time.perf_counter() - t0,
                           error={"type": type(e).__name__, "message": str(e)})
     return CaseResult(label, citation, expected, computed,
-                      expected == computed, time.time() - t0)
+                      expected == computed, time.perf_counter() - t0)
 
 
 def run_reproduction_suite(tier="core"):

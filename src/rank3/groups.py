@@ -9,11 +9,15 @@ points as packed base-3 codes and maps them by table lookups: per chunk of
 at most 7 digits of a code, a table of every generator's image of every
 digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
 are summed by a six-op bitsliced add, and the masks become codes again
-through 13-bit mask->code tables, all built on a group's first scan.
+through 14-bit mask->code tables, all built on a group's first scan.
 A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
 A byte map takes each generator's images in turn, so dense BFS levels need
-no sort.  The BFS finds the orbit alone; cd_parameters and orbit_codes
-then count d in one pass over the orbit's sorted codes.
+no sort.  Sorted codes live in a buffer with spare room at its end: one
+binary search per distinct image finds the new codes and where they go,
+and each level is merged into the buffer in place, back to front (Knuth,
+TAOCP vol. 3, 5.2.4), with no new array for the set.  The BFS finds the
+orbit alone; cd_parameters and orbit_codes then count d in one pass over
+the orbit's sorted codes.
 """
 
 import functools
@@ -530,10 +534,13 @@ _DENSE_MAX_DIM = 13
 # buffers of one BFS level.
 _CHUNK_ENTRIES = 1 << 17
 # Base-3 digits per image-table chunk of a code (a table holds 3^7 rows of
-# 2k masks), and bits per mask->code table piece of a mask.
+# 2k masks), and bits per mask->code table piece of a mask (two pieces up
+# to dim 28).
 _TABLE_DIGITS = 7
-_PIECE_BITS = 13
+_PIECE_BITS = 14
 _PIECE = (1 << _PIECE_BITS) - 1
+# Codes a sorted CodeSet moves per step of its in-place merge
+_MERGE_BLOCK = 1 << 18
 
 
 def _masks(V):
@@ -631,22 +638,33 @@ def _canonical_codes(M1, M2, pieces):
     return P + Q + np.minimum(P, Q)
 
 
-def _distinct(codes):
+def _distinct(codes, points=None):
     """Sorted distinct codes; np.unique's hash table is several times slower
-    on millions of int64 codes."""
-    codes = np.sort(codes)
+    on millions of int64 codes.  Given the codes' insertion points, it sorts
+    both arrays in place, as a point does not fall as its code grows, and
+    returns the distinct codes with their points."""
+    if points is None:
+        codes = np.sort(codes)
+    else:
+        codes.sort()
+        points.sort()
     keep = np.empty(codes.size, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
+    # compress, as boolean indexing is several times slower
+    if points is None:
+        return codes.compress(keep)
+    return codes.compress(keep), points.compress(keep)
 
 
 class CodeSet:
     """A set of packed codes of GF(3) points of dim n (below 2 * 3^(n-1),
     as the first nonzero entry is 1), from sorted distinct codes.  Up to
     _DENSE_MAX_DIM it is a byte map over those codes with the runs of codes
-    added to it, which need no order; above, the sorted array of its codes.
-    Arrays given to it are kept without a copy."""
+    added to it, which need no order; above, a buffer whose first size
+    entries are its codes, sorted, and whose spare room add merges new
+    codes into in place.  The set never writes into an array given to it,
+    and codes() returns no array that a later add writes into."""
 
     def __init__(self, n, codes):
         self._map = None
@@ -655,21 +673,33 @@ class CodeSet:
             self._runs = []
             self.add(codes)
         else:
-            self._sorted = codes
+            # not the set's own: the first add copies it into a buffer
+            self._buf, self._size, self._own = codes, codes.size, False
 
     def has(self, codes):
         """A bool mask of which codes, in any order, are in the set."""
         if self._map is not None:
             return self._map[codes]
-        if not self._sorted.size:
+        seen = self._buf[:self._size]
+        if not seen.size:
             return np.zeros(codes.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(self._sorted, codes),
-                         self._sorted.size - 1)
-        return self._sorted[pos] == codes
+        return seen.take(np.searchsorted(seen, codes), mode="clip") == codes
+
+    def lookup(self, codes):
+        """For a sorted set: the distinct codes not in it, sorted, and
+        their insertion points, the number of the set's codes below each.
+        The points hold for add until the set changes."""
+        codes = _distinct(codes)  # sorted keys keep the binary search in cache
+        seen = self._buf[:self._size]
+        if not seen.size:
+            return codes, np.zeros(codes.size, dtype=np.intp)
+        points = np.searchsorted(seen, codes)
+        new = seen.take(points, mode="clip") != codes
+        return codes.compress(new), points.compress(new)
 
     def missing(self, codes):
         """The distinct codes not in the set, sorted."""
-        codes = _distinct(codes)  # sorted keys keep the binary search in cache
+        codes = _distinct(codes)
         return codes[~self.has(codes)]
 
     def admit(self, images):
@@ -686,14 +716,37 @@ class CodeSet:
         self._runs.append(np.concatenate(new))
         return self._runs[-1]
 
-    def add(self, new):
-        """Add sorted, distinct codes that are not in the set."""
+    def add(self, new, points=None):
+        """Add sorted, distinct codes that are not in the set; a sorted set
+        takes their insertion points from lookup, or searches for them."""
         if self._map is not None:
             self._map[new] = True
             self._runs.append(new)
-        else:
-            self._sorted = np.insert(self._sorted,
-                                     np.searchsorted(self._sorted, new), new)
+            return
+        size, m = self._size, new.size
+        if not m:
+            return
+        if points is None:
+            points = np.searchsorted(self._buf[:size], new)
+        if not self._own:  # given, or handed out by codes()
+            self._buf, self._own = self._buf.astype(np.int64), True
+        if size + m > self._buf.size:  # no view of the buffer is alive
+            self._buf.resize(max(size + m, self._buf.size * 3 // 2))
+        # the codes from the first insertion point on move back to front, a
+        # block at a time: block [a, b) and the new codes that land among
+        # it, new[i:j], fill the window [a + i, b + j), which overlaps the
+        # block, so the block is copied first; new[t] lands at points[t] + t
+        buf, j, first = self._buf, m, int(points[0])
+        for a in reversed(range(first, max(size, first + 1), _MERGE_BLOCK)):
+            b, i = min(a + _MERGE_BLOCK, size), int(np.searchsorted(points, a))
+            block, window = buf[a:b].copy(), buf[a + i:b + j]
+            at = points[i:j] + np.arange(-a, j - i - a)
+            keep = np.ones(window.size, dtype=bool)
+            keep[at] = False
+            window[at] = new[i:j]
+            window[np.flatnonzero(keep)] = block  # faster than by the mask
+            j = i
+        self._size = size + m
 
     def remove(self, codes):
         """Drop codes, all in the set, from a byte map; codes() then fails."""
@@ -703,7 +756,10 @@ class CodeSet:
     def codes(self):
         """The sorted codes in the set."""
         if self._map is None:
-            return self._sorted
+            if self._own:  # trimmed, and a later add copies it first
+                self._buf.resize(self._size)
+                self._own = False
+            return self._buf
         return np.sort(np.concatenate(self._runs))
 
 
@@ -716,8 +772,10 @@ def _scan(group, start):
     masks become canonical codes through the tables of _piece_tables, and
     the seen-set (a CodeSet) admits them chunk by chunk.  A byte map needs
     no sort: its levels stay unsorted, and the codes are sorted once at the
-    end.  Sorted sets merge a level's sorted parts and add them once per
-    level.
+    end.  A sorted set looks each chunk up, which gives its new codes and
+    their insertion points; a level's parts are joined, codes and points
+    sorted apart, and added once per level by an in-place merge at those
+    points.  The frontier and the chunk images are dropped before it.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
@@ -740,13 +798,21 @@ def _scan(group, start):
             for (T1, T2), digit in zip(tables[1:], digits[1:]):
                 M1, M2 = gf3_add(M1, M2, T1.take(digit, axis=0),
                                  T2.take(digit, axis=0))
-            parts.append(seen.admit(_canonical_codes(M1, M2, pieces)))
-        new = np.concatenate(parts)
+            images = _canonical_codes(M1, M2, pieces)
+            parts.append(seen.admit(images) if n <= _DENSE_MAX_DIM
+                         else seen.lookup(images.ravel()))
+        # freed before the merge grows the set
+        frontier = images = digits = M1 = M2 = None
+        if n <= _DENSE_MAX_DIM:  # a byte map holds the parts already
+            new = np.concatenate(parts)
+        else:  # the new codes and their insertion points, joined
+            new, points = (np.concatenate(x) for x in zip(*parts))
+            if parts[1:]:  # the parts overlap
+                parts = None
+                new, points = _distinct(new, points)
+            seen.add(new, points)
         if not new.size:
             break
-        if n > _DENSE_MAX_DIM:  # a byte map holds the parts already
-            new = _distinct(new) if parts[1:] else new
-            seen.add(new)
         size += new.size
         if size > ORBIT_CAP:
             raise OrbitCapExceeded("orbit exceeds the cap of %d points"
@@ -841,14 +907,14 @@ def cd_parameters(space, group, start):
     """OrbitReport with (c, d) and the equation verdicts."""
     F = space.field
     _check_start(space, group, start)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if F.p == 3 and F.a == 1:
         size, codes = _scan(group, start)
         d = _count_d(group, start, space.gram, codes)
     else:
         seen, d = _orbit_generic(space, group.gens, start)
         size = len(seen)
-    return make_report(space, start, size, d, time.time() - t0)
+    return make_report(space, start, size, d, time.perf_counter() - t0)
 
 
 def orbit_codes(space, group, start):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -502,14 +503,16 @@ def _dense_invertible(n):
             return P
 
 
-def _dense_conjugate(n):
-    """P^-1 g P for the n-cycle and a sign change g, by a dense invertible
-    P, with the form P^-1 P^-T they preserve.  Orbits stay small (2n and
-    4n points from _dense_starts), but every image sums nonzero terms
-    across all digit chunks and mask pieces."""
+def _dense_conjugate(n, extra=()):
+    """P^-1 g P for the n-cycle, the permutations extra and a sign change
+    g, by a dense invertible P, with the form P^-1 P^-T they preserve.
+    Orbits stay small (2n and 4n points from _dense_starts, with no extra),
+    but every image sums nonzero terms across all digit chunks and mask
+    pieces."""
     P = _dense_invertible(n)
     Pinv = np.array(linalg.mat_inv(GF3, P.tolist()))
-    _, perms = _perm_group(n, [tuple(range(1, n)) + (0,)], signs=[{0}])
+    _, perms = _perm_group(n, [tuple(range(1, n)) + (0,)] + list(extra),
+                           signs=[{0}])
     gens = tuple(tuple(map(tuple, (Pinv @ np.array(g) @ P % 3).tolist()))
                  for g in perms.gens)
     gram = tuple(map(tuple, (Pinv @ Pinv.T % 3).tolist()))
@@ -761,3 +764,121 @@ def test_code_set_admits_each_new_code_once(n):
     else:
         # sorted codes come back sorted, for add; the set is unchanged
         assert new.tolist() == want and s.codes().tolist() == [5, 40]
+
+
+@pytest.mark.parametrize("n,supports", [(14, [2, 3]), (21, [2, 3]),
+                                        (27, [2])])
+def test_sorted_scan_matches_generic_oracle_over_many_chunks_and_blocks(
+        n, supports, monkeypatch):
+    # the n-cycle, a 3-cycle and a sign change, conjugated dense: a point
+    # is reached by more than one generator, and from more than one chunk
+    # of a level; a few frontier rows per chunk and a few codes per merge
+    # block, so levels span several chunks and merges several blocks
+    sp, G = _dense_conjugate(n, extra=[(1, 2, 0) + tuple(range(3, n))])
+    assert len(G.gens) == 3 and n > groups._DENSE_MAX_DIM
+    monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 3 * n * 8)
+    monkeypatch.setattr(groups, "_MERGE_BLOCK", 16)
+    joins, merges = [], []
+    distinct, add = groups._distinct, groups.CodeSet.add
+
+    def spied_distinct(codes, points=None):
+        joins.append(points is not None)
+        return distinct(codes, points)
+
+    def spied_add(self, new, points=None):
+        # the codes a merge moves: those above the first new code
+        if new.size:
+            merges.append(int((self._buf[:self._size] > new[0]).sum()))
+        return add(self, new, points)
+
+    monkeypatch.setattr(groups, "_distinct", spied_distinct)
+    monkeypatch.setattr(groups.CodeSet, "add", spied_add)
+    P = _dense_invertible(n)
+    for k in supports:
+        v = tuple((np.array((1, 2, 1)[:k] + (0,) * (n - k)) @ P % 3).tolist())
+        size, codes = groups._scan(G, v)
+        d = groups._count_d(G, v, sp.gram, codes)
+        seen, d_ref = groups._orbit_generic(sp, G.gens, v)
+        assert size == len(seen) == 2 ** (k - 1) * math.comb(n, k)
+        assert d == d_ref
+        assert codes.tolist() == sorted(
+            int(geometry.code_powers(n) @ np.array(w)) for w in seen)
+    # levels of several chunks, joined, and merges that moved several
+    # blocks of codes
+    assert any(joins) and max(merges) > 4 * groups._MERGE_BLOCK
+
+
+def _union_cases(last):
+    """Batches of codes added one after another: before the first code and
+    after the last (0 and the last code among them), a run of codes that
+    share one insertion point, an empty level, one that outgrows the
+    buffer, and a few that fit in its spare room."""
+    rng = np.random.default_rng(last % 1000)
+    return [np.array([0, 1, 50, 500, last]),
+            np.array([101, 102, 103, 104, 105, 106, 107]),
+            np.empty(0, dtype=np.int64),
+            rng.integers(0, last + 1, 300),
+            np.array([2, last - 1]),
+            np.array([108, 99, 3]),
+            rng.integers(0, last + 1, 40)]
+
+
+@pytest.mark.parametrize("n", [14, 27])
+@pytest.mark.parametrize("block", [3, 1 << 18])
+@pytest.mark.parametrize("start", [[], [100, 200, 300, 400]])
+@pytest.mark.parametrize("search", [False, True])
+def test_code_set_merge_matches_union1d(n, block, start, search,
+                                        monkeypatch):
+    # insertion points from lookup, or searched by add; merges of one block
+    # and of many
+    monkeypatch.setattr(groups, "_MERGE_BLOCK", block)
+    last = 2 * 3 ** (n - 1) - 1
+    ref = np.array(start, dtype=np.int64)
+    s = groups.CodeSet(n, ref.copy())
+    grew = []
+    for batch in _union_cases(last):
+        new, points = s.lookup(batch)
+        assert new.tolist() == sorted(set(batch.tolist()) - set(ref.tolist()))
+        cap = s._buf.size
+        s.add(new, None if search else points)
+        if new.size:
+            grew.append(s._buf.size > cap)
+        ref = np.union1d(ref, batch)
+        assert s.has(ref).all() and not s.missing(ref).size
+        assert s.missing(np.array([last + 1 - 3, 4, 5])).tolist() == sorted(
+            {last - 2, 4, 5} - set(ref.tolist()))
+    # the buffer grew, and some levels fit in its spare room
+    assert any(grew) and not all(grew)
+    assert s.codes().tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("n", [14, 21])
+def test_code_set_never_writes_into_a_given_array(n):
+    last = 2 * 3 ** (n - 1) - 1
+    # a set made from a slice of a larger array, with room after it
+    base = np.array([100, 200, 300, 400, 7, 7, 7, 7])
+    s = groups.CodeSet(n, base[:4])
+    for batch in _union_cases(last):
+        s.add(s.missing(batch))
+    assert base.tolist() == [100, 200, 300, 400, 7, 7, 7, 7]
+    # nor into one handed to add
+    new = np.array([150, 250])
+    s.add(new)
+    assert new.tolist() == [150, 250]
+
+
+@pytest.mark.parametrize("n", [14, 21])
+def test_code_set_codes_are_not_overwritten_by_later_adds(n):
+    last = 2 * 3 ** (n - 1) - 1
+    s = groups.CodeSet(n, np.array([100, 200, 300, 400]))
+    s.add(np.array([0, 150, last]))
+    codes = s.codes()
+    want = codes.tolist()
+    # a small add, which a buffer with spare room would take in place,
+    # and one that outgrows any buffer so far
+    s.add(np.array([160, 170]))
+    assert codes.tolist() == want
+    s.add(s.missing(np.arange(1000, 3000)))
+    assert codes.tolist() == want
+    assert s.codes().tolist() == sorted(
+        want + [160, 170] + list(range(1000, 3000)))
