@@ -290,8 +290,7 @@ def _ingest_case(filename, expected_cd):
             observed.append([rep.c, rep.d])
             if [rep.c, rep.d] == list(expected_cd):
                 return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
-            # the orbit of a start outside the set is disjoint from it
-            seen.add(codes)
+            seen.join([seen.admit(codes[:, None])])
         return {"cd": list(expected_cd)}, {"cd": "not found", "observed": observed}
     return run
 

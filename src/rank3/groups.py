@@ -5,19 +5,20 @@ random Schreier-Sims on the action on points, and the orbit engine.
 Matrices act on row vectors on the right (v -> v @ g).  The orbit engine has
 a packed numpy fast path for GF(3) and a generic pure-Python path for
 extension fields (only ever needed at tiny sizes).  The GF(3) path holds
-points as packed base-3 codes and maps them by table lookups: per chunk of
-at most 7 digits of a code, a table of every generator's image of every
-digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk images
-are summed by a six-op bitsliced add, and the masks become codes again
-through 14-bit mask->code tables, all built on a group's first scan.
+points as packed base-3 codes and maps them by table lookups (_images): per
+chunk of at most 7 digits of a code, a table of every generator's image of
+every digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk
+images are summed by a six-op bitsliced add, and the masks become codes
+again through 14-bit mask->code tables, all built on a group's first scan.
 A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
-A byte map takes each generator's images in turn, so dense BFS levels need
-no sort.  Sorted codes live in a buffer with spare room at its end: one
-binary search per distinct image finds the new codes and where they go,
-and each level is merged into the buffer in place, back to front (Knuth,
-TAOCP vol. 3, 5.2.4), with no new array for the set.  The BFS finds the
-orbit alone; cd_parameters and orbit_codes then count d in one pass over
-the orbit's sorted codes.
+A BFS level enters it the same way on both: admit per chunk of images,
+then join of the level's parts.  A byte map takes each generator's images
+in turn, so dense levels need no sort.  Sorted codes live in a buffer with
+spare room at its end: admit finds a chunk's new codes and where they go,
+one binary search per distinct image, and join merges the level into the
+buffer in place, back to front (Knuth, TAOCP vol. 3, 5.2.4), with no new
+array for the set.  The BFS finds the orbit alone; cd_parameters and
+orbit_codes then count d in one pass over the orbit's sorted codes.
 """
 
 import functools
@@ -661,19 +662,20 @@ class CodeSet:
     """A set of packed codes of GF(3) points of dim n (below 2 * 3^(n-1),
     as the first nonzero entry is 1), from sorted distinct codes.  Up to
     _DENSE_MAX_DIM it is a byte map over those codes with the runs of codes
-    added to it, which need no order; above, a buffer whose first size
-    entries are its codes, sorted, and whose spare room add merges new
-    codes into in place.  The set never writes into an array given to it,
-    and codes() returns no array that a later add writes into."""
+    admitted to it, which need no order; above, a buffer whose first size
+    entries are its codes, sorted, with spare room at its end.  A BFS level
+    goes in the same way on both: admit per chunk, then join.  The set
+    never writes into an array given to it, and codes() returns no array
+    that a later join writes into."""
 
     def __init__(self, n, codes):
         self._map = None
         if n <= _DENSE_MAX_DIM:
             self._map = np.zeros(2 * 3 ** (n - 1), dtype=bool)
-            self._runs = []
-            self.add(codes)
+            self._map[codes] = True
+            self._runs = [codes]
         else:
-            # not the set's own: the first add copies it into a buffer
+            # not the set's own: the first merge copies it into a buffer
             self._buf, self._size, self._own = codes, codes.size, False
 
     def has(self, codes):
@@ -685,11 +687,21 @@ class CodeSet:
             return np.zeros(codes.shape, dtype=bool)
         return seen.take(np.searchsorted(seen, codes), mode="clip") == codes
 
-    def lookup(self, codes):
-        """For a sorted set: the distinct codes not in it, sorted, and
-        their insertion points, the number of the set's codes below each.
-        The points hold for add until the set changes."""
-        codes = _distinct(codes)  # sorted keys keep the binary search in cache
+    def admit(self, images):
+        """A chunk's part of a level, from k generators' images of distinct
+        points as a (rows, k) array.  A byte map marks their new codes a
+        generator column at a time (a column's codes are distinct, and once
+        marked not new in a later one) and returns them, unsorted.  A sorted
+        set returns the distinct codes not in it, sorted, with their
+        insertion points, which hold for join until the set changes."""
+        if self._map is not None:
+            new = []
+            for col in images.T:
+                new.append(col.compress(~self._map[col]))
+                self._map[new[-1]] = True
+            self._runs.append(np.concatenate(new))
+            return self._runs[-1]
+        codes = _distinct(images.ravel())  # sorted keys keep the search in cache
         seen = self._buf[:self._size]
         if not seen.size:
             return codes, np.zeros(codes.size, dtype=np.intp)
@@ -697,37 +709,28 @@ class CodeSet:
         new = seen.take(points, mode="clip") != codes
         return codes.compress(new), points.compress(new)
 
-    def missing(self, codes):
-        """The distinct codes not in the set, sorted."""
-        codes = _distinct(codes)
-        return codes[~self.has(codes)]
-
-    def admit(self, images):
-        """The new codes among images, k generators' images of distinct
-        points as a (rows, k) array.  A byte map takes them in, unsorted, a
-        generator column at a time: a column's codes are distinct, and once
-        marked not new in a later one.  A sorted set only looks them up."""
-        if self._map is None:
-            return self.missing(images.ravel())
-        new = []
-        for col in images.T:
-            new.append(col[~self._map[col]])
-            self._map[new[-1]] = True
-        self._runs.append(np.concatenate(new))
-        return self._runs[-1]
-
-    def add(self, new, points=None):
-        """Add sorted, distinct codes that are not in the set; a sorted set
-        takes their insertion points from lookup, or searches for them."""
+    def join(self, parts):
+        """The new codes of a level, from the parts admit returned for its
+        chunks, which a byte map holds already and a sorted set merges in.
+        parts is emptied, so that they are freed before the merge."""
         if self._map is not None:
-            self._map[new] = True
-            self._runs.append(new)
-            return
+            new = np.concatenate(parts)
+            parts.clear()
+            return new
+        new, points = (np.concatenate(x) for x in zip(*parts))
+        several = len(parts) > 1
+        parts.clear()
+        if several:  # the parts overlap
+            new, points = _distinct(new, points)
+        self._merge(new, points)
+        return new
+
+    def _merge(self, new, points):
+        """Merge sorted, distinct codes not in the set into its buffer, in
+        place, at their insertion points."""
         size, m = self._size, new.size
         if not m:
             return
-        if points is None:
-            points = np.searchsorted(self._buf[:size], new)
         if not self._own:  # given, or handed out by codes()
             self._buf, self._own = self._buf.astype(np.int64), True
         if size + m > self._buf.size:  # no view of the buffer is alive
@@ -756,68 +759,60 @@ class CodeSet:
     def codes(self):
         """The sorted codes in the set."""
         if self._map is None:
-            if self._own:  # trimmed, and a later add copies it first
+            if self._own:  # trimmed, and a later merge copies it first
                 self._buf.resize(self._size)
                 self._own = False
             return self._buf
         return np.sort(np.concatenate(self._runs))
 
 
+def _images(group, codes):
+    """The canonical codes of the images of codes under group's k
+    generators, as a (rows, k) array.  The codes split into base-3 digit
+    chunks of at most _TABLE_DIGITS; every generator's image of each chunk
+    is looked up in the group's _image_tables, the chunks are summed with
+    gf3_add, and the image masks become codes through the tables of
+    _piece_tables."""
+    chunks, tables, pieces = group._gf3_tables
+    digits = _chunk_digits(codes, chunks)
+    M1, M2 = (T.take(digits[0], axis=0) for T in tables[0])
+    for (T1, T2), digit in zip(tables[1:], digits[1:]):
+        M1, M2 = gf3_add(M1, M2, T1.take(digit, axis=0),
+                         T2.take(digit, axis=0))
+    return _canonical_codes(M1, M2, pieces)
+
+
 def _scan(group, start):
     """BFS orbit of a projective point over GF(3): (size, sorted codes).
 
-    Each level splits the frontier codes into base-3 digit chunks of at most
-    _TABLE_DIGITS, looks up every generator's image of each chunk in the
-    group's _image_tables, and sums the chunks with gf3_add.  The image
-    masks become canonical codes through the tables of _piece_tables, and
-    the seen-set (a CodeSet) admits them chunk by chunk.  A byte map needs
-    no sort: its levels stay unsorted, and the codes are sorted once at the
-    end.  A sorted set looks each chunk up, which gives its new codes and
-    their insertion points; a level's parts are joined, codes and points
-    sorted apart, and added once per level by an in-place merge at those
-    points.  The frontier and the chunk images are dropped before it.
+    Each level maps the frontier a chunk of rows at a time by _images, the
+    seen-set (a CodeSet) admits each chunk's images, and joins the level's
+    parts, which gives the level's new codes, the next frontier.
     """
     n = len(start)
     if n > MAX_CODE_DIM:
         raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
                          "codes), got dim %d" % (MAX_CODE_DIM, n))
-    chunks, tables, pieces = group._gf3_tables
-    codes = _canonical_codes(*_masks(np.array([start]) % 3), pieces)
+    codes = _canonical_codes(*_masks(np.array([start]) % 3),
+                             group._gf3_tables[2])
     if not group.gens:
         return 1, codes
     rows = max(1, _CHUNK_ENTRIES // (len(group.gens) * n))
     seen = CodeSet(n, codes)
     size, frontier = 1, codes
     while True:
-        parts = []
         if n > _DENSE_MAX_DIM:  # dense chunks keep binary searches in cache
             rows = max(rows, size // 16)
-        for lo in range(0, len(frontier), rows):
-            digits = _chunk_digits(frontier[lo:lo + rows], chunks)
-            M1, M2 = (T.take(digits[0], axis=0) for T in tables[0])
-            for (T1, T2), digit in zip(tables[1:], digits[1:]):
-                M1, M2 = gf3_add(M1, M2, T1.take(digit, axis=0),
-                                 T2.take(digit, axis=0))
-            images = _canonical_codes(M1, M2, pieces)
-            parts.append(seen.admit(images) if n <= _DENSE_MAX_DIM
-                         else seen.lookup(images.ravel()))
-        # freed before the merge grows the set
-        frontier = images = digits = M1 = M2 = None
-        if n <= _DENSE_MAX_DIM:  # a byte map holds the parts already
-            new = np.concatenate(parts)
-        else:  # the new codes and their insertion points, joined
-            new, points = (np.concatenate(x) for x in zip(*parts))
-            if parts[1:]:  # the parts overlap
-                parts = None
-                new, points = _distinct(new, points)
-            seen.add(new, points)
-        if not new.size:
+        parts = [seen.admit(_images(group, frontier[lo:lo + rows]))
+                 for lo in range(0, len(frontier), rows)]
+        del frontier  # freed before join merges the level
+        frontier = seen.join(parts)
+        if not frontier.size:
             break
-        size += new.size
+        size += frontier.size
         if size > ORBIT_CAP:
             raise OrbitCapExceeded("orbit exceeds the cap of %d points"
                                    % ORBIT_CAP)
-        frontier = new
     codes = seen.codes()
     assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
         "orbit scan codes are not %d strictly increasing codes" % size

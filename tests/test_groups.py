@@ -592,7 +592,12 @@ def test_image_tables_match_vector_products(n, sizes):
 def _check_code_set(s, ref, queries):
     for q in queries:
         assert s.has(q).tolist() == [c in ref for c in q.tolist()]
-        assert s.missing(q).tolist() == sorted(set(q.tolist()) - ref)
+
+
+def _join(s, codes):
+    """Join distinct codes to a CodeSet as a level of one chunk, the images
+    of one generator."""
+    return s.join([s.admit(np.asarray(codes, dtype=np.int64)[:, None])])
 
 
 @pytest.mark.parametrize("n", [7, 13, 14, 21])
@@ -615,7 +620,8 @@ def test_code_set_matches_python_sets(n):
     s = groups.CodeSet(n, np.array(sorted(ref)))
     for batch in (small, wide, ends):
         new = sorted(set(batch.tolist()) - ref)
-        s.add(np.array(new, dtype=np.int64))
+        # a byte map's column is distinct, as a generator's images are
+        assert sorted(_join(s, np.unique(batch)).tolist()) == new
         ref |= set(new)
         assert s.codes().tolist() == sorted(ref)
         _check_code_set(s, ref, queries)
@@ -685,7 +691,7 @@ def test_scan_tables_leave_group_equality_and_hash_alone():
 def _admit_chunk_at_once(self, images):
     """CodeSet.admit for byte maps, but every column is looked up before any
     is marked, so a point two generators reach joins the level twice."""
-    new = images[~self._map[images]]
+    new = images.ravel().compress(~self._map[images].ravel())
     self._map[new] = True
     self._runs.append(new)
     return new
@@ -754,16 +760,20 @@ def test_code_set_admits_each_new_code_once(n):
     cols = [rng.permutation(60)[:30] for _ in range(3)] + [
         np.concatenate([[last, 0], np.arange(2, 30)])]
     images = np.stack(cols, axis=1)
-    new = s.admit(images)
+    part = s.admit(images)
     want = sorted(set(images.ravel().tolist()) - {5, 40})
-    assert sorted(new.tolist()) == want and len(new) == len(want)
     if n <= groups._DENSE_MAX_DIM:
         # the byte map holds them now, and codes() lists them
+        assert sorted(part.tolist()) == want and len(part) == len(want)
         assert s.has(images).all() and not s.admit(images).size
-        assert s.codes().tolist() == sorted(want + [5, 40])
     else:
-        # sorted codes come back sorted, for add; the set is unchanged
-        assert new.tolist() == want and s.codes().tolist() == [5, 40]
+        # sorted codes come back sorted, with their insertion points, for
+        # join; the set is unchanged until then
+        new, points = part
+        assert new.tolist() == want and not s.has(new).any()
+        assert points.tolist() == np.searchsorted([5, 40], want).tolist()
+    assert sorted(s.join([part]).tolist()) == want
+    assert s.codes().tolist() == sorted(want + [5, 40])
 
 
 @pytest.mark.parametrize("n,supports", [(14, [2, 3]), (21, [2, 3]),
@@ -779,20 +789,20 @@ def test_sorted_scan_matches_generic_oracle_over_many_chunks_and_blocks(
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 3 * n * 8)
     monkeypatch.setattr(groups, "_MERGE_BLOCK", 16)
     joins, merges = [], []
-    distinct, add = groups._distinct, groups.CodeSet.add
+    distinct, merge = groups._distinct, groups.CodeSet._merge
 
     def spied_distinct(codes, points=None):
         joins.append(points is not None)
         return distinct(codes, points)
 
-    def spied_add(self, new, points=None):
+    def spied_merge(self, new, points):
         # the codes a merge moves: those above the first new code
         if new.size:
             merges.append(int((self._buf[:self._size] > new[0]).sum()))
-        return add(self, new, points)
+        return merge(self, new, points)
 
     monkeypatch.setattr(groups, "_distinct", spied_distinct)
-    monkeypatch.setattr(groups.CodeSet, "add", spied_add)
+    monkeypatch.setattr(groups.CodeSet, "_merge", spied_merge)
     P = _dense_invertible(n)
     for k in supports:
         v = tuple((np.array((1, 2, 1)[:k] + (0,) * (n - k)) @ P % 3).tolist())
@@ -826,27 +836,34 @@ def _union_cases(last):
 @pytest.mark.parametrize("n", [14, 27])
 @pytest.mark.parametrize("block", [3, 1 << 18])
 @pytest.mark.parametrize("start", [[], [100, 200, 300, 400]])
-@pytest.mark.parametrize("search", [False, True])
-def test_code_set_merge_matches_union1d(n, block, start, search,
+@pytest.mark.parametrize("chunked", [False, True])
+def test_code_set_merge_matches_union1d(n, block, start, chunked,
                                         monkeypatch):
-    # insertion points from lookup, or searched by add; merges of one block
-    # and of many
+    # a level of one chunk, whose admitted codes and points are merged as
+    # they are, or of chunks that overlap, windows of four codes two apart,
+    # which join sorts together; merges of one block and of many
     monkeypatch.setattr(groups, "_MERGE_BLOCK", block)
     last = 2 * 3 ** (n - 1) - 1
     ref = np.array(start, dtype=np.int64)
     s = groups.CodeSet(n, ref.copy())
     grew = []
     for batch in _union_cases(last):
-        new, points = s.lookup(batch)
-        assert new.tolist() == sorted(set(batch.tolist()) - set(ref.tolist()))
+        want = sorted(set(batch.tolist()) - set(ref.tolist()))
         cap = s._buf.size
-        s.add(new, None if search else points)
-        if new.size:
+        if chunked:
+            parts = [s.admit(batch[lo:lo + 4, None])
+                     for lo in range(0, batch.size + 1, 2)]
+            assert s.join(parts).tolist() == want
+        else:
+            new, points = s.admit(batch[:, None])
+            assert new.tolist() == want
+            s._merge(new, points)
+        if want:
             grew.append(s._buf.size > cap)
         ref = np.union1d(ref, batch)
-        assert s.has(ref).all() and not s.missing(ref).size
-        assert s.missing(np.array([last + 1 - 3, 4, 5])).tolist() == sorted(
-            {last - 2, 4, 5} - set(ref.tolist()))
+        assert s.has(ref).all()
+        assert s.has(np.array([last + 1 - 3, 4, 5])).tolist() == [
+            c in ref for c in (last - 2, 4, 5)]
     # the buffer grew, and some levels fit in its spare room
     assert any(grew) and not all(grew)
     assert s.codes().tolist() == ref.tolist()
@@ -859,26 +876,42 @@ def test_code_set_never_writes_into_a_given_array(n):
     base = np.array([100, 200, 300, 400, 7, 7, 7, 7])
     s = groups.CodeSet(n, base[:4])
     for batch in _union_cases(last):
-        s.add(s.missing(batch))
+        s.join([s.admit(batch[:, None])])
     assert base.tolist() == [100, 200, 300, 400, 7, 7, 7, 7]
-    # nor into one handed to add
-    new = np.array([150, 250])
-    s.add(new)
-    assert new.tolist() == [150, 250]
+    # nor into the images handed to admit, nor the parts handed to join
+    images = np.array([[250], [150], [250]])
+    parts = [s.admit(images), s.admit(images[::-1])]
+    kept = [(new.copy(), points.copy()) for new, points in parts]
+    given = list(parts)
+    assert s.join(parts).tolist() == [150, 250]
+    assert images.tolist() == [[250], [150], [250]]
+    for (new, points), (new0, points0) in zip(given, kept):
+        assert (new == new0).all() and (points == points0).all()
 
 
 @pytest.mark.parametrize("n", [14, 21])
 def test_code_set_codes_are_not_overwritten_by_later_adds(n):
     last = 2 * 3 ** (n - 1) - 1
     s = groups.CodeSet(n, np.array([100, 200, 300, 400]))
-    s.add(np.array([0, 150, last]))
+    _join(s, [0, 150, last])
     codes = s.codes()
     want = codes.tolist()
-    # a small add, which a buffer with spare room would take in place,
+    # a small join, which a buffer with spare room would take in place,
     # and one that outgrows any buffer so far
-    s.add(np.array([160, 170]))
+    _join(s, [160, 170])
     assert codes.tolist() == want
-    s.add(s.missing(np.arange(1000, 3000)))
+    _join(s, np.arange(1000, 3000))
     assert codes.tolist() == want
     assert s.codes().tolist() == sorted(
         want + [160, 170] + list(range(1000, 3000)))
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_code_set_join_empties_its_parts(n):
+    # so that a level's chunks are freed before a sorted set merges them
+    s = groups.CodeSet(n, np.array([5, 40]))
+    parts = [s.admit(np.array([[3, 1], [5, 2]])),
+             s.admit(np.array([[4, 2], [40, 6]]))]
+    new = s.join(parts)
+    assert parts == [] and sorted(new.tolist()) == [1, 2, 3, 4, 6]
+    assert s.codes().tolist() == [1, 2, 3, 4, 5, 6, 40]
