@@ -18,7 +18,6 @@ from . import fields, geometry, groups, higman, linalg
 
 GF3 = fields.GF3
 PLUS, MINUS = geometry.PLUS, geometry.MINUS
-_START_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -55,28 +54,25 @@ def orbit_partition(space, group, xi):
     if space.field.q != 3:
         raise ValueError("orbit_partition scans GF(3) only, got %r"
                          % space.field)
-    codes = geometry.nonsingular_codes(space, xi)
-    todo = groups.CodeSet(space.n, codes)
+    # the unvisited points of type xi, a mask over the point codes
+    todo = np.zeros(2 * 3 ** (space.n - 1), dtype=bool)
+    todo[geometry.nonsingular_codes(space, xi)] = True
     reports, i = [], 0
-    while i < codes.size:
-        # the next start is the first code from i on that is still in the
-        # set of unvisited points, looked for a window at a time
-        hit = np.flatnonzero(todo.has(codes[i:i + _START_WINDOW]))
-        if not hit.size:
-            i += _START_WINDOW
-            continue
-        i += int(hit[0])
-        start = tuple(int(x) for x in
-                      geometry.decode_codes(codes[i:i + 1], space.n)[0])
+    while True:
+        # the next start is the first unvisited code from the last start on
+        i += int(todo[i:].argmax())
+        if not todo[i]:
+            break
+        start = tuple(geometry.decode_codes(np.r_[i], space.n)[0].tolist())
         t0 = time.perf_counter()
         size, d, orbit = groups.orbit_codes(space, group, start)
         reports.append(groups.make_report(space, start, size, d,
                                           time.perf_counter() - t0))
-        if not todo.has(orbit).all():
+        if not todo[orbit].all():
             raise AssertionError("orbit of %r leaves the unvisited points"
                                  % (start,))
-        todo.remove(orbit)
-        if todo.has(codes[i:i + 1])[0]:
+        todo[orbit] = False
+        if todo[i]:
             raise AssertionError("start %r is still unvisited" % (start,))
     if space.n >= 5:
         total = higman.odd_orthogonal_params((space.n - 1) // 2, xi).total

@@ -10,15 +10,15 @@ chunk of at most 7 digits of a code, a table of every generator's image of
 every digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk
 images are summed by a six-op bitsliced add, and the masks become codes
 again through 14-bit mask->code tables, all built on a group's first scan.
-A set of codes is a CodeSet: a byte map up to dim 13, sorted codes above.
-A BFS level enters it the same way on both: admit per chunk of images,
-then join of the level's parts.  A byte map takes each generator's images
-in turn, so dense levels need no sort.  Sorted codes live in a buffer with
-spare room at its end: admit finds a chunk's new codes and where they go,
-one binary search per distinct image, and join merges the level into the
-buffer in place, back to front (Knuth, TAOCP vol. 3, 5.2.4), with no new
-array for the set.  The BFS finds the orbit alone; cd_parameters and
-orbit_codes then count d in one pass over the orbit's sorted codes.
+A scan's seen-set is a CodeSet: a byte map up to dim 13, sorted codes
+above.  A BFS level enters it the same way on both: admit per chunk of
+images, then join of the level's parts.  A byte map takes each generator's
+images in turn and keeps its levels as found, so dense scans need no sort.
+Sorted codes live in a buffer with spare room at its end: admit finds a
+chunk's new codes and where they go, one binary search per distinct image,
+and join merges the level into the buffer in place, back to front (Knuth,
+TAOCP vol. 3, 5.2.4), with no new array for the set.  The BFS finds the
+orbit alone, in no order; cd_parameters and orbit_codes count d in one pass.
 """
 
 import functools
@@ -35,6 +35,8 @@ from .geometry import PLUS, MINUS
 
 # the orbit scans raise OrbitCapExceeded past this many points
 ORBIT_CAP = 30_000_000
+# orbit() raises OrbitCapExceeded rather than list more points as tuples
+ORBIT_TUPLES_CAP = 2_000_000
 # group_closure raises once a group has more elements than this
 CLOSURE_CAP = 200_000
 
@@ -659,14 +661,14 @@ def _distinct(codes, points=None):
 
 
 class CodeSet:
-    """A set of packed codes of GF(3) points of dim n (below 2 * 3^(n-1),
-    as the first nonzero entry is 1), from sorted distinct codes.  Up to
-    _DENSE_MAX_DIM it is a byte map over those codes with the runs of codes
-    admitted to it, which need no order; above, a buffer whose first size
-    entries are its codes, sorted, with spare room at its end.  A BFS level
-    goes in the same way on both: admit per chunk, then join.  The set
-    never writes into an array given to it, and codes() returns no array
-    that a later join writes into."""
+    """The seen-set of an orbit scan: packed codes of GF(3) points of dim n
+    (below 2 * 3^(n-1), as the first nonzero entry is 1), from distinct
+    codes.  Up to _DENSE_MAX_DIM it is a byte map over those codes with the
+    levels joined to it, in the order they were found; above, a buffer
+    whose first size entries are its codes, sorted, with spare room at its
+    end, from sorted codes.  A BFS level goes in the same way on both:
+    admit per chunk, then join.  The set never writes into an array given
+    to it, and codes() returns no array that a later join writes into."""
 
     def __init__(self, n, codes):
         self._map = None
@@ -699,8 +701,7 @@ class CodeSet:
             for col in images.T:
                 new.append(col.compress(~self._map[col]))
                 self._map[new[-1]] = True
-            self._runs.append(np.concatenate(new))
-            return self._runs[-1]
+            return np.concatenate(new)
         codes = _distinct(images.ravel())  # sorted keys keep the search in cache
         seen = self._buf[:self._size]
         if not seen.size:
@@ -711,11 +712,12 @@ class CodeSet:
 
     def join(self, parts):
         """The new codes of a level, from the parts admit returned for its
-        chunks, which a byte map holds already and a sorted set merges in.
+        chunks, which a byte map keeps as a level and a sorted set merges in.
         parts is emptied, so that they are freed before the merge."""
         if self._map is not None:
             new = np.concatenate(parts)
             parts.clear()
+            self._runs.append(new)
             return new
         new, points = (np.concatenate(x) for x in zip(*parts))
         several = len(parts) > 1
@@ -751,19 +753,19 @@ class CodeSet:
             j = i
         self._size = size + m
 
-    def remove(self, codes):
-        """Drop codes, all in the set, from a byte map; codes() then fails."""
-        self._map[codes] = False
-        self._runs = None
-
     def codes(self):
-        """The sorted codes in the set."""
-        if self._map is None:
-            if self._own:  # trimmed, and a later merge copies it first
-                self._buf.resize(self._size)
-                self._own = False
-            return self._buf
-        return np.sort(np.concatenate(self._runs))
+        """The codes: a byte map's levels as found, a sorted set's sorted."""
+        if self._map is not None:
+            codes = np.concatenate(self._runs)
+            assert np.count_nonzero(self._map) == codes.size, \
+                "byte map levels list a code twice"
+            return codes
+        if self._own:  # trimmed, and a later merge copies it first
+            self._buf.resize(self._size)
+            self._own = False
+        assert (self._buf[1:] > self._buf[:-1]).all(), \
+            "sorted CodeSet codes are not strictly increasing"
+        return self._buf
 
 
 def _images(group, codes):
@@ -783,7 +785,7 @@ def _images(group, codes):
 
 
 def _scan(group, start):
-    """BFS orbit of a projective point over GF(3): (size, sorted codes).
+    """BFS orbit of a projective point over GF(3): (size, codes in no order).
 
     Each level maps the frontier a chunk of rows at a time by _images, the
     seen-set (a CodeSet) admits each chunk's images, and joins the level's
@@ -814,14 +816,13 @@ def _scan(group, start):
             raise OrbitCapExceeded("orbit exceeds the cap of %d points"
                                    % ORBIT_CAP)
     codes = seen.codes()
-    assert codes.size == size and (codes[1:] > codes[:-1]).all(), \
-        "orbit scan codes are not %d strictly increasing codes" % size
+    assert codes.size == size, "scan has %d codes, not %d" % (codes.size, size)
     return size, codes
 
 
 def _count_d(group, start, gram, codes):
     """d: the orbit points w != start with f(w, start) = 0, read off the
-    sorted codes by _f_tables, max(_CHUNK_ENTRIES // n, size // 16) a block."""
+    codes by _f_tables, max(_CHUNK_ENTRIES // n, size // 16) a block."""
     n, chunks = len(start), group._gf3_tables[0]
     x = np.array(start, dtype=np.int64) % 3
     gx = (np.array(gram, dtype=np.int64) @ x) % 3
@@ -864,10 +865,11 @@ def orbit(group, start, space=None):
     F = group.field
     if F.p == 3 and F.a == 1:
         size, codes = _scan(group, start)
-        if size > 2_000_000:
+        if size > ORBIT_TUPLES_CAP:
             raise OrbitCapExceeded("orbit too large to materialize as tuples")
         # zip one list per coordinate: a list per point raises the peak
-        return list(zip(*geometry.decode_codes(codes, group.dim).T.tolist()))
+        return list(zip(*geometry.decode_codes(
+            np.sort(codes), group.dim).T.tolist()))
     sp = space or geometry.QuadraticSpace(
         F, group.gram or linalg.identity(group.dim))
     seen, _d = _orbit_generic(sp, group.gens, start)
@@ -913,7 +915,7 @@ def cd_parameters(space, group, start):
 
 
 def orbit_codes(space, group, start):
-    """(size, d, sorted packed codes) for GF(3) spaces."""
+    """(size, d, packed codes in no order) for GF(3) spaces."""
     F = space.field
     if not (F.p == 3 and F.a == 1):
         raise ValueError("orbit_codes scans GF(3) only, got %r" % F)

@@ -323,10 +323,11 @@ def s8_pipeline():
                 continue
             size, d, codes = groups.orbit_codes(space, group, v)
             if size == 315:
-                assert int(codes[0]) not in hits, \
+                least = int(codes.min())
+                assert least not in hits, \
                     "two P-fixed lines in one 315-point orbit"
-                hits[int(codes[0])] = ("+" if ptype == geometry.PLUS
-                                       else "-", (size - 1 - d, d))
+                hits[least] = ("+" if ptype == geometry.PLUS
+                               else "-", (size - 1 - d, d))
     small = {"+": [], "-": []}
     for _code, (xi, cd) in sorted(hits.items()):
         small[xi].append(cd)

@@ -304,7 +304,7 @@ def test_orbit_partition_checks_the_closed_form_count(monkeypatch):
 
 
 def test_orbit_partition_refuses_other_fields():
-    # the unvisited points are a CodeSet of GF(3) codes
+    # the unvisited points are a mask over the GF(3) point codes
     sp = standard_space(5, fields.field_create(5, 1))
     with pytest.raises(ValueError, match=r"GF\(3\) only, got GF\(5\)"):
         orbit_partition(sp, groups.omega_generators(sp), "+")
@@ -332,20 +332,34 @@ def test_orbit_partition_refuses_an_orbit_off_the_unvisited_points(
 
 def test_orbit_partition_stops_when_no_point_leaves_the_unvisited_set(
         monkeypatch):
-    # with remove a no-op, the start search finds the same start after
-    # every scan; the guard turns that endless loop into a failure, and the
-    # cap on scans below turns a missing guard into a fast failure too
+    # with an orbit that omits its start, the start walk finds the same
+    # start after every scan; the guard turns that endless loop into a
+    # failure, and the cap on scans below turns a missing guard into a
+    # fast failure too
     case = build_case("wreath-n7")
+    powers = geometry.code_powers(case.space.n)
     scan, calls = groups.orbit_codes, []
 
     def capped(*args):
         calls.append(args[2])
         if len(calls) > 3:
             raise RuntimeError("orbit_partition makes no progress")
-        return scan(*args)
+        size, d, codes = scan(*args)
+        return size - 1, d, codes[codes != powers @ np.array(args[2])]
 
     monkeypatch.setattr(groups, "orbit_codes", capped)
-    monkeypatch.setattr(groups.CodeSet, "remove", lambda self, codes: None)
     with pytest.raises(AssertionError, match="is still unvisited"):
         orbit_partition(case.space, case.group, "+")
     assert len(calls) == 1
+
+
+def test_orbit_partition_of_a_group_with_no_generators_is_every_point():
+    # one orbit per point, so the start walk visits every code of the type
+    sp = standard_space(5, GF3)
+    G = groups.MatrixGroup(GF3, 5, (), gram=sp.gram)
+    powers = geometry.code_powers(5)
+    for xi, total in (("+", 45), ("-", 36)):
+        parts = orbit_partition(sp, G, xi)
+        assert [p.size for p in parts] == [1] * total
+        assert ([int(powers @ np.array(p.base_point)) for p in parts]
+                == geometry.nonsingular_codes(sp, xi).tolist())

@@ -337,8 +337,7 @@ def test_orbit_codes_roundtrip():
     G = omega_generators(sp)
     v = find_vector_with_q(sp, 2)
     size, d, codes = orbit_codes(sp, G, v)
-    assert size == 45 == len(codes)
-    assert sorted(codes) == list(codes)
+    assert size == 45 == len(set(codes.tolist())) == len(codes)
     V = decode_codes(codes, 5)
     assert sorted(tuple(int(x) for x in row) for row in V) == orbit(G, v, space=sp)
 
@@ -459,6 +458,34 @@ def test_orbit_cap(monkeypatch):
         cd_parameters(sp, G, v)
 
 
+def test_orbit_tuples_cap(monkeypatch):
+    sp = standard_space(5, GF3)
+    G = omega_generators(sp)
+    v = find_vector_with_q(sp, 2)
+    monkeypatch.setattr(groups, "ORBIT_TUPLES_CAP", 45)
+    assert len(orbit(G, v, space=sp)) == 45
+    # one point over the cap raises before any code is decoded
+    monkeypatch.setattr(groups, "ORBIT_TUPLES_CAP", 44)
+
+    def no_decode(*args):
+        raise AssertionError("codes decoded")
+
+    monkeypatch.setattr(geometry, "decode_codes", no_decode)
+    with pytest.raises(groups.OrbitCapExceeded, match="as tuples"):
+        orbit(G, v, space=sp)
+
+
+def _sorted_codes(codes, n):
+    """The codes of a scan or a CodeSet as a sorted list: a sorted set's in
+    their own order, which they keep; a byte map's, which have none, by
+    sorted(), once they are checked distinct."""
+    codes = codes.tolist()
+    if n <= groups._DENSE_MAX_DIM:
+        assert len(set(codes)) == len(codes)
+        return sorted(codes)
+    return codes
+
+
 def _perm_group(n, perms, signs=()):
     """Permutation matrices, plus diagonal sign changes, on GF(3)^n with the
     identity form."""
@@ -540,7 +567,7 @@ def test_scan_matches_generic_oracle(make, starts):
         d = groups._count_d(G, v, sp.gram, codes)
         seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert (size, d) == (len(seen), d_ref)
-        assert list(codes) == sorted(set(codes))
+        assert _sorted_codes(codes, sp.n) == sorted(set(codes.tolist()))
         assert {tuple(int(x) for x in row)
                 for row in decode_codes(codes, sp.n)} == seen
 
@@ -623,14 +650,7 @@ def test_code_set_matches_python_sets(n):
         # a byte map's column is distinct, as a generator's images are
         assert sorted(_join(s, np.unique(batch)).tolist()) == new
         ref |= set(new)
-        assert s.codes().tolist() == sorted(ref)
-        _check_code_set(s, ref, queries)
-    if n <= groups._DENSE_MAX_DIM:
-        # half the set, unsorted, the first and last codes among them
-        rest = rng.permutation(sorted(ref - {0, last}))
-        drop = np.concatenate([[last], rest[:len(rest) // 2], [0]])
-        s.remove(drop)
-        ref -= set(drop.tolist())
+        assert _sorted_codes(s.codes(), n) == sorted(ref)
         _check_code_set(s, ref, queries)
 
 
@@ -693,7 +713,6 @@ def _admit_chunk_at_once(self, images):
     is marked, so a point two generators reach joins the level twice."""
     new = images.ravel().compress(~self._map[images].ravel())
     self._map[new] = True
-    self._runs.append(new)
     return new
 
 
@@ -705,10 +724,11 @@ def test_scan_asserts_its_codes_are_strictly_increasing(monkeypatch):
         m.setattr(groups, "_distinct", np.sort)
         with pytest.raises(AssertionError, match="strictly increasing"):
             groups._scan(G, (1, 1) + (0,) * 19)
-    # byte map: so does an admission that marks a chunk's columns at once
+    # byte map: so does an admission that marks a chunk's columns at once,
+    # and the map then marks fewer codes than its levels list
     sp, G = _wreath7()
     monkeypatch.setattr(groups.CodeSet, "admit", _admit_chunk_at_once)
-    with pytest.raises(AssertionError, match="strictly increasing"):
+    with pytest.raises(AssertionError, match="levels list a code twice"):
         groups._scan(G, (1, 1, 0, 0, 0, 0, 0))
 
 
@@ -730,7 +750,7 @@ def test_dense_scan_matches_generic_oracle_over_many_chunks(n, starts,
         seen, d_ref = groups._orbit_generic(sp, G.gens, v)
         assert size > 4 * rows
         assert (size, d) == (len(seen), d_ref)
-        assert codes.tolist() == sorted(
+        assert _sorted_codes(codes, n) == sorted(
             int(geometry.code_powers(n) @ np.array(w)) for w in seen)
 
 
@@ -746,7 +766,7 @@ def test_scan_of_a_singular_start_leaves_the_start_out_of_d(n, monkeypatch):
     d = groups._count_d(G, v, sp.gram, codes)
     seen, d_ref = groups._orbit_generic(sp, G.gens, v)
     assert (size, d) == (len(seen), d_ref) and d > 0
-    assert codes.tolist() == sorted(
+    assert _sorted_codes(codes, n) == sorted(
         int(geometry.code_powers(n) @ np.array(w)) for w in seen)
 
 
@@ -763,7 +783,7 @@ def test_code_set_admits_each_new_code_once(n):
     part = s.admit(images)
     want = sorted(set(images.ravel().tolist()) - {5, 40})
     if n <= groups._DENSE_MAX_DIM:
-        # the byte map holds them now, and codes() lists them
+        # the byte map holds them now; join records them as a level
         assert sorted(part.tolist()) == want and len(part) == len(want)
         assert s.has(images).all() and not s.admit(images).size
     else:
@@ -773,7 +793,7 @@ def test_code_set_admits_each_new_code_once(n):
         assert new.tolist() == want and not s.has(new).any()
         assert points.tolist() == np.searchsorted([5, 40], want).tolist()
     assert sorted(s.join([part]).tolist()) == want
-    assert s.codes().tolist() == sorted(want + [5, 40])
+    assert _sorted_codes(s.codes(), n) == sorted(want + [5, 40])
 
 
 @pytest.mark.parametrize("n,supports", [(14, [2, 3]), (21, [2, 3]),
@@ -914,4 +934,4 @@ def test_code_set_join_empties_its_parts(n):
              s.admit(np.array([[4, 2], [40, 6]]))]
     new = s.join(parts)
     assert parts == [] and sorted(new.tolist()) == [1, 2, 3, 4, 6]
-    assert s.codes().tolist() == [1, 2, 3, 4, 5, 6, 40]
+    assert _sorted_codes(s.codes(), n) == [1, 2, 3, 4, 5, 6, 40]
