@@ -176,15 +176,13 @@ def parabolic_subgroup(n, alpha):
                                gram=gram)
     base = []
     for t in (PLUS, MINUS):
-        xv = next(v for v in
-                  ((0,) * alpha + tuple(y) + (0,) * alpha
-                   for y in groups._small_support_vectors(F, s))
-                  if space.q_value(v) != 0
-                  and geometry.point_type(space, v) == t)
-        eta = space.q_value(xv)
-        # eta*e_1 + f_1 has Q = eta, so it matches the type of xv
+        # the x block of the gram is sub's, so xv has Q = eta, as has
+        # eta*e_1 + f_1
+        eta = next(g for g in F.nonzero()
+                   if geometry.type_of_qvalue(space, g) == t)
+        xv = (0,) * alpha + groups.find_vector_with_q(sub, eta) + (0,) * alpha
         z = (eta,) + (0,) * (alpha + s - 1) + (1,) + (0,) * (alpha - 1)
-        assert space.q_value(z) == eta
+        assert space.q_value(xv) == space.q_value(z) == eta
         base.append((xv, t))
         base.append((z, t))
     return ConstructedCase("parabolic-n%d-a%d" % (n, alpha), space, group,

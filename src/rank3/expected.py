@@ -264,6 +264,9 @@ def _ingest_case(filename, expected_cd):
         if not os.path.exists(path):
             raise SkipCase("%s not found" % path)
         group = genfile.parse_generator_file(path)
+        if group.field.q != 3:
+            raise ValueError("ingest cases scan GF(3) only, got %r"
+                             % group.field)
         if group.gram is None:
             kind, B = meataxe.invariant_bilinear_form(group)
             if kind != "symmetric":
@@ -271,18 +274,14 @@ def _ingest_case(filename, expected_cd):
             group = groups.MatrixGroup.unchecked(group.field, group.dim,
                                                  group.gens, filename, B)
         space = geometry.QuadraticSpace(group.field, group.gram)
-        powers = geometry.code_powers(group.dim)
-        seen = groups.CodeSet(group.dim, np.empty(0, dtype=np.int64))
-        observed = []
-        for v in groups._small_support_vectors(group.field, group.dim):
-            if len(observed) >= INGEST_MAX_STARTS:
-                break
-            if space.q_value(v) == 0:
-                continue
-            code = powers @ geometry.canonical_point(group.field, v)
-            # the set is empty until the first scan, which checks the field
-            if observed and seen.has(code):
-                continue
+        # non-singular small-support starts; todo: those in no scanned orbit
+        V = np.array(list(groups._small_support_vectors(GF3, group.dim)))
+        V = V[np.einsum("ij,jk,ik->i", V, np.array(group.gram), V) % 3 != 0]
+        starts = groups.point_codes(group, V)
+        todo, observed, i = np.ones(starts.size, dtype=bool), [], 0
+        while len(observed) < INGEST_MAX_STARTS and todo[i:].any():
+            i += int(todo[i:].argmax())
+            v = tuple(V[i].tolist())
             t0 = time.perf_counter()
             size, d, codes = groups.orbit_codes(space, group, v)
             rep = groups.make_report(space, v, size, d,
@@ -290,7 +289,9 @@ def _ingest_case(filename, expected_cd):
             observed.append([rep.c, rep.d])
             if [rep.c, rep.d] == list(expected_cd):
                 return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
-            seen.join([seen.admit(codes[:, None])])
+            codes.sort()
+            todo[codes.take(np.searchsorted(codes, starts), mode="clip")
+                 == starts] = False
         return {"cd": list(expected_cd)}, {"cd": "not found", "observed": observed}
     return run
 

@@ -5,15 +5,16 @@ random Schreier-Sims on the action on points, and the orbit engine.
 Matrices act on row vectors on the right (v -> v @ g).  The orbit engine has
 a packed numpy fast path for GF(3) and a generic pure-Python path for
 extension fields (only ever needed at tiny sizes).  The GF(3) path holds
-points as packed base-3 codes and maps them by table lookups (_images): per
-chunk of at most 7 digits of a code, a table of every generator's image of
-every digit pattern, as the bitsliced masks of its 1s and 2s.  The chunk
-images are summed by a six-op bitsliced add, and the masks become codes
-again through 14-bit mask->code tables, all built on a group's first scan.
-A scan's seen-set is a CodeSet: a byte map up to dim 13, sorted codes
-above.  A BFS level enters it the same way on both: admit per chunk of
-images, then join of the level's parts.  A byte map takes each generator's
-images in turn and keeps its levels as found, so dense scans need no sort.
+points as packed base-3 codes (point_codes); it and the certificates map
+them by table lookups (_images): per chunk of at most 7 digits of a code,
+a table of every generator's image of every digit pattern, as the
+bitsliced masks of its 1s and 2s.  The chunk images are summed by a six-op
+bitsliced add, and the masks become codes through 14-bit mask->code
+tables, all built on a group's first use.  A CodeSet is a scan's
+seen-set and nothing else: a byte map up to dim 13, sorted codes above.
+A BFS level enters it the same way on both: admit per chunk of images,
+then join of the level's parts.  A byte map takes each generator's images
+in turn and keeps its levels as found, so dense scans need no sort.
 Sorted codes live in a buffer with spare room at its end: admit finds a
 chunk's new codes and where they go, one binary search per distinct image,
 and join merges the level into the buffer in place, back to front (Knuth,
@@ -75,7 +76,7 @@ class MatrixGroup:
 
     @functools.cached_property
     def _gf3_tables(self):
-        """_scan's digit chunks, image tables and mask->code pieces."""
+        """_images' digit chunks, image tables and mask->code pieces."""
         chunks, n = _digit_chunks(self.dim), self.dim
         G = np.array(self.gens, dtype=np.int64).reshape(-1, n, n) % 3
         return chunks, _image_tables(G, chunks), _piece_tables(n)
@@ -268,12 +269,10 @@ _PR_SLOTS = 10
 def point_perms(gens, codes):
     """The permutations of the sorted packed codes of a set of projective
     GF(3) points that the matrices gens induce, as a (k, N) index array:
-    point i goes to point perms[g, i].  Raises ValueError unless every
-    generator maps the set onto itself."""
-    n = len(gens[0])
-    w = geometry.code_powers(n)
-    images = geometry.decode_codes(codes, n) @ (np.array(gens) % 3) % 3
-    canon = np.minimum(images @ w, (-images % 3) @ w)
+    point i goes to point perms[g, i], read off _images.  Raises ValueError
+    unless every generator maps the set onto itself."""
+    group = MatrixGroup.unchecked(fields.GF3, len(gens[0]), tuple(gens))
+    canon = _images(group, codes).T
     perms = np.searchsorted(codes, canon)
     if not (codes.take(perms, mode="clip") == canon).all():
         raise ValueError("the matrices do not preserve the point set")
@@ -641,6 +640,25 @@ def _canonical_codes(M1, M2, pieces):
     return P + Q + np.minimum(P, Q)
 
 
+def point_codes(group, vectors):
+    """The codes of the projective GF(3) points spanned by the rows of
+    vectors, with group's mask->code tables.  ValueError past
+    MAX_CODE_DIM, and for a row of the wrong length, an entry outside
+    range(3) or a zero row."""
+    n, V = group.dim, np.asarray(vectors)
+    if n > MAX_CODE_DIM:
+        raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
+                         "codes), got dim %d" % (MAX_CODE_DIM, n))
+    if V.ndim != 2 or V.shape[1] != n:
+        raise ValueError("a point of dim %d needs %d entries, got %r"
+                         % (n, n, vectors))
+    if ((V < 0) | (V > 2)).any():
+        raise ValueError("GF(3) entries are 0, 1 or 2: %r" % (vectors,))
+    if not V.any(axis=1).all():
+        raise ValueError("zero vector has no projective point")
+    return _canonical_codes(*_masks(V), group._gf3_tables[2])
+
+
 def _distinct(codes, points=None):
     """Sorted distinct codes; np.unique's hash table is several times slower
     on millions of int64 codes.  Given the codes' insertion points, it sorts
@@ -679,15 +697,6 @@ class CodeSet:
         else:
             # not the set's own: the first merge copies it into a buffer
             self._buf, self._size, self._own = codes, codes.size, False
-
-    def has(self, codes):
-        """A bool mask of which codes, in any order, are in the set."""
-        if self._map is not None:
-            return self._map[codes]
-        seen = self._buf[:self._size]
-        if not seen.size:
-            return np.zeros(codes.shape, dtype=bool)
-        return seen.take(np.searchsorted(seen, codes), mode="clip") == codes
 
     def admit(self, images):
         """A chunk's part of a level, from k generators' images of distinct
@@ -791,12 +800,7 @@ def _scan(group, start):
     seen-set (a CodeSet) admits each chunk's images, and joins the level's
     parts, which gives the level's new codes, the next frontier.
     """
-    n = len(start)
-    if n > MAX_CODE_DIM:
-        raise ValueError("GF(3) orbit scans need dim <= %d (packed int64 "
-                         "codes), got dim %d" % (MAX_CODE_DIM, n))
-    codes = _canonical_codes(*_masks(np.array([start]) % 3),
-                             group._gf3_tables[2])
+    n, codes = group.dim, point_codes(group, [start])
     if not group.gens:
         return 1, codes
     rows = max(1, _CHUNK_ENTRIES // (len(group.gens) * n))
@@ -870,6 +874,7 @@ def orbit(group, start, space=None):
         # zip one list per coordinate: a list per point raises the peak
         return list(zip(*geometry.decode_codes(
             np.sort(codes), group.dim).T.tolist()))
+    linalg.Echelon(F, group.dim).pack(start)  # the length and the entries
     sp = space or geometry.QuadraticSpace(
         F, group.gram or linalg.identity(group.dim))
     seen, _d = _orbit_generic(sp, group.gens, start)
@@ -877,6 +882,7 @@ def orbit(group, start, space=None):
 
 
 def _check_start(space, group, start):
+    linalg.Echelon(space.field, space.n).pack(start)  # before q_value
     if space.q_value(start) == 0:
         raise ValueError("base point must be non-singular")
     if group.gram != space.gram:

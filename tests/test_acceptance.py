@@ -21,11 +21,11 @@ class Budget:
         self.seconds = seconds
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.t0
+        elapsed = time.perf_counter() - self.t0
         if exc_type is None:
             assert elapsed < self.seconds, \
                 "criterion %s took %.1fs (budget %ds)" % (

@@ -185,6 +185,47 @@ def test_ingest_case_names_a_field_other_than_gf3(tmp_path, monkeypatch):
     assert "GF(3^2)" in result.error["message"]
 
 
+def test_ingest_refuses_another_field_before_it_looks_for_a_form(
+        tmp_path, monkeypatch):
+    # a GF(9) file with no form block: no form is computed for it
+    from rank3 import fields, genfile, geometry, groups, meataxe
+    sp = geometry.standard_space(3, fields.field_create(3, 2))
+    om = groups.omega_generators(sp)
+    genfile.write_generator_file(str(tmp_path / "o3-9.gen"),
+                                 groups.MatrixGroup(om.field, 3, om.gens))
+    monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
+
+    def no_form(*args):
+        raise AssertionError("invariant_bilinear_form called")
+
+    monkeypatch.setattr(meataxe, "invariant_bilinear_form", no_form)
+    result = expected.run_case("ingest-demo", "ingest", "GF(9) file",
+                               expected._ingest_case("o3-9.gen", (1, 1)))
+    assert result.error["type"] == "ValueError"
+    assert "GF(3^2)" in result.error["message"]
+
+
+@pytest.mark.parametrize("make,observed", [
+    (wreath13, [[0, 12], [44, 111]]), (cycles21, [[0, 20], [76, 343]])],
+    ids=["dim13", "dim21"])
+@pytest.mark.parametrize("max_starts", [1, 60])
+def test_ingest_case_scans_once_per_observed_entry(tmp_path, monkeypatch,
+                                                   make, observed,
+                                                   max_starts):
+    from rank3 import groups
+    export_to_ingest(tmp_path, monkeypatch, make(), "demo.gen")
+    monkeypatch.setattr(expected, "INGEST_MAX_STARTS", max_starts)
+    scans, scan = [], groups.orbit_codes
+    monkeypatch.setattr(groups, "orbit_codes",
+                        lambda *args: scans.append(args[2]) or scan(*args))
+    result = expected.run_case("ingest-demo", "ingest", "exported group",
+                               expected._ingest_case("demo.gen", (1, 1)))
+    assert result.computed == {"cd": "not found",
+                               "observed": observed[:max_starts]}
+    # one scan per entry, each from a start of its own
+    assert len(scans) == len(set(scans)) == len(observed[:max_starts])
+
+
 def test_s8_case_fails_with_its_witnesses(monkeypatch):
     # a failing boolean of the S8 case becomes what it was decided on: the
     # factor dims, or the (c, d) pairs of the 315-point orbits per type

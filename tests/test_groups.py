@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -313,6 +314,56 @@ def test_point_perms_refuses_a_matrix_that_moves_the_points_off_the_set():
         groups.point_perms([shear], geometry.singular_codes(sp))
 
 
+def _dense_point_perms(gens, codes):
+    """The map point_perms replaced: decode every point, multiply by the
+    dense matrices and take the smaller code of the image and its
+    negative."""
+    n = len(gens[0])
+    w = geometry.code_powers(n)
+    images = decode_codes(codes, n) @ (np.array(gens) % 3) % 3
+    canon = np.minimum(images @ w, (-images % 3) @ w)
+    perms = np.searchsorted(codes, canon)
+    assert (codes.take(perms, mode="clip") == canon).all()
+    return perms
+
+
+def _omega_points(n):
+    sp = standard_space(n, GF3)
+    return omega_generators(sp).gens, geometry.singular_codes(sp)
+
+
+def _omega7_words_points():
+    # the certified pair, as certified_words draws them: numpy matrices
+    from rank3.constructions import _omega7_pair
+    nat, pair = _omega7_pair()
+    words = [np.array(m) for m in _draw0_pair(omega_generators(nat).gens)]
+    return list(pair) + words, geometry.singular_codes(nat)
+
+
+def _sp6_points():
+    # the certified words on the 364 points of PG(5,3)
+    from rank3.constructions import _sp6_data
+    return _sp6_data()[1], np.concatenate([3 ** t + np.arange(3 ** t)
+                                           for t in range(6)])
+
+
+def _frame7_points():
+    sp, G = _wreath7()
+    return G.gens, geometry.singular_codes(sp)
+
+
+@pytest.mark.parametrize("make", [
+    functools.partial(_omega_points, 5), functools.partial(_omega_points, 7),
+    _omega7_words_points, _sp6_points, _frame7_points],
+    ids=["omega5", "omega7", "omega7-words", "sp6", "frame7"])
+def test_point_perms_match_the_dense_map(make):
+    gens, codes = make()
+    perms = groups.point_perms(gens, codes)
+    assert perms.shape == (len(gens), len(codes))
+    assert perms.dtype == np.min_scalar_type(len(codes))
+    assert perms.tolist() == _dense_point_perms(gens, codes).tolist()
+
+
 def test_omega_certificate_rejects_a_proper_subgroup(monkeypatch):
     # the Eichler set over all but the last vector of <e, f>-perp fixes that
     # vector, so it generates a proper subgroup of Omega_7(3)
@@ -440,6 +491,40 @@ def test_find_vector_with_q_matches_the_search_it_replaced(F):
                         find_vector_with_q(sp, gamma)
                 else:
                     assert find_vector_with_q(sp, gamma) == want
+
+
+@pytest.mark.parametrize("v", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+                               (1,), (0,) * 5, (3, 0, 0, 0, 0),
+                               (-1, 0, 0, 0, 0)])
+def test_malformed_starts_are_refused_over_gf3(v):
+    # once a 5-point orbit, an IndexError and a one-point orbit of zero
+    sp, G = _wreath(5)
+    for scan in (lambda: orbit(G, v), lambda: cd_parameters(sp, G, v),
+                 lambda: orbit_codes(sp, G, v)):
+        with pytest.raises(ValueError):
+            scan()
+    with pytest.raises(ValueError, match="needs 5 entries|0, 1 or 2|zero"):
+        groups.point_codes(G, [v])
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 0, 0), (10, 0, 0), (9, 0, 0),
+                               (0, 0, 0)])
+def test_malformed_starts_are_refused_over_gf9(v):
+    # once a 46-point orbit, or an IndexError
+    sp = standard_space(3, GF9)
+    G = omega_generators(sp)
+    for scan in (lambda: orbit(G, v, space=sp),
+                 lambda: cd_parameters(sp, G, v)):
+        with pytest.raises(ValueError):
+            scan()
+
+
+def test_point_codes_match_the_canonical_points():
+    sp, G = _wreath(7)
+    V = np.array(list(groups._small_support_vectors(GF3, 7)))
+    assert groups.point_codes(G, V).tolist() == [
+        int(geometry.code_powers(7) @ geometry.canonical_point(GF3, v))
+        for v in V.tolist()]
 
 
 def test_cd_rejects_singular_base():
@@ -616,9 +701,15 @@ def test_image_tables_match_vector_products(n, sizes):
                 == np.arange(3 ** (b - a))).all()
 
 
+def _members(s, queries):
+    """A bool mask of which queries are in the CodeSet s, read off codes()
+    of a copy, so that s keeps its buffer and the spare room in it."""
+    return np.isin(queries, copy.deepcopy(s).codes())
+
+
 def _check_code_set(s, ref, queries):
     for q in queries:
-        assert s.has(q).tolist() == [c in ref for c in q.tolist()]
+        assert _members(s, q).tolist() == [c in ref for c in q.tolist()]
 
 
 def _join(s, codes):
@@ -783,16 +874,18 @@ def test_code_set_admits_each_new_code_once(n):
     part = s.admit(images)
     want = sorted(set(images.ravel().tolist()) - {5, 40})
     if n <= groups._DENSE_MAX_DIM:
-        # the byte map holds them now; join records them as a level
+        # the byte map holds them now, so a second admit finds none new;
+        # join records them as a level
         assert sorted(part.tolist()) == want and len(part) == len(want)
-        assert s.has(images).all() and not s.admit(images).size
+        assert not s.admit(images).size
     else:
         # sorted codes come back sorted, with their insertion points, for
         # join; the set is unchanged until then
         new, points = part
-        assert new.tolist() == want and not s.has(new).any()
+        assert new.tolist() == want and not _members(s, new).any()
         assert points.tolist() == np.searchsorted([5, 40], want).tolist()
     assert sorted(s.join([part]).tolist()) == want
+    assert _members(s, images).all()
     assert _sorted_codes(s.codes(), n) == sorted(want + [5, 40])
 
 
@@ -881,8 +974,8 @@ def test_code_set_merge_matches_union1d(n, block, start, chunked,
         if want:
             grew.append(s._buf.size > cap)
         ref = np.union1d(ref, batch)
-        assert s.has(ref).all()
-        assert s.has(np.array([last + 1 - 3, 4, 5])).tolist() == [
+        assert _members(s, ref).all()
+        assert _members(s, np.array([last + 1 - 3, 4, 5])).tolist() == [
             c in ref for c in (last - 2, 4, 5)]
     # the buffer grew, and some levels fit in its spare room
     assert any(grew) and not all(grew)
