@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fields import SQUARE, NONSQUARE
+from .fields import SQUARE, NONSQUARE, gf3_add
 
 PLUS = "plus"
 MINUS = "minus"
@@ -329,32 +329,42 @@ def first_nonsingular_point(space, xi):
 
 
 def _common_neighbours(A):
-    """A^2 of a symmetric 0/1 matrix, exactly: entry (i, j) is the popcount
-    of row i AND row j, over the rows packed into 64-bit words."""
+    """A^2 of a symmetric 0/1 matrix, exactly, in np.min_scalar_type(N):
+    popcounts of row i AND row j, over the rows packed into 64-bit words."""
     R = np.packbits(A, axis=1)
-    A2 = np.zeros(A.shape, dtype=np.int64)
+    A2 = np.zeros(A.shape, dtype=np.min_scalar_type(len(A)))
     for w in np.pad(R, ((0, 0), (0, -R.shape[1] % 8))).view(np.uint64).T:
         A2 += np.bitwise_count(w[:, None] & w[None, :])
     return A2
 
 
 def _delta_graph(space, xi):
-    """The perpendicularity graph on E_xi: its int64 adjacency A and A^2."""
+    """The perpendicularity graph on E_xi: bool A and A^2.  Over GF(3),
+    gf3_add adds W[i, t] times bitsliced column t of P to row i, W = P G."""
     P = np.array(nonsingular_points(space, xi), dtype=np.int64)
-    A = ((P @ space._gram_np @ P.T) % space.field.p == 0).astype(np.int64)
-    np.fill_diagonal(A, 0)
+    W = P @ space._gram_np % space.field.p
+    if space.field.p != 3:
+        A = W @ P.T % space.field.p == 0
+    else:  # C[v, t]: where P[:, t] == v, none for v = 0; C[-w] swaps 1s, 2s
+        C, R1, R2 = np.packbits([P.T == v for v in (3, 1, 2)], 2), 0, 0
+        for t, w in enumerate(W.T):
+            R1, R2 = gf3_add(R1, R2, C[w, t], C[-w, t])
+        A = np.unpackbits(~(R1 | R2), 1, len(P)).view(bool)
+    np.fill_diagonal(A, False)
     return A, _common_neighbours(A)
 
 
 def measured_rank3_parameters(space, xi):
     """(|E|, k, l, lambda, mu) measured on the explicit point set.  Raises
-    AssertionError unless the Delta-graph is strongly regular."""
+    AssertionError unless 0 < k < N - 1 and A^2 = kI + lam A + mu (J-I-A)."""
     A, A2 = _delta_graph(space, xi)
-    N, ks = len(A), A.sum(axis=1)
+    N, ks = len(A), np.count_nonzero(A, axis=1)
     if ks.min() != ks.max():
         raise AssertionError("Delta-graph is not regular")
-    k = int(ks[0])
-    lam, mu = A2[A == 1], A2[(A == 0) & ~np.eye(N, dtype=bool)]
-    if any(v.size == 0 or v.min() != v.max() for v in (lam, mu)):
+    k = int(ks[0])  # lambda, mu: at point 0's first edge, last non-edge
+    lam, mu = A2[0, A[0].argmax()], A2[0, -1 - A[0, ::-1].argmin()]
+    S = A * (lam ^ mu) ^ mu  # lambda on edges, mu off them, unsigned
+    np.fill_diagonal(S, k)
+    if not 0 < k < N - 1 or not np.array_equal(A2, S):
         raise AssertionError("intersection numbers are not constant")
-    return N, k, N - 1 - k, int(lam[0]), int(mu[0])
+    return N, k, N - 1 - k, int(lam), int(mu)

@@ -25,6 +25,7 @@ orbit alone, in no order; cd_parameters and orbit_codes count d in one pass.
 import functools
 import itertools
 import random
+import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -744,8 +745,9 @@ class CodeSet:
             return
         if not self._own:  # given, or handed out by codes()
             self._buf, self._own = self._buf.astype(np.int64), True
-        if size + m > self._buf.size:  # no view of the buffer is alive
-            self._buf.resize(max(size + m, self._buf.size * 3 // 2))
+        if size + m > self._buf.size:  # refcheck counts a trace hook's refs
+            assert sys.getrefcount(self._buf) == 2, "a view of the buffer is alive"
+            self._buf.resize(max(size + m, self._buf.size * 3 // 2), refcheck=False)
         # the codes from the first insertion point on move back to front, a
         # block at a time: block [a, b) and the new codes that land among
         # it, new[i:j], fill the window [a + i, b + j), which overlaps the
@@ -770,7 +772,8 @@ class CodeSet:
                 "byte map levels list a code twice"
             return codes
         if self._own:  # trimmed, and a later merge copies it first
-            self._buf.resize(self._size)
+            assert sys.getrefcount(self._buf) == 2, "a view of the buffer is alive"
+            self._buf.resize(self._size, refcheck=False)
             self._own = False
         assert (self._buf[1:] > self._buf[:-1]).all(), \
             "sorted CodeSet codes are not strictly increasing"

@@ -8,16 +8,18 @@ Cells are (row, column) from 0, and the residue of a cell is
 column - row mod P.
 """
 
+import operator
+
 P = 3
 
 
 def check_partition(lam):
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(int, lam))
     if not lam:
         raise ValueError("partition must be non-empty")
-    if any(x <= 0 for x in lam):
+    if min(lam) <= 0:
         raise ValueError("parts must be positive")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(operator.lt, lam, lam[1:])):
         raise ValueError("parts must be weakly decreasing")
     return lam
 
@@ -28,7 +30,7 @@ def is_p_regular(lam):
 
 
 def _is_regular(lam):
-    return all(lam.count(x) < P for x in set(lam))
+    return not any(map(operator.eq, lam, lam[P - 1:]))  # lam decreases
 
 
 def _check_regular(lam):

@@ -370,8 +370,57 @@ def test_measured_parameters_small():
 def test_delta_graph_square_matches_the_integer_product(n, xi, size):
     A, A2 = geometry._delta_graph(standard_space(n, GF3), xi)
     assert len(A) == size
-    assert A.dtype == A2.dtype == np.int64
-    assert np.array_equal(A2, A @ A)
+    assert A.dtype == bool and A2.dtype == np.min_scalar_type(size)
+    assert np.array_equal(A2, A.astype(np.int64) @ A.astype(np.int64))
+
+
+def _parabolic_space(alpha, s):
+    from rank3.constructions import _parabolic_gram
+    return QuadraticSpace(GF3, _parabolic_gram(alpha, s))
+
+
+# the four ledger graphs, two non-diagonal Gram matrices (f pairs e_i with
+# f_i) and another prime field, which takes the integer product
+_DELTA_SPACES = {"std5": lambda: standard_space(5, GF3),
+                 "std7": lambda: standard_space(7, GF3),
+                 "par5": lambda: _parabolic_space(2, 1),
+                 "par7": lambda: _parabolic_space(3, 1),
+                 "gf5": lambda: standard_space(5, GF5)}
+
+
+@pytest.mark.parametrize("name", sorted(_DELTA_SPACES))
+@pytest.mark.parametrize("xi", ["+", "-"])
+def test_delta_graph_adjacency_is_perpendicularity(name, xi):
+    sp = _DELTA_SPACES[name]()
+    P = np.array(nonsingular_points(sp, xi), dtype=np.int64)
+    G = np.array(sp.gram, dtype=np.int64)
+    A, A2 = geometry._delta_graph(sp, xi)
+    want = (P @ G @ P.T) % sp.field.p == 0
+    assert not want.diagonal().any()  # f(v, v) = 2 Q(v) is nonzero on E_xi
+    assert A.dtype == bool and np.array_equal(A, want)
+    assert A2.dtype == np.min_scalar_type(len(P))
+    assert np.array_equal(A2, want.astype(np.int64) @ want.astype(np.int64))
+    N, k = geometry.measured_rank3_parameters(sp, xi)[:2]
+    assert (N, k) == (len(P), int(want[0].sum()))
+
+
+@pytest.mark.parametrize("xi,params", [("+", (325, 60, 264, 15, 10)),
+                                       ("-", (300, 65, 234, 10, 15))])
+@pytest.mark.parametrize("edge", [True, False])
+def test_one_wrong_square_entry_is_refused(xi, params, edge, monkeypatch):
+    # over GF(5) lambda and mu differ, both ways round; an entry of A^2 one
+    # up at an edge or a non-edge away from point 0, where they are read
+    sp = standard_space(5, GF5)
+    A, A2 = geometry._delta_graph(sp, xi)
+    assert geometry.measured_rank3_parameters(sp, xi) == params
+    i = 7
+    j = int(np.flatnonzero(A[i] == edge)[-1])
+    assert j != i and A2[i, j] == params[3 if edge else 4]
+    bad = A2.copy()
+    bad[i, j] += 1
+    monkeypatch.setattr(geometry, "_delta_graph", lambda space, xi: (A, bad))
+    with pytest.raises(AssertionError, match="intersection numbers"):
+        geometry.measured_rank3_parameters(sp, xi)
 
 
 def test_common_neighbours_matches_the_integer_product_on_random_graphs():

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -1017,6 +1018,52 @@ def test_code_set_codes_are_not_overwritten_by_later_adds(n):
     assert codes.tolist() == want
     assert s.codes().tolist() == sorted(
         want + [160, 170] + list(range(1000, 3000)))
+
+
+def _with_hook(hook, run):
+    """run() under a no-op trace or profile hook, the old one restored."""
+    get = sys.gettrace if hook is sys.settrace else sys.getprofile
+    old = get()
+    hook(lambda *args: None)
+    try:
+        return run()
+    finally:
+        hook(old)
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+@pytest.mark.parametrize("make,v", [
+    (functools.partial(_dense_conjugate, 14), (1, 2) + (0,) * 12),
+    (_cycles21, (1, 1) + (0,) * 19)], ids=["dim14", "dim21"])
+def test_sorted_scan_runs_under_trace_and_profile_hooks(hook, make, v):
+    # a hook holds references that ndarray.resize's refcheck counts, so the
+    # buffer's growth and trim check the references themselves
+    sp, G = make()
+    assert sp.n > groups._DENSE_MAX_DIM
+    size, codes = _with_hook(hook, lambda: groups._scan(G, v))
+    seen, _ = groups._orbit_generic(sp, G.gens, v)
+    assert size == len(seen) and codes.tolist() == sorted(
+        int(geometry.code_powers(sp.n) @ np.array(w)) for w in seen)
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+def test_code_set_grows_and_trims_under_trace_and_profile_hooks(hook):
+    def run():
+        s = groups.CodeSet(14, np.array([100, 200]))
+        for lo in range(0, 3000, 500):
+            _join(s, np.arange(lo + 1000, lo + 1500))
+        return s.codes()
+    codes = _with_hook(hook, run)
+    assert codes.tolist() == [100, 200] + list(range(1000, 4000))
+
+
+def test_code_set_refuses_to_grow_under_a_live_view():
+    s = groups.CodeSet(14, np.array([100, 200]))
+    _join(s, [300])  # the set now owns its buffer
+    view = s._buf[:2]
+    with pytest.raises(AssertionError, match="a view of the buffer is alive"):
+        _join(s, np.arange(1000, 3000))
+    assert view.tolist() == [100, 200]
 
 
 @pytest.mark.parametrize("n", [7, 14])

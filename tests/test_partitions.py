@@ -22,10 +22,32 @@ TABLE = [
 
 
 def test_partition_validation():
-    check_partition((4, 2, 1))
+    assert check_partition((4, 2, 1)) == (4, 2, 1)
+    assert check_partition(["3", 2.0, 1]) == (3, 2, 1)
     for bad in [(2, 3), (1, 0), (-1,), ()]:
         with pytest.raises(ValueError):
             check_partition(bad)
+
+
+@pytest.mark.parametrize("lam,message", [
+    ((), "partition must be non-empty"),
+    # positivity is checked before the order
+    ((0, 1), "parts must be positive"),
+    ((1, 0), "parts must be positive"),
+    ((-1, 2), "parts must be positive"),
+    ((2, 3), "parts must be weakly decreasing"),
+    ((3, 1, 2), "parts must be weakly decreasing"),
+    # the order before regularity
+    ((1, 1, 1, 2), "parts must be weakly decreasing"),
+    ((2, 2, 2), "partition is not 3-regular"),
+    ((5, 4, 1, 1, 1), "partition is not 3-regular"),
+])
+def test_partition_messages_and_their_order(lam, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        partitions._check_regular(lam)
+    if "regular" not in message:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            check_partition(lam)
 
 
 def test_p_regularity():
@@ -34,6 +56,11 @@ def test_p_regularity():
     assert not is_p_regular((2, 2, 2))
     assert not is_p_regular((1, 1, 1))
     assert is_p_regular((5, 5, 4, 4))
+    # a run of P equal parts anywhere, and runs of P - 1 side by side
+    assert not is_p_regular((5, 1, 1, 1))
+    assert not is_p_regular((4, 2, 2, 2, 1))
+    assert not is_p_regular((3, 3, 3, 3))
+    assert is_p_regular((4, 4, 3, 3, 1, 1))
 
 
 def test_partition_generators():
