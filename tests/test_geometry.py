@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import geometry, linalg
+from rank3 import constructions, geometry, linalg
 from rank3.fields import GF3, field_create
 from rank3.geometry import (MINUS, PLUS, ZERO, QuadraticSpace, canonical_point,
                             count_norm_vectors, decode_codes, nonsingular_points,
@@ -375,8 +375,7 @@ def test_delta_graph_square_matches_the_integer_product(n, xi, size):
 
 
 def _parabolic_space(alpha, s):
-    from rank3.constructions import _parabolic_gram
-    return QuadraticSpace(GF3, _parabolic_gram(alpha, s))
+    return QuadraticSpace(GF3, constructions._parabolic_gram(alpha, s))
 
 
 # the four ledger graphs, two non-diagonal Gram matrices (f pairs e_i with
