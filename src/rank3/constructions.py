@@ -45,6 +45,32 @@ def _embed_block(g, n, offset):
     return tuple(tuple(r) for r in big)
 
 
+def orbit_walk(space, group, todo, starts=None):
+    """Yield an OrbitReport per orbit, one orbit_codes scan each; the bool
+    mask todo marks the unvisited starts, point codes or those in starts."""
+    i = 0
+    while True:
+        # the next start is the first unvisited one from the last start on
+        i += int(todo[i:].argmax())
+        if not todo[i]:
+            return
+        code = i if starts is None else starts[i]
+        start = tuple(geometry.decode_codes(np.r_[code], space.n)[0].tolist())
+        t0 = time.perf_counter()
+        size, d, orbit = groups.orbit_codes(space, group, start)
+        seconds = time.perf_counter() - t0
+        if starts is not None:  # which starts lie in the orbit
+            orbit.sort()
+            orbit = orbit.take(orbit.searchsorted(starts), mode="clip") == starts
+        if not todo[orbit].all():
+            raise AssertionError("orbit of %r leaves the unvisited points"
+                                 % (start,))
+        todo[orbit] = False
+        if todo[i]:
+            raise AssertionError("start %r is still unvisited" % (start,))
+        yield groups.make_report(space, start, size, d, seconds)
+
+
 def orbit_partition(space, group, xi):
     """All group orbits on the projective points of type xi.
 
@@ -54,26 +80,9 @@ def orbit_partition(space, group, xi):
     if space.field.q != 3:
         raise ValueError("orbit_partition scans GF(3) only, got %r"
                          % space.field)
-    # the unvisited points of type xi, a mask over the point codes
     todo = np.zeros(2 * 3 ** (space.n - 1), dtype=bool)
     todo[geometry.nonsingular_codes(space, xi)] = True
-    reports, i = [], 0
-    while True:
-        # the next start is the first unvisited code from the last start on
-        i += int(todo[i:].argmax())
-        if not todo[i]:
-            break
-        start = tuple(geometry.decode_codes(np.r_[i], space.n)[0].tolist())
-        t0 = time.perf_counter()
-        size, d, orbit = groups.orbit_codes(space, group, start)
-        reports.append(groups.make_report(space, start, size, d,
-                                          time.perf_counter() - t0))
-        if not todo[orbit].all():
-            raise AssertionError("orbit of %r leaves the unvisited points"
-                                 % (start,))
-        todo[orbit] = False
-        if todo[i]:
-            raise AssertionError("start %r is still unvisited" % (start,))
+    reports = list(orbit_walk(space, group, todo))
     if space.n >= 5:
         total = higman.odd_orthogonal_params((space.n - 1) // 2, xi).total
         found = sum(r.size for r in reports)

@@ -8,6 +8,7 @@ Tiers: "core" (always), "heavy" (adds the 10.6M-point symplectic
 orbit), "ingest" (adds user-supplied generator files from ./ingest).
 """
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -274,24 +275,23 @@ def _ingest_case(filename, expected_cd):
             group = groups.MatrixGroup.unchecked(group.field, group.dim,
                                                  group.gens, filename, B)
         space = geometry.QuadraticSpace(group.field, group.gram)
-        # non-singular small-support starts; todo: those in no scanned orbit
-        V = np.array(list(groups._small_support_vectors(GF3, group.dim)))
-        V = V[np.einsum("ij,jk,ik->i", V, np.array(group.gram), V) % 3 != 0]
-        starts = groups.point_codes(group, V)
-        todo, observed, i = np.ones(starts.size, dtype=bool), [], 0
-        while len(observed) < INGEST_MAX_STARTS and todo[i:].any():
-            i += int(todo[i:].argmax())
-            v = tuple(V[i].tolist())
-            t0 = time.perf_counter()
-            size, d, codes = groups.orbit_codes(space, group, v)
-            rep = groups.make_report(space, v, size, d,
-                                     time.perf_counter() - t0)
+        n, starts = group.dim, None
+        if n <= groups._DENSE_MAX_DIM:  # every non-singular point, by code
+            todo = np.zeros(2 * 3 ** (n - 1), dtype=bool)
+            for t in range(n):
+                todo[3 ** t:2 * 3 ** t] = True
+            todo[geometry.singular_codes(space)] = False
+        else:  # the non-singular small-support starts
+            V = np.array(list(groups._small_support_vectors(GF3, n)))
+            V = V[np.einsum("ij,jk,ik->i", V, np.array(group.gram), V) % 3 != 0]
+            starts = groups.point_codes(group, V)
+            todo = np.ones(starts.size, dtype=bool)
+        observed = []
+        for rep in itertools.islice(constructions.orbit_walk(
+                space, group, todo, starts), INGEST_MAX_STARTS):
             observed.append([rep.c, rep.d])
-            if [rep.c, rep.d] == list(expected_cd):
-                return {"cd": list(expected_cd)}, {"cd": [rep.c, rep.d]}
-            codes.sort()
-            todo[codes.take(np.searchsorted(codes, starts), mode="clip")
-                 == starts] = False
+            if observed[-1] == list(expected_cd):
+                return {"cd": list(expected_cd)}, {"cd": observed[-1]}
         return {"cd": list(expected_cd)}, {"cd": "not found", "observed": observed}
     return run
 

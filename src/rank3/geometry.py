@@ -44,10 +44,12 @@ class QuadraticSpace:
             raise ValueError("gram matrix is degenerate")
         self._half = field.inv(field.from_int(2))
         self._gram_np = np.array(gram, dtype=np.int64)
+        self._pack = linalg.Echelon(field, n).pack
         self._qcounts = None
         self._qtable = None
 
     def form(self, u, v):
+        self._pack(u), self._pack(v)  # ValueError unless n entries in range(q)
         F = self.field
         gv = linalg.vec_mat(F, v, self.gram)
         return linalg.vec_dot(F, u, gv)

@@ -885,7 +885,6 @@ def orbit(group, start, space=None):
 
 
 def _check_start(space, group, start):
-    linalg.Echelon(space.field, space.n).pack(start)  # before q_value
     if space.q_value(start) == 0:
         raise ValueError("base point must be non-singular")
     if group.gram != space.gram:

@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from rank3 import expected
@@ -112,12 +113,11 @@ def export_to_ingest(tmp_path, monkeypatch, case, filename):
     monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
 
 
-def cycles21():
-    # A_21 on the coordinates and sign changes of pairs: dim 21 takes the
-    # sorted codes, and the orbits of e_1 and e_1 + e_2 have 21 and 420
+def signed_cycles(n):
+    # the n-cycle and a 3-cycle on the coordinates, and the sign change of
+    # a pair: at dim 21 the orbits of e_1 and e_1 + e_2 have 21 and 420
     # points
     from rank3 import constructions, fields, geometry, groups, linalg
-    n = 21
     sp = geometry.standard_space(n, fields.GF3)
     flip = [list(r) for r in linalg.identity(n)]
     flip[0][0] = flip[1][1] = 2
@@ -125,8 +125,13 @@ def cycles21():
             linalg.perm_matrix((1, 2, 0) + tuple(range(3, n))),
             tuple(map(tuple, flip)))
     group = groups.MatrixGroup(fields.GF3, n, gens, gram=sp.gram)
-    return constructions.ConstructedCase("cycles-n21", sp, group, (),
+    return constructions.ConstructedCase("cycles-n%d" % n, sp, group, (),
                                          "signed coordinate permutations")
+
+
+def cycles21():
+    # dim 21 takes the sorted codes and the small-support starts
+    return signed_cycles(21)
 
 
 def wreath13():
@@ -134,10 +139,22 @@ def wreath13():
     return constructions.build_case("wreath-n13")
 
 
+# the (c, d) of every wreath-n13 orbit on the non-singular points, in the
+# order of their smallest codes: at dim 13 an ingest case walks them all
+WREATH13_OBSERVED = [[0, 12], [44, 111], [3772, 1947], [13850, 6741],
+                     [73346, 36477], [109700, 55035], [97780, 48651],
+                     [53306, 26565], [2730, 1365]]
+
+
+def test_wreath13_orbits_cover_the_nonsingular_points():
+    # 1 + c + d is an orbit's size; dim 13 has 3^12 non-singular points
+    assert sum(1 + c + d for c, d in WREATH13_OBSERVED) == 3 ** 12
+
+
 @pytest.mark.parametrize("make,pin,computed", [
     pytest.param(wreath13, (44, 111), {"cd": [44, 111]}, id="pin0-computed0"),
     pytest.param(wreath13, (1, 1), {"cd": "not found",
-                                    "observed": [[0, 12], [44, 111]]},
+                                    "observed": WREATH13_OBSERVED},
                  id="pin1-computed1"),
     pytest.param(cycles21, (1, 1), {"cd": "not found",
                                     "observed": [[0, 20], [76, 343]]},
@@ -145,8 +162,8 @@ def wreath13():
 ])
 def test_ingest_case_scans_each_orbit_once(tmp_path, monkeypatch, make, pin,
                                            computed):
-    # the byte map at dim 13 and sorted codes at dim 21: each start in an
-    # orbit already scanned is skipped
+    # every point at dim 13 and small-support starts at dim 21: each start
+    # in an orbit already scanned is skipped
     export_to_ingest(tmp_path, monkeypatch, make(), "demo.gen")
     result = expected.run_case("ingest-demo", "ingest", "exported group",
                                expected._ingest_case("demo.gen", pin))
@@ -206,7 +223,7 @@ def test_ingest_refuses_another_field_before_it_looks_for_a_form(
 
 
 @pytest.mark.parametrize("make,observed", [
-    (wreath13, [[0, 12], [44, 111]]), (cycles21, [[0, 20], [76, 343]])],
+    (wreath13, WREATH13_OBSERVED), (cycles21, [[0, 20], [76, 343]])],
     ids=["dim13", "dim21"])
 @pytest.mark.parametrize("max_starts", [1, 60])
 def test_ingest_case_scans_once_per_observed_entry(tmp_path, monkeypatch,
@@ -224,6 +241,85 @@ def test_ingest_case_scans_once_per_observed_entry(tmp_path, monkeypatch,
                                "observed": observed[:max_starts]}
     # one scan per entry, each from a start of its own
     assert len(scans) == len(set(scans)) == len(observed[:max_starts])
+
+
+@pytest.mark.parametrize("make", [wreath13, cycles21], ids=["dim13", "dim21"])
+@pytest.mark.parametrize("fault,message", [
+    pytest.param("first orbit again", "leaves the unvisited points",
+                 id="first-orbit-again"),
+    pytest.param("orbit without its start", "is still unvisited",
+                 id="start-omitted")])
+def test_ingest_case_fails_on_a_scan_that_breaks_the_walk(
+        tmp_path, monkeypatch, make, fault, message):
+    # the ingest case walks its starts with orbit_partition's walk, so a
+    # scan that hands back an orbit already walked, or one that omits its
+    # start, fails the case instead of looping or reading "not found"
+    from rank3 import geometry, groups
+    case = make()
+    export_to_ingest(tmp_path, monkeypatch, case, "demo.gen")
+    powers = geometry.code_powers(case.space.n)
+    scan, first = groups.orbit_codes, []
+
+    def faulty(*args):
+        size, d, codes = scan(*args)
+        if fault == "first orbit again":
+            first.append((size, d, codes))
+            return first[0]
+        return size - 1, d, codes[codes != powers @ np.array(args[2])]
+
+    monkeypatch.setattr(groups, "orbit_codes", faulty)
+    result = expected.run_case("ingest-demo", "ingest", "exported group",
+                               expected._ingest_case("demo.gen", (1, 1)))
+    assert result.error["type"] == "AssertionError"
+    assert message in result.error["message"]
+
+
+def test_ingest_case_walks_every_point_of_an_even_dim_file(tmp_path,
+                                                           monkeypatch):
+    # even dims have no point types; at dim <= 13 the walk still covers
+    # every non-singular point
+    from rank3 import geometry
+    case = signed_cycles(8)
+    export_to_ingest(tmp_path, monkeypatch, case, "demo.gen")
+    result = expected.run_case("ingest-demo", "ingest", "exported group",
+                               expected._ingest_case("demo.gen", (1, 1)))
+    assert result.error is None and result.computed["cd"] == "not found"
+    points = (3 ** 8 - 1) // 2 - geometry.singular_codes(case.space).size
+    assert sum(1 + c + d for c, d in result.computed["observed"]) == points
+
+
+def l213_dim13_group():
+    """PSL_2(13) on the 14 points of P^1(13), generated by x -> x + 1 and
+    x -> -1/x, on its deleted permutation module over GF(3): the sum-zero
+    vectors, dim 13, in the basis e_i - e_(i+1)."""
+    from rank3 import constructions, fields, groups, linalg
+    n = 14  # the points 0, ..., 12 and infinity, which is 13
+    shift = tuple((x + 1) % 13 for x in range(13)) + (13,)
+    invert = (13,) + tuple(-pow(x, -1, 13) % 13 for x in range(1, 13)) + (0,)
+    E = [tuple(1 if k == i else 2 if k == i + 1 else 0 for k in range(n))
+         for i in range(n - 1)]
+    _space, gens, _coords = constructions._subquotient(
+        fields.GF3, linalg.identity(n),
+        [linalg.perm_matrix(p) for p in (shift, invert)], E, [])
+    return groups.MatrixGroup(fields.GF3, n - 1, gens, label="l213-dim13")
+
+
+def write_l213_dim13(path):
+    """Write the L2(13) generator file of the ingest tier, with no form
+    block, to path."""
+    from rank3 import genfile
+    genfile.write_generator_file(path, l213_dim13_group())
+
+
+def test_ingest_l213_file_without_a_form_matches(tmp_path, monkeypatch):
+    # (734, 357) lies in both point types, but in no orbit of the first 20
+    # small-support starts; walking every point of dim 13 finds it
+    write_l213_dim13(str(tmp_path / "l213-dim13.gen"))
+    monkeypatch.setattr(expected, "INGEST_DIR", str(tmp_path))
+    case = next(c for c in expected.CASES if c[0] == "ingest-l213-dim13")
+    result = expected.run_case(*case)
+    assert result.error is None
+    assert result.match and result.computed == {"cd": [734, 357]}
 
 
 def test_s8_case_fails_with_its_witnesses(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank3 import constructions, geometry, linalg
+from rank3 import constructions, geometry, groups, linalg
 from rank3.fields import GF3, field_create
 from rank3.geometry import (MINUS, PLUS, ZERO, QuadraticSpace, canonical_point,
                             count_norm_vectors, decode_codes, nonsingular_points,
@@ -25,6 +25,23 @@ def test_standard_space_basics():
     assert sp.q_value((1, 0, 0, 0, 0)) == 2  # Q = 2^{-1} f(v,v) = 2 in GF(3)
     assert sp.q_value((1, 1, 0, 0, 0)) == 1
     assert sp.q_value((1, 1, 1, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp: sp.q_value((1,)),
+    lambda sp: sp.q_value((5, 0, 0, 0, 0)),
+    lambda sp: point_type(sp, (1,)),
+    lambda sp: groups.reflection(sp, (1,)),
+    lambda sp: sp.q_value((0,) * 5 + (1,)),
+    lambda sp: sp.form((1, 0, 0, 0, 0), (1, 0, 0, 0, 3)),
+], ids=["short", "entry-5", "type-short", "reflection-short", "long",
+        "form-second"])
+def test_form_refuses_a_vector_of_the_wrong_length_or_entries(call):
+    # the entry points read a vector through form, which checks its length
+    # and its entries: a short vector is not zero-padded, an entry 5 is not
+    # read as 2 and a long vector raises no IndexError
+    with pytest.raises(ValueError):
+        call(standard_space(5, GF3))
 
 
 def test_degenerate_form_rejected():
